@@ -48,7 +48,6 @@ from .errors import (
     DegenerateSurfaceError,
     DomainError,
     InjectivityError,
-    NearBoundaryError,
     QcharmError,
     RefinementError,
     RegularityError,
@@ -78,7 +77,6 @@ from .poisson import (
     gradient_frames,
     jacobian,
     poisson_extend,
-    poisson_kernel,
 )
 from .scenarios import (
     NormalizationWitness,

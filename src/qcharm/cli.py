@@ -25,7 +25,6 @@ from .curves import (
     ellipse,
 )
 from .errors import QcharmError, RefinementError
-from .poisson import QuadratureSpec
 from .scenarios import VerifyConfig, make_scenario, scenario_catalog, verify
 
 EXIT_OK = 0
@@ -178,7 +177,6 @@ def cmd_verify(args) -> int:
     config = VerifyConfig(
         node_count=args.nodes,
         mu=args.mu,
-        quad=QuadratureSpec(m=args.quad_nodes, delta=args.delta),
         refine=args.refine,
         tol=args.tol,
         upsilon=args.upsilon,
@@ -202,10 +200,10 @@ def cmd_verify(args) -> int:
             "converged": rep.constants.converged,
         },
         "area": rep.area,
+        "area_rule": rep.area_rule,
         "upsilon": rep.upsilon,
         "dilatation": {"exact": rep.k_exact, "estimate": rep.k_estimate},
         "sup_gradient": {
-            "raw": rep.sup_grad_raw,
             "extrapolated": rep.sup_grad_extrapolated,
             "exact": rep.sup_grad_exact,
         },
@@ -213,7 +211,7 @@ def cmd_verify(args) -> int:
         "mori_constant": rep.mori_growth,
         "log_L": rep.bound.log_value,
         "L": rep.bound.value,
-        "quadrature": {"m": rep.quad_m, "delta": rep.quad_delta},
+        "series": {"degree": rep.series_degree, "tail": rep.series_tail},
         "checks": checks,
         "worst_margin": rep.worst_margin,
         "all_passed": rep.all_passed,
@@ -274,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", default=None, help="JSON file with cos_coeffs/sin_coeffs")
     p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=256)
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--refine", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--upsilon", type=float, default=None)

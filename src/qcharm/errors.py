@@ -21,10 +21,6 @@ class RefinementError(QcharmError):
     """A quadrature or scan failed to converge at the allowed resolution."""
 
 
-class NearBoundaryError(QcharmError):
-    """Evaluation point too close to the unit circle for the fixed-node rule."""
-
-
 class DegenerateFrameError(QcharmError):
     """Gradient frame has rank <= 1 (branch point); dilatation undefined."""
 

@@ -1,10 +1,14 @@
 """Harmonic extension of circle boundary data and its first derivatives.
 
-Everything is driven by the periodic trapezoid rule, which is spectrally
-accurate for the analytic integrands that arise at radii bounded away
-from one.  Evaluations closer to the circle than the configured cap are
-refused unless adaptivity is enabled, in which case the node count
-doubles until two successive answers agree.
+Boundary data is a trigonometric polynomial F(t) = sum_j a_j cos(jt) +
+b_j sin(jt) per coordinate, so its harmonic extension is exactly
+u = Re f with f(z) = sum_j c_j z^j, c_j = a_j - i b_j, and the gradient is
+u_x = Re f', u_y = -Im f' (Duren, Harmonic Mappings in the Plane, 2004,
+ch. 1).  Both are evaluated by Horner's rule anywhere on the closed disk,
+the circle included.  Data that is not itself a polynomial (a curve
+composed with an angle map, or an arc-length view) is fitted once by FFT
+until the coefficient tail sits at roundoff; ``BoundaryMap.series_tail``
+carries the discarded part.
 """
 
 from __future__ import annotations
@@ -14,29 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TWO_PI, JordanCurve, TrigPolynomial
-from .errors import (
-    DegenerateFrameError,
-    DomainError,
-    NearBoundaryError,
-    RefinementError,
-)
+from .errors import DegenerateFrameError, DomainError, RefinementError
+
+# relative roundoff floor of an FFT coefficient, per log2 of the fit size
+_ROUNDOFF = 1e-15
+# largest FFT fit of composed boundary data (degree cap is half of it)
+_MAX_FIT = 1 << 16
+# |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
+_DISK_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Angular rule size and near-boundary policy for disk evaluations."""
+    """Rule size and tolerance of the boundary-Jacobian integral
+    (``kernels.boundary_jacobian_bound``)."""
 
     m: int = 1024
-    delta: float = 1e-2
     adaptive: bool = True
     tol: float = 1e-12
-    max_m: int = 1 << 21
 
     def __post_init__(self):
         if self.m < 64 or self.m & (self.m - 1):
             raise DomainError("node count m must be a power of two, at least 64")
-        if not 0.0 < self.delta <= 0.5:
-            raise DomainError("radial cap delta must lie in (0, 0.5]")
 
 
 class AngleMap:
@@ -98,6 +101,7 @@ class BoundaryMap:
         self.curve = curve
         self.angle_map = angle_map or AngleMap.identity()
         self._poly = None
+        self._series = None
         increase = float(self.angle_map(TWO_PI)) - float(self.angle_map(0.0))
         if abs(increase - TWO_PI) > 1e-9:
             raise DomainError("angle map must increase by 2*pi over a period")
@@ -114,17 +118,12 @@ class BoundaryMap:
         obj.curve = None
         obj.angle_map = None
         obj._poly = TrigPolynomial.from_samples(np.atleast_2d(np.asarray(samples, dtype=float)))
+        obj._series = None
         return obj
 
     @property
     def dim(self) -> int:
         return self.curve.dim if self.curve is not None else self._poly.dim
-
-    def reach(self) -> float:
-        if self.curve is not None:
-            return float(np.max(np.linalg.norm(self.curve.points, axis=1)))
-        t = TWO_PI * np.arange(512) / 512
-        return float(np.max(np.linalg.norm(self._poly(t), axis=1)))
 
     def values(self, t):
         if self.curve is not None:
@@ -137,6 +136,52 @@ class BoundaryMap:
             fp = self.angle_map.derivative(t)
             return self.curve.velocity(f) * np.asarray(fp)[..., None]
         return self._poly.derivative()(t)
+
+    def series(self) -> TrigPolynomial:
+        """The boundary data as one trigonometric polynomial, computed on
+        first use and cached.
+
+        The curve's own polynomial (identity angle map, no arc-length view)
+        and the interpolant of ``from_values`` are exact and returned as
+        they are.  Other data is fitted by FFT at 64, 128, ... samples until
+        every harmonic in the upper half of the fitted band is below the
+        roundoff floor 1e-15 * max|F| * log2(samples); harmonics below the
+        floor at the top are then dropped.  ``RefinementError`` when the
+        fit is still unresolved at 2^16 samples.
+        """
+        if self._series is None:
+            if self.curve is None:
+                self._series = (self._poly, 0.0)
+            elif self.angle_map._osc is None and self.curve.view is None:
+                self._series = (self.curve.poly, 0.0)
+            else:
+                self._series = self._fit_series()
+        return self._series[0]
+
+    @property
+    def series_tail(self) -> float:
+        """sum_{j > J} j |c_j| over the harmonics the fit dropped (zero for
+        exact data).  On the closed disk it bounds the gradient error of
+        the truncation, and, since j >= 1, its value error."""
+        self.series()
+        return self._series[1]
+
+    def _fit_series(self):
+        m = 64
+        while True:
+            samples = self.values(TWO_PI * np.arange(m) / m)
+            poly = TrigPolynomial.from_samples(samples)
+            weight = np.sqrt(np.sum(poly.cos_coeffs**2 + poly.sin_coeffs**2, axis=1))
+            floor = _ROUNDOFF * float(np.max(np.linalg.norm(samples, axis=1))) * np.log2(m)
+            if np.max(weight[m // 4 + 1 :]) <= floor:
+                break
+            if m >= _MAX_FIT:
+                raise RefinementError(f"boundary series not resolved at {_MAX_FIT} samples")
+            m *= 2
+        keep = np.nonzero(weight > floor)[0]
+        cut = int(keep[-1]) + 1 if keep.size else 1
+        tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
+        return TrigPolynomial(poly.cos_coeffs[:cut], poly.sin_coeffs[:cut]), tail
 
 
 @dataclass(frozen=True)
@@ -179,135 +224,52 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# kernel and extension
+# extension
 
 
-def poisson_kernel(r, t):
-    """(1 - r^2) / (2*pi*(1 - 2 r cos t + r^2)) for 0 <= r < 1.
-
-    The denominator is evaluated as (1-r)^2 + 4 r sin^2(t/2), which is a
-    sum of nonnegative terms and stays accurate near its minimum.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise DomainError("kernel radius must lie in [0, 1)")
-    t = np.asarray(t, dtype=float)
-    den = (1.0 - r) ** 2 + 4.0 * r * np.sin(t / 2.0) ** 2
-    return (1.0 - r) * (1.0 + r) / (TWO_PI * den)
-
-
-def _check_radius(z, spec: QuadratureSpec):
-    r = np.abs(np.atleast_1d(np.asarray(z, dtype=complex)))
-    if np.any(r >= 1.0):
-        raise DomainError("evaluation points must lie strictly inside the unit disk")
-    if np.any(r > 1.0 - spec.delta) and not spec.adaptive:
-        raise NearBoundaryError(
-            f"point with |z| = {np.max(r):.6f} exceeds the cap 1 - delta = {1 - spec.delta:.6f}; "
-            "raise m or enable adaptivity"
-        )
-
-
-def _starting_nodes(r_max: float, spec: QuadratureSpec) -> int:
-    """Node count from the largest radius: aliasing decays like r^M, so
-    target M with r^M below roundoff before the doubling check runs."""
-    m = spec.m
-    if 0.0 < r_max < 1.0:
-        need = 1.2 * 36.0 / -np.log(r_max)
-        while m < need and m < spec.max_m:
-            m *= 2
-    return m
-
-
-def _adaptive(rule, r_max: float, spec: QuadratureSpec, cond: float = 1.0):
-    """Double the rule until two runs agree.  ``cond`` estimates the sum of
-    absolute weighted integrand values; the roundoff floor of the rule is
-    proportional to it, so agreement below that floor is never demanded."""
-    m = _starting_nodes(r_max, spec)
-    prev = rule(m)
-    if not spec.adaptive:
-        return prev
-    while m < spec.max_m:
-        m *= 2
-        cur = rule(m)
-        err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
-        scale = max(float(np.max(np.abs(c))) for c in cur)
-        floor = 1e-15 * cond * np.log2(m)
-        if err < spec.tol * (1.0 + scale) + floor:
-            return cur
-        prev = cur
-    raise RefinementError(f"angular rule did not settle below {spec.max_m} nodes")
-
-
-_CHUNK_BUDGET = 1 << 23  # max kernel-matrix entries held at once
-
-
-def poisson_extend(boundary: BoundaryMap, z, spec: QuadratureSpec = QuadratureSpec()):
-    """Harmonic extension of the boundary data at interior point(s) z."""
+def _closed_disk(z) -> np.ndarray:
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_radius(zz, spec)
-    r = np.abs(zz)
-    phi = np.angle(zz)
-
-    def rule(m):
-        t = TWO_PI * np.arange(m) / m
-        fv = boundary.values(t)
-        out = np.empty((zz.size, boundary.dim))
-        step = max(8, _CHUNK_BUDGET // m)
-        for lo in range(0, zz.size, step):
-            hi = min(lo + step, zz.size)
-            pk = poisson_kernel(r[lo:hi, None], t[None, :] - phi[lo:hi, None])
-            out[lo:hi] = (pk @ fv) * (TWO_PI / m)
-        return (out,)
-
-    reach = boundary.reach()
-    (vals,) = _adaptive(rule, float(np.max(r)), spec, cond=reach)
-    return vals[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else vals
+    if np.any(np.abs(zz) > 1.0 + _DISK_SLACK):
+        raise DomainError("evaluation points must lie in the closed unit disk")
+    return zz
 
 
-def _kernel_gradient(r, phi, t):
-    """Cartesian partials of the kernel at z = r e^{i phi}.
-
-    Uses the cancellation-free denominator (1-r)^2 + 4 r sin^2((t-phi)/2).
-    """
-    num = (1.0 - r) * (1.0 + r)
-    den = (1.0 - r) ** 2 + 4.0 * r * np.sin((t - phi) / 2.0) ** 2
-    x = r * np.cos(phi)
-    y = r * np.sin(phi)
-    px = -(x * den + num * (x - np.cos(t))) / (np.pi * den**2)
-    py = -(y * den + num * (y - np.sin(t))) / (np.pi * den**2)
-    return px, py
+def _coefficients(boundary: BoundaryMap) -> np.ndarray:
+    """c_j = a_j - i b_j, shape (J+1, n); u = Re sum_j c_j z^j."""
+    poly = boundary.series()
+    c = poly.cos_coeffs - 1j * poly.sin_coeffs
+    c[0] = poly.cos_coeffs[0]  # sin_coeffs[0] is not part of the data
+    return c
 
 
-def gradient_frames(boundary: BoundaryMap, z, spec: QuadratureSpec = QuadratureSpec()):
-    """Gradient frames (ux, uy) at an array of interior points; returns
-    (ux, uy) arrays of shape (k, n)."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_radius(zz, spec)
-    r = np.abs(zz)
-    phi = np.angle(zz)
-
-    def rule(m):
-        t = TWO_PI * np.arange(m) / m
-        fv = boundary.values(t)
-        w = TWO_PI / m
-        ux = np.empty((zz.size, boundary.dim))
-        uy = np.empty_like(ux)
-        step = max(8, _CHUNK_BUDGET // m)
-        for lo in range(0, zz.size, step):
-            hi = min(lo + step, zz.size)
-            px, py = _kernel_gradient(r[lo:hi, None], phi[lo:hi, None], t[None, :])
-            ux[lo:hi] = (px @ fv) * w
-            uy[lo:hi] = (py @ fv) * w
-        return ux, uy
-
-    reach = boundary.reach()
-    r_max = float(np.max(np.abs(zz)))
-    return _adaptive(rule, r_max, spec, cond=2.0 * reach / max(1.0 - r_max, 1e-12))
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] z^j at every point: (J+1, n) and (k,) -> (k, n)."""
+    out = np.zeros((z.size, coeffs.shape[1]), dtype=complex)
+    zc = z[:, None]
+    for c in coeffs[::-1]:
+        out *= zc
+        out += c
+    return out
 
 
-def gradient(boundary: BoundaryMap, z: complex, spec: QuadratureSpec = QuadratureSpec()) -> GradientFrame:
-    """Gradient frame at a single interior point."""
-    ux, uy = gradient_frames(boundary, [z], spec)
+def poisson_extend(boundary: BoundaryMap, z):
+    """Harmonic extension of the boundary data at point(s) z of the closed disk."""
+    vals = _horner(_coefficients(boundary), _closed_disk(z)).real
+    return vals[0] if np.ndim(z) == 0 else vals
+
+
+def gradient_frames(boundary: BoundaryMap, z):
+    """Gradient frames (ux, uy) at an array of points of the closed disk;
+    returns (ux, uy) arrays of shape (k, n)."""
+    c = _coefficients(boundary)
+    j = np.arange(1, c.shape[0])[:, None]
+    df = _horner(j * c[1:], _closed_disk(z))
+    return df.real, -df.imag
+
+
+def gradient(boundary: BoundaryMap, z: complex) -> GradientFrame:
+    """Gradient frame at a single point of the closed disk."""
+    ux, uy = gradient_frames(boundary, [z])
     return GradientFrame(z=complex(z), ux=ux[0], uy=uy[0])
 
 
@@ -369,7 +331,6 @@ def angular_derivative_check(
     boundary: BoundaryMap,
     grid,
     K: float,
-    spec: QuadratureSpec = QuadratureSpec(),
     tol: float = 1e-12,
 ) -> InequalityReport:
     """Verify |du/dt|^2 <= r^2 K J at each grid point.
@@ -380,7 +341,7 @@ def angular_derivative_check(
     if K < 1.0:
         raise DomainError("dilatation bound K must be at least 1")
     zz = np.atleast_1d(np.asarray(grid, dtype=complex))
-    ux, uy = gradient_frames(boundary, zz, spec)
+    ux, uy = gradient_frames(boundary, zz)
     r = np.abs(zz)
     th = np.angle(zz)
     ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])

@@ -87,8 +87,7 @@ class Scenario:
 class VerifyConfig:
     node_count: int = 512
     mu: float = 1.0
-    quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(m=256, delta=0.05))
-    sup_delta: float = 0.0025
+    quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(m=256))
     sup_angles: int = 128
     grid_radii: int = 32
     grid_angles: int = 32
@@ -111,10 +110,10 @@ class VerificationReport:
     constants: CurveConstants
     length: float
     area: float
+    area_rule: dict
     k_exact: float | None
     k_estimate: float
-    sup_grad_raw: float
-    sup_grad_extrapolated: float
+    sup_grad_extrapolated: float  # sup |grad u| on |z| = 1, named as its report key
     sup_grad_exact: float | None
     upsilon: float
     alpha: float
@@ -123,8 +122,8 @@ class VerificationReport:
     checks: list
     worst_margin: float
     all_passed: bool
-    quad_m: int
-    quad_delta: float
+    series_degree: int
+    series_tail: float
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -383,8 +382,9 @@ def _interior_points(n: int, r_max: float, offset: int = 0):
 def verify(scenario: Scenario, config: VerifyConfig | None = None) -> VerificationReport:
     """Run the full inequality suite on one scenario.
 
-    Stages: (1) curve constants; (2) gradient/dilatation sups with linear
-    radial extrapolation; (3) pointwise angular-derivative inequality;
+    Stages: (1) curve constants; (2) gradient/dilatation sups, evaluated
+    on the unit circle from the boundary series; (3) pointwise
+    angular-derivative inequality;
     (4) boundary Hölder estimate on sampled pairs; (5) boundary Jacobian
     bound at sampled angles; (6) isoperimetric ratio; (7) gradient and
     displacement bounds.  Inequality violations are recorded, not raised.
@@ -392,7 +392,6 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     config = config or VerifyConfig()
     checks: list[CheckRecord] = []
     boundary = scenario.boundary
-    spec = config.quad
 
     # (1) curve constants, escalating resolution for near-degenerate curves
     n_nodes = config.node_count
@@ -407,15 +406,15 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     length = constants.length
 
     # area is shared by stages (4) and (6)
-    area, _area_meta = surface_area(boundary, spec)
+    area, area_rule = surface_area(boundary)
     if scenario.area_exact is not None:
         checks.append(_tol_check("area_vs_exact", abs(area - scenario.area_exact), 1e-8))
 
     # (2) gradient and dilatation sups
-    sup_raw, sup_extrap, k_raw, k_extrap = _gradient_sups(boundary, config)
-    k_estimate = max(k_raw, k_extrap, 1.0)
+    sup_grad, k_boundary = _gradient_sups(boundary, config)
+    k_estimate = max(k_boundary, 1.0)
     if scenario.sup_grad_exact is not None:
-        checks.append(_tol_check("sup_grad_vs_exact", abs(sup_extrap - scenario.sup_grad_exact), 1e-6))
+        checks.append(_tol_check("sup_grad_vs_exact", abs(sup_grad - scenario.sup_grad_exact), 1e-6))
     if scenario.k_exact is not None:
         checks.append(_tol_check("dilatation_vs_exact", abs(k_estimate - scenario.k_exact), 1e-6))
     k_used = scenario.k_exact if scenario.k_exact is not None else k_estimate
@@ -424,7 +423,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         radii = np.linspace(config.grid_rmax / config.grid_radii, config.grid_rmax, config.grid_radii)
         angles = TWO_PI * np.arange(config.grid_angles) / config.grid_angles
         grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        ux, uy = gradient_frames(boundary, grid, spec)
+        ux, uy = gradient_frames(boundary, grid)
         r = np.abs(grid)
         th = np.angle(grid)
         ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
@@ -481,32 +480,22 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
 
     def stage_boundary_jacobian():
         taus = TWO_PI * np.arange(config.jacobian_taus) / config.jacobian_taus
-        # numerically extrapolated boundary Jacobians carry the radial
-        # extrapolation bias, so the equality cases need a looser gate
-        tol = config.tol if scenario.jacobian_exact is not None else max(config.tol, 1e-5)
-        margins = []
-        lhs_at = []
-        rhs_at = []
-        for tau in taus:
-            bound_val = boundary_jacobian_bound(boundary, tau, spec, mu=config.mu)
-            jb = _boundary_jacobian(scenario, boundary, tau, config)
-            margins.append(bound_val - jb)
-            lhs_at.append(jb)
-            rhs_at.append(bound_val)
-        margins = np.asarray(margins)
+        rhs = np.array([boundary_jacobian_bound(boundary, tau, config.quad, mu=config.mu) for tau in taus])
+        lhs = _boundary_jacobians(scenario, boundary, taus)
+        margins = rhs - lhs
         worst = int(np.argmin(margins))
         return [
             CheckRecord(
                 name="boundary_jacobian",
-                lhs=float(lhs_at[worst]),
-                rhs=float(rhs_at[worst]),
+                lhs=float(lhs[worst]),
+                rhs=float(rhs[worst]),
                 margin=float(margins[worst]),
-                passed=bool(np.all(margins >= -tol)),
+                passed=bool(np.all(margins >= -config.tol)),
             )
         ]
 
     def stage_isoperimetric():
-        rep = isoperimetric_check(boundary, spec, upsilon=upsilon, area=area, tol=config.tol)
+        rep = isoperimetric_check(boundary, upsilon=upsilon, area=area, tol=config.tol)
         return [
             CheckRecord(
                 name="isoperimetric",
@@ -531,15 +520,15 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     def stage_main_bound():
         rec = CheckRecord(
             name="gradient_bound",
-            lhs=sup_extrap,
+            lhs=sup_grad,
             rhs=bound.value,
-            margin=bound.value - sup_extrap,
-            passed=sup_extrap <= bound.value + config.tol,
+            margin=bound.value - sup_grad,
+            passed=sup_grad <= bound.value + config.tol,
         )
         z1 = _interior_points(config.interior_pairs, config.grid_rmax)
         z2 = _interior_points(config.interior_pairs, config.grid_rmax, offset=314_159)
-        u1 = poisson_extend(boundary, z1, spec)
-        u2 = poisson_extend(boundary, z2, spec)
+        u1 = poisson_extend(boundary, z1)
+        u2 = poisson_extend(boundary, z2)
         lhs = np.linalg.norm(u1 - u2, axis=1)
         rhs = k_used * bound.value * np.abs(z1 - z2)
         margins = rhs - lhs
@@ -571,10 +560,10 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         constants=constants,
         length=length,
         area=area,
+        area_rule=area_rule,
         k_exact=scenario.k_exact,
         k_estimate=k_estimate,
-        sup_grad_raw=sup_raw,
-        sup_grad_extrapolated=sup_extrap,
+        sup_grad_extrapolated=sup_grad,
         sup_grad_exact=scenario.sup_grad_exact,
         upsilon=upsilon,
         alpha=alpha,
@@ -583,8 +572,8 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         checks=checks,
         worst_margin=worst_margin,
         all_passed=all(rec.passed for rec in checks),
-        quad_m=spec.m,
-        quad_delta=spec.delta,
+        series_degree=boundary.series().degree,
+        series_tail=boundary.series_tail,
     )
 
 
@@ -593,39 +582,23 @@ def _tol_check(name: str, deviation: float, tol: float) -> CheckRecord:
 
 
 def _gradient_sups(boundary: BoundaryMap, config: VerifyConfig):
-    """Raw and linearly extrapolated sups of |grad u| and of the dilatation
-    over circles r = 1 - 2*delta and r = 1 - delta."""
-    angles = TWO_PI * np.arange(config.sup_angles) / config.sup_angles
-    sups = []
-    kmaxs = []
-    for cap in (1.0 - 2.0 * config.sup_delta, 1.0 - config.sup_delta):
-        z = cap * np.exp(1j * angles)
-        ux, uy = gradient_frames(boundary, z, config.quad)
-        op, mn, _ = _dilatations(ux, uy)
-        sups.append(float(np.max(op)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dil = np.where(mn > 0, op / mn, np.inf)
-        kmaxs.append(float(np.max(dil)))
-    sup_raw = max(sups)
-    sup_extrap = 2.0 * sups[1] - sups[0]
-    k_raw = max(kmaxs)
-    k_extrap = 2.0 * kmaxs[1] - kmaxs[0]
-    return sup_raw, max(sup_extrap, sup_raw), k_raw, max(k_extrap, k_raw)
+    """Sups of |grad u| and of the dilatation over the sampled unit circle.
+
+    The operator norm of a harmonic gradient is subharmonic, so its disk
+    supremum lies on the circle; the dilatation is taken there as well.
+    """
+    z = np.exp(1j * TWO_PI * np.arange(config.sup_angles) / config.sup_angles)
+    op, mn, _ = _dilatations(*gradient_frames(boundary, z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dil = np.where(mn > 0, op / mn, np.inf)
+    return float(np.max(op)), float(np.max(dil))
 
 
-def _boundary_jacobian(scenario: Scenario, boundary: BoundaryMap, tau: float, config: VerifyConfig):
-    """Boundary Jacobian: exact when the scenario knows it, else a
-    quadratic radial extrapolation of the numeric Jacobian."""
+def _boundary_jacobians(scenario: Scenario, boundary: BoundaryMap, taus):
+    """Jacobian at e^{i tau}: exact when the scenario knows it, else from
+    the series frames on the circle."""
+    z = np.exp(1j * np.asarray(taus))
     if scenario.jacobian_exact is not None:
-        return float(scenario.jacobian_exact(np.exp(1j * tau)))
-    d = config.sup_delta
-    caps = np.array([1.0 - 4.0 * d, 1.0 - 2.0 * d, 1.0 - d])
-    ux, uy = gradient_frames(boundary, caps * np.exp(1j * tau), config.quad)
-    _, _, jac = _dilatations(ux, uy)
-    # Neville extrapolation of the three points to r = 1
-    h = 1.0 - caps
-    tab = jac.astype(float).copy()
-    for j in range(1, 3):
-        for i in range(2, j - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * h[i] / (h[i - j] - h[i])
-    return float(tab[2])
+        return np.asarray(scenario.jacobian_exact(z), dtype=float)
+    _, _, jac = _dilatations(*gradient_frames(boundary, z))
+    return jac

@@ -136,6 +136,54 @@ def boundary_jacobian_integral_ellipse(c: float, tau: float, n: int = 4_000_000)
 
 
 # ---------------------------------------------------------------------------
+# harmonic extension by the Poisson integral (dense trapezoid rule)
+
+
+def poisson_kernel(r, t):
+    """(1 - r^2) / (2*pi*(1 - 2 r cos t + r^2)) for 0 <= r < 1.
+
+    The denominator is evaluated as (1-r)^2 + 4 r sin^2(t/2), which is a
+    sum of nonnegative terms and stays accurate near its minimum.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0) or np.any(r >= 1.0):
+        raise ValueError("kernel radius must lie in [0, 1)")
+    t = np.asarray(t, dtype=float)
+    den = (1.0 - r) ** 2 + 4.0 * r * np.sin(t / 2.0) ** 2
+    return (1.0 - r) * (1.0 + r) / (TWO_PI * den)
+
+
+def trapezoid_extension(values, z, m: int = 1 << 14):
+    """Poisson integral of boundary data and its Cartesian gradient at
+    interior points z, by the m-node trapezoid rule.
+
+    ``values`` maps an array of angles (m,) to boundary points (m, n).
+    Returns (u, ux, uy), each of shape (k, n).  The rule's aliasing error
+    decays like |z|^m, so the default m resolves |z| <= 0.99 to roundoff.
+    The kernel gradient integrates to zero, so the gradient integrals take
+    F(t) - F(arg z) in place of F(t); that keeps the large kernel values
+    near t = arg z from swamping the sum with roundoff.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = np.abs(z)[:, None]
+    phi = np.angle(z)[:, None]
+    t = TWO_PI * np.arange(m) / m
+    fv = np.asarray(values(t), dtype=float)
+    diff = fv[None, :, :] - np.asarray(values(phi[:, 0]), dtype=float)[:, None, :]
+    w = TWO_PI / m
+    num = (1.0 - r) * (1.0 + r)
+    den = (1.0 - r) ** 2 + 4.0 * r * np.sin((t[None, :] - phi) / 2.0) ** 2
+    x = r * np.cos(phi)
+    y = r * np.sin(phi)
+    px = -(x * den + num * (x - np.cos(t))) / (math.pi * den**2)
+    py = -(y * den + num * (y - np.sin(t))) / (math.pi * den**2)
+    u = (poisson_kernel(r, t[None, :] - phi) @ fv) * w
+    ux = np.einsum("km,kmn->kn", px, diff) * w
+    uy = np.einsum("km,kmn->kn", py, diff) * w
+    return u, ux, uy
+
+
+# ---------------------------------------------------------------------------
 # explicit bound arithmetic (direct transcription of the closed forms)
 
 

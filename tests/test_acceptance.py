@@ -45,18 +45,18 @@ def _grid(n_r, n_t, r_max=0.9):
 def test_c1_identity_equality_suite(identity_scenario):
     start = time.monotonic()
     bm = identity_scenario.boundary
-    spec = QuadratureSpec(m=256, delta=0.05)
+    spec = QuadratureSpec(m=256)
 
     taus = TWO_PI * np.arange(32) / 32
     worst_bj = max(abs(boundary_jacobian_bound(bm, tau, spec) - 1.0) for tau in taus)
     assert worst_bj < 1e-6
 
-    rep = angular_derivative_check(bm, _grid(32, 32), K=1.0, spec=spec, tol=1e-12)
+    rep = angular_derivative_check(bm, _grid(32, 32), K=1.0, tol=1e-12)
     assert rep.all_passed
     worst_margin = max(abs(rec.margin) for rec in rep.records)
     assert worst_margin < 1e-12
 
-    iso = isoperimetric_check(bm, spec, upsilon=math.pi)
+    iso = isoperimetric_check(bm, upsilon=math.pi)
     assert abs(iso.ratio - 1.0 / (4.0 * math.pi)) < 1e-8
 
     elapsed = time.monotonic() - start
@@ -70,18 +70,18 @@ def test_c1_identity_equality_suite(identity_scenario):
 def test_c2_affine_suite(affine_scenario):
     start = time.monotonic()
     bm = affine_scenario.boundary
-    spec = QuadratureSpec(m=256, delta=0.05)
+    spec = QuadratureSpec(m=256)
     K = affine_scenario.k_exact
 
     grid = _grid(16, 16)
-    ux, uy = gradient_frames(bm, grid, spec)
+    ux, uy = gradient_frames(bm, grid)
     op, mn, jac = _dilatations(ux, uy)
     dil = op / mn
     assert np.max(np.abs(dil - 1.5)) < 1e-9
 
     from qcharm.scenarios import VerifyConfig, _gradient_sups
 
-    _, sup_extrap, _, _ = _gradient_sups(bm, VerifyConfig())
+    sup_extrap, _ = _gradient_sups(bm, VerifyConfig())
     assert abs(sup_extrap - 1.2) < 1e-6
 
     hs2 = 0.5 * (np.einsum("ij,ij->i", ux, ux) + np.einsum("ij,ij->i", uy, uy))
@@ -212,7 +212,7 @@ def test_c7_numerical_analysis_checks(ellipse_curve):
     rng = np.random.default_rng(5)
     z = 0.85 * np.sqrt(rng.uniform(0.01, 1.0, 100)) * np.exp(1j * rng.uniform(0, TWO_PI, 100))
     h = 1e-5
-    ux, uy = gradient_frames(bm, z, QuadratureSpec(m=256, delta=0.05))
+    ux, uy = gradient_frames(bm, z)
     fx = (poisson_extend(bm, z + h) - poisson_extend(bm, z - h)) / (2 * h)
     fy = (poisson_extend(bm, z + 1j * h) - poisson_extend(bm, z - 1j * h)) / (2 * h)
     scale = np.maximum(np.linalg.norm(ux, axis=1), np.linalg.norm(uy, axis=1))

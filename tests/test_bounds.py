@@ -9,7 +9,6 @@ from qcharm import (
     BoundInputs,
     DegenerateSurfaceError,
     DomainError,
-    QuadratureSpec,
     isoperimetric_check,
     isoperimetric_coefficient,
     lipschitz_bound,
@@ -217,17 +216,15 @@ def test_minimal_surface_rejects_small_lambda():
 
 
 def test_identity_area_and_ratio(identity_scenario):
-    spec = QuadratureSpec(m=256, delta=0.05)
-    area, meta = surface_area(identity_scenario.boundary, spec)
+    area, meta = surface_area(identity_scenario.boundary)
     assert abs(area - PI) < 1e-10
-    rep = isoperimetric_check(identity_scenario.boundary, spec, upsilon=PI)
+    rep = isoperimetric_check(identity_scenario.boundary, upsilon=PI)
     assert abs(rep.ratio - 1.0 / (4 * PI)) < 1e-8
     assert rep.passed
 
 
 def test_affine_ratio(affine_scenario):
-    spec = QuadratureSpec(m=256, delta=0.05)
-    rep = isoperimetric_check(affine_scenario.boundary, spec, upsilon=1.0)
+    rep = isoperimetric_check(affine_scenario.boundary, upsilon=1.0)
     expected = 0.96 * PI / 6.346175835716235**2
     assert abs(rep.ratio - expected) < 1e-8
     assert rep.ratio < 0.25

@@ -100,6 +100,11 @@ def test_determinism_byte_identical(capsys):
     _, out4, _ = run_cli(args, capsys)
     assert out3 == out4
 
+    args = ["verify", "--scenario", "conformal_poly", "--epsilon", "0.2", "--order", "3"]
+    _, out5, _ = run_cli(args, capsys)
+    _, out6, _ = run_cli(args, capsys)
+    assert out5 == out6
+
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -198,7 +198,7 @@ def test_boundary_jacobian_flat_angle_map(circle_curve):
 
 def test_boundary_jacobian_majorant_is_conservative(identity_scenario):
     bm = identity_scenario.boundary
-    spec = QuadratureSpec(m=1024, delta=0.05)
+    spec = QuadratureSpec(m=1024)
     for tau in (0.0, 1.1):
         graded = boundary_jacobian_bound(bm, tau, spec)
         majorant = boundary_jacobian_bound(bm, tau, spec, method="majorant")

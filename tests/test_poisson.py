@@ -5,24 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import poisson_kernel
 from qcharm import (
     AngleMap,
     BoundaryMap,
     DegenerateFrameError,
     DomainError,
     GradientFrame,
-    NearBoundaryError,
     QuadratureSpec,
+    RefinementError,
+    TrigPolynomial,
     angular_derivative_check,
     build_curve,
     dilatation,
     fourier_curve,
     frame_norms,
     gradient,
+    gradient_frames,
     jacobian,
     poisson_extend,
-    poisson_kernel,
+    surface_area,
 )
+from qcharm import poisson
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,9 +75,9 @@ def test_kernel_normalization():
 
 
 def test_kernel_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         poisson_kernel(1.0, 0.3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         poisson_kernel(-0.1, 0.3)
 
 
@@ -106,18 +111,96 @@ def test_extend_mean_value(wavy_map):
     assert np.max(np.abs(u0 - avg)) < 1e-10
 
 
-def test_extend_near_boundary_policy(identity_map):
-    strict = QuadratureSpec(m=256, delta=0.05, adaptive=False)
-    with pytest.raises(NearBoundaryError):
-        poisson_extend(identity_map, 0.97 + 0.0j, strict)
-    relaxed = QuadratureSpec(m=256, delta=0.05, adaptive=True)
-    u = poisson_extend(identity_map, 0.97 + 0.0j, relaxed)
-    assert np.max(np.abs(u - [0.97, 0.0])) < 1e-10
-
-
 def test_extend_outside_disk_rejected(identity_map):
     with pytest.raises(DomainError):
-        poisson_extend(identity_map, 1.0 + 0.0j)
+        poisson_extend(identity_map, 1.0 + 1e-6 + 0.0j)
+
+
+# ---------------------------------------------------------------------------
+# the series against the Poisson integral, and on the circle
+
+
+def _mild_fourier(seed: int, degree: int = 8):
+    """Coefficients a_j, b_j of w(t) = sum_j a_j e^{ijt} + conj(b_j) e^{-ijt},
+    a_1 = 1, scaled so that sum_{j>=2} j|a_j| + sum_j j|b_j| <= 0.3; the
+    planar data is then univalent and its extension sense-preserving."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(degree + 1)
+    a = np.zeros(degree + 1, dtype=complex)
+    b = np.zeros(degree + 1, dtype=complex)
+    a[1] = 1.0
+    a[2:] = (rng.normal(size=degree - 1) + 1j * rng.normal(size=degree - 1)) / j[2:] ** 3
+    b[1:] = (rng.normal(size=degree) + 1j * rng.normal(size=degree)) / j[1:] ** 3
+    size = np.sum(j[2:] * np.abs(a[2:])) + np.sum(j * np.abs(b))
+    scale = rng.uniform(0.1, 0.3) / size
+    a[2:] *= scale
+    b *= scale
+    return a, b
+
+
+def _sampled_fit(a, b, n: int = 64) -> BoundaryMap:
+    t = TWO_PI * np.arange(n) / n
+    e = np.exp(1j * np.outer(t, np.arange(a.size)))
+    w = e @ a + np.conj(e @ b)
+    return BoundaryMap.from_values(np.stack([w.real, w.imag], axis=1))
+
+
+@pytest.fixture(scope="module")
+def angle_mapped_circle(circle_curve):
+    # t -> t + 0.1 sin t + 0.02 cos 3t; the series is an FFT fit
+    periodic = TrigPolynomial(np.array([[0.0], [0.0], [0.0], [0.02]]), np.array([[0.0], [0.1], [0.0], [0.0]]))
+    return BoundaryMap(circle_curve, AngleMap(periodic))
+
+
+@pytest.fixture(scope="module")
+def sampled_fit():
+    # 64 samples of degree-8 data: harmonics 9..32 of the fit are roundoff
+    return _sampled_fit(*_mild_fourier(11))
+
+
+@pytest.mark.parametrize("name", ["wavy_map", "angle_mapped_circle", "sampled_fit"])
+def test_series_matches_poisson_integral(name, request):
+    bm = request.getfixturevalue(name)
+    angles = TWO_PI * np.arange(8) / 8 + 0.3
+    z = np.concatenate([r * np.exp(1j * angles) for r in (0.0, 0.5, 0.9, 0.99)])
+    u, ux, uy = oracles.trapezoid_extension(bm.values, z)
+    gx, gy = gradient_frames(bm, z)
+    assert np.max(np.abs(poisson_extend(bm, z) - u)) <= 1e-12
+    assert np.max(np.abs(gx - ux)) <= 1e-12
+    assert np.max(np.abs(gy - uy)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["wavy_map", "angle_mapped_circle", "sampled_fit"])
+def test_series_on_the_circle(name, request):
+    bm = request.getfixturevalue(name)
+    t = np.linspace(0.0, TWO_PI, 97)
+    z = np.exp(1j * t)
+    assert np.max(np.abs(poisson_extend(bm, z) - bm.values(t))) <= 1e-12
+    ux, uy = gradient_frames(bm, z)
+    du_dt = uy * np.cos(t)[:, None] - ux * np.sin(t)[:, None]
+    assert np.max(np.abs(du_dt - bm.derivative(t))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_surface_area_matches_lusin_series(seed):
+    a, b = _mild_fourier(seed)
+    j = np.arange(a.size)
+    lusin = math.pi * float(np.sum(j * (np.abs(a) ** 2 - np.abs(b) ** 2)))
+    area, rule = surface_area(_sampled_fit(a, b))
+    assert abs(area - lusin) <= 1e-12 * lusin
+    assert rule["correction"] <= 1e-12 * lusin
+
+
+def test_unresolved_series_raises(circle_curve, monkeypatch):
+    # t -> t + 0.05 sin 20t puts harmonics of size J_k(0.05) at 1 + 20k,
+    # which an FFT fit resolves only from 512 samples on
+    periodic = TrigPolynomial(np.zeros((21, 1)), np.eye(21)[20][:, None] * 0.05)
+    bm = BoundaryMap(circle_curve, AngleMap(periodic))
+    assert bm.series().degree > 64
+    monkeypatch.setattr(poisson, "_MAX_FIT", 128)
+    capped = BoundaryMap(circle_curve, AngleMap(periodic))  # the fit waits for first use
+    with pytest.raises(RefinementError):
+        poisson_extend(capped, 0.5)
 
 
 def test_harmonicity_five_point(wavy_map):
@@ -311,8 +394,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(m=100)
     with pytest.raises(DomainError):
         QuadratureSpec(m=32)
-    with pytest.raises(DomainError):
-        QuadratureSpec(m=256, delta=0.7)
 
 
 def test_angle_map_must_be_monotone():
