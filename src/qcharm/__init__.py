@@ -56,7 +56,6 @@ from .kernels import (
     KernelEvaluation,
     boundary_jacobian_bound,
     chord_tangent_kernel,
-    derivative_holder_seminorm,
     evaluate_kernel,
     kernel_bound_dini,
     kernel_bound_holder,

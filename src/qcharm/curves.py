@@ -558,13 +558,14 @@ def chord_arc_constant(curve: JordanCurve, refine: int = 40, coarse_nodes: int |
 def holder_derivative_constant(
     curve: JordanCurve, mu: float, refine: int = 40, coarse_nodes: int | None = None
 ) -> ScanResult:
-    """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs.
+    """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs,
+    for the given parametrization of the curve.
 
     dist is circle distance of the parameters.  Near-coincident pairs are
     scored by the second-derivative limit: for mu = 1 the limit equals the
-    largest |g''|, for mu < 1 it vanishes.
+    largest |g''| (on arc-length views, the exact curvature maximum times
+    the squared speed), for mu < 1 it vanishes.
     """
-    _require_arc_length(curve, "holder_derivative_constant")
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     m0 = min(coarse_nodes or curve.node_count, 512)
@@ -685,21 +686,15 @@ class TabulatedModulus:
     def __call__(self, x):
         return np.interp(x, self.deltas, self.values)
 
-    def integral_to(self, x: float) -> float:
-        """Exact integral of the interpolant over [0, x]."""
-        if x <= 0:
-            return 0.0
+    def integral_to(self, x):
+        """Exact integral of the interpolant over [0, x], elementwise."""
         d, v = self.deltas, self.values
-        xc = min(x, float(d[-1]))
-        idx = int(np.searchsorted(d, xc, side="right")) - 1  # last knot <= xc
-        total = float(np.sum(0.5 * (v[:idx] + v[1 : idx + 1]) * np.diff(d[: idx + 1]))) if idx >= 1 else 0.0
-        if xc > d[idx]:
-            frac = (xc - d[idx]) / (d[idx + 1] - d[idx])
-            vx = v[idx] + frac * (v[idx + 1] - v[idx])
-            total += 0.5 * (v[idx] + vx) * (xc - d[idx])
-        if x > d[-1]:
-            total += float(v[-1]) * (x - float(d[-1]))
-        return total
+        x = np.asarray(x, dtype=float)
+        xc = np.clip(x, 0.0, d[-1])
+        idx = np.minimum(np.searchsorted(d, xc, side="right") - 1, d.size - 2)  # knot segment holding xc
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(d))))
+        total = cum[idx] + 0.5 * (v[idx] + self(xc)) * (xc - d[idx])
+        return total + v[-1] * np.maximum(x - d[-1], 0.0)
 
 
 class PowerModulus:
@@ -716,9 +711,8 @@ class PowerModulus:
     def __call__(self, x):
         return self.coefficient * np.asarray(x, dtype=float) ** self.mu
 
-    def integral_to(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
+    def integral_to(self, x):
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
         return self.coefficient * x ** (1.0 + self.mu) / (1.0 + self.mu)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, ScanResult, _pair_supremum
+from .curves import TWO_PI, JordanCurve, holder_derivative_constant
 from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
@@ -65,92 +65,70 @@ def chord_tangent_kernel(curve: JordanCurve, s, t):
     return float(out[0]) if out.size == 1 else out
 
 
-def derivative_holder_seminorm(curve: JordanCurve, mu: float, refine: int = 30, coarse_nodes: int | None = None) -> ScanResult:
-    """sup over distinct angles of |h'(x) - h'(y)| / dist(x, y)^mu.
-
-    Same machinery as the arc-length constant but for the curve's own
-    parametrization; dist is circle distance of the angles.
-    """
-    if not 0.0 < mu <= 1.0:
-        raise DomainError("holder exponent mu must lie in (0, 1]")
-    from .curves import _coarse_node_data, _gap_angles, _pair_norm_matrix, circle_distance
-
-    m0 = min(coarse_nodes or curve.node_count, 512)
-
-    def objective(ti, tj):
-        dv = np.linalg.norm(curve.velocity(ti) - curve.velocity(tj), axis=1)
-        d = circle_distance(ti, tj)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d > 0, dv / d**mu, -np.inf)
-
-    _, vel = _coarse_node_data(curve, m0)
-    dist = _gap_angles(m0)
-    np.fill_diagonal(dist, np.inf)
-    coarse = _pair_norm_matrix(vel) / dist**mu
-
-    if mu == 1.0:
-        diag = float(np.max(np.linalg.norm(curve.acceleration_grid(max(4 * m0, 2048)), axis=1)))
-    else:
-        diag = 0.0
-    return _pair_supremum(objective, diag, coarse, refine=refine)
-
-
 def _chordal(s, t):
     return 2.0 * np.abs(np.sin((np.asarray(s) - np.asarray(t)) / 2.0))
 
 
-def _modulus_integral(omega, upper: float) -> float:
-    """Integral of a modulus over [0, upper]: exact for table/power objects,
-    adaptive quadrature for plain callables."""
+def _modulus_integral(omega, upper):
+    """Integral of a modulus over [0, u] for each u in ``upper``: exact for
+    table/power objects, which validate themselves when built; adaptive
+    quadrature for plain callables, which are probed once for monotonicity
+    and called with scalars."""
     if hasattr(omega, "integral_to"):
-        return float(omega.integral_to(upper))
+        return omega.integral_to(upper)
+    probe = np.linspace(1e-6, TWO_PI, 64)
+    if np.any(np.diff([float(omega(x)) for x in probe]) < -1e-10):
+        raise DomainError("modulus of continuity must be nondecreasing")
     from scipy.integrate import quad
 
-    val, _ = quad(lambda x: float(omega(x)), 0.0, upper, epsabs=1e-12, epsrel=1e-11, limit=200)
-    return float(val)
+    return np.array([quad(lambda x: float(omega(x)), 0.0, u, epsabs=1e-12, epsrel=1e-11, limit=200)[0] for u in upper])
+
+
+def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str, tol: float):
+    """majorant(|h(s) - h(t)|, |e^{is} - e^{it}|) at broadcast angle pairs,
+    0 on the diagonal; the kernel is recomputed at every pair and a pair
+    where it exceeds the majorant by more than tol raises ConsistencyError
+    naming the worst one.  Scalar pairs give a float."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    shape = s.shape
+    s, t = s.ravel(), t.ravel()
+    chord = curve.position(t) - curve.position(s)
+    chord_circle = _chordal(s, t)
+    off = chord_circle > 0.0
+    bound = np.zeros(s.size)
+    bound[off] = majorant(np.linalg.norm(chord[off], axis=1), chord_circle[off])
+    value = _cross_norm(chord, curve.velocity(s))
+    k = int(np.argmax(value - bound))
+    if value[k] > bound[k] + tol:
+        raise ConsistencyError(f"kernel {value[k]:.6e} exceeds {what} bound {bound[k]:.6e} at ({s[k]}, {t[k]})")
+    return float(bound[0]) if not shape else bound.reshape(shape)
 
 
 def kernel_bound_dini(curve: JordanCurve, omega, s, t, tol: float = 1e-9):
-    """Modulus-integral majorant of the kernel at one angle pair.
+    """Modulus-integral majorant of the kernel at angle pairs.
 
     bound = (|h(s) - h(t)| / |e^{is} - e^{it}|) * integral_0^{pi |e^{is}-e^{it}|} omega.
-    The kernel value is recomputed and checked against the bound.
+    s and t broadcast; the kernel value is recomputed and checked against
+    the bound at every pair.
     """
-    _check_monotone_modulus(omega)
-    s = float(s)
-    t = float(t)
-    chord_circle = float(_chordal(s, t))
-    if chord_circle == 0.0:
-        return 0.0
-    chord_target = float(np.linalg.norm(curve.position(t) - curve.position(s)))
-    bound = (chord_target / chord_circle) * _modulus_integral(omega, np.pi * chord_circle)
-    value = chord_tangent_kernel(curve, s, t)
-    if value > bound + tol:
-        raise ConsistencyError(f"kernel {value:.6e} exceeds modulus bound {bound:.6e} at ({s}, {t})")
-    return bound
+
+    def majorant(chord, circ):
+        return (chord / circ) * _modulus_integral(omega, np.pi * circ)
+
+    return _checked_majorant(curve, s, t, majorant, "modulus", tol)
 
 
 def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None = None, tol: float = 1e-9):
-    """Hölder-form majorant c_h |h(s) - h(t)| |e^{is} - e^{it}|^mu.
+    """Hölder-form majorant c_h |h(s) - h(t)| |e^{is} - e^{it}|^mu at angle pairs.
 
     c_h = (1 / (1 + mu)) * sup |h'(x) - h'(y)| / dist(x, y)^mu is computed
-    from the curve when not supplied.  Returns (bound, c_h).
+    from the curve when not supplied.  s and t broadcast.  Returns (bound, c_h).
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     if c_h is None:
-        c_h = derivative_holder_seminorm(curve, mu).value / (1.0 + mu)
-    s = float(s)
-    t = float(t)
-    chord_circle = float(_chordal(s, t))
-    if chord_circle == 0.0:
-        return 0.0, c_h
-    chord_target = float(np.linalg.norm(curve.position(t) - curve.position(s)))
-    bound = c_h * chord_target * chord_circle**mu
-    value = chord_tangent_kernel(curve, s, t)
-    if value > bound + tol:
-        raise ConsistencyError(f"kernel {value:.6e} exceeds holder bound {bound:.6e} at ({s}, {t})")
-    return bound, c_h
+        c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
+    return _checked_majorant(curve, s, t, lambda chord, circ: c_h * chord * circ**mu, "holder", tol), c_h
 
 
 def evaluate_kernel(
@@ -161,13 +139,6 @@ def evaluate_kernel(
     dini = kernel_bound_dini(curve, omega, s, t) if omega is not None else None
     holder = kernel_bound_holder(curve, mu, s, t)[0] if mu is not None else None
     return KernelEvaluation(s=float(s), t=float(t), value=value, dini_bound=dini, holder_bound=holder)
-
-
-def _check_monotone_modulus(omega):
-    probe = np.linspace(1e-6, TWO_PI, 64)
-    vals = np.asarray([float(omega(x)) for x in probe])
-    if np.any(np.diff(vals) < -1e-10):
-        raise DomainError("modulus of continuity must be nondecreasing")
 
 
 def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
@@ -188,26 +159,9 @@ def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
 # boundary Jacobian bound
 
 
-def _gauss_panels(a: float, b: float, order: int, panels: int):
+def _gauss_panels(edges, order: int):
+    """Gauss-Legendre rule of the given order on each panel between consecutive edges."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
-
-
-def _geometric_panels(a: float, b: float, order: int):
-    """Gauss-Legendre on [a, b] with panel widths doubling away from a."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = [a]
-    width = a
-    while edges[-1] + width < b:
-        edges.append(edges[-1] + width)
-        width *= 2.0
-    edges.append(b)
-    edges = np.asarray(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -256,7 +210,7 @@ def boundary_jacobian_bound(
     acc_tau = curve.acceleration(f_tau)
     if form == "holder":
         if c_h is None:
-            c_h = derivative_holder_seminorm(curve, mu).value / (1.0 + mu)
+            c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
         min_speed = float(np.min(np.linalg.norm(curve.derivs, axis=1)))
         holder_const = c_h / min_speed
     # limit of the kernel integrand across the removable point t = tau
@@ -283,7 +237,7 @@ def boundary_jacobian_bound(
         h = (TWO_PI - 2.0 * eps) / spec.m
         outer = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
         if c_h is None:
-            c_h = derivative_holder_seminorm(curve, mu).value / (1.0 + mu)
+            c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
         sup_speed = float(np.max(np.linalg.norm(curve.derivs, axis=1)))
         t_fine = TWO_PI * np.arange(1024) / 1024
         sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
@@ -294,15 +248,18 @@ def boundary_jacobian_bound(
         inner = coef * (2.0 / mu) * eps**mu
         return fp_tau * (outer + inner)
 
+    eps = 0.25
+    inner_edges = np.linspace(0.0, eps**mu, 5)
+    # outer panels double in width away from the singular point
+    outer_edges = np.append(eps * 2.0 ** np.arange(4), np.pi)
+
     def evaluate(order: int) -> float:
-        eps = 0.25
         # inner piece through the grading substitution x = sigma^(1/mu)
-        sigma, w_in = _gauss_panels(0.0, eps**mu, order, 4)
+        sigma, w_in = _gauss_panels(inner_edges, order)
         x_in = sigma ** (1.0 / mu)
         jac = (1.0 / mu) * sigma ** (1.0 / mu - 1.0)
         inner = float(np.sum(w_in * jac * (integrand(x_in) + integrand(-x_in))))
-        # outer piece, panels growing away from the singular point
-        x_out, w_out = _geometric_panels(eps, np.pi, order)
+        x_out, w_out = _gauss_panels(outer_edges, order)
         outer = float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
         return inner + outer
 

@@ -327,6 +327,16 @@ def _dilatations(ux, uy):
     return op, mn, j
 
 
+def _angular_sides(zz, ux, uy, K: float):
+    """Both sides of |du/dt|^2 <= r^2 K J at the points zz with frames
+    (ux, uy), and the Jacobian J; du/dt = r*(uy cos t - ux sin t)."""
+    r = np.abs(zz)
+    th = np.angle(zz)
+    ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
+    _, _, j = _dilatations(ux, uy)
+    return np.einsum("ij,ij->i", ut, ut), r**2 * K * j, j
+
+
 def angular_derivative_check(
     boundary: BoundaryMap,
     grid,
@@ -335,19 +345,12 @@ def angular_derivative_check(
 ) -> InequalityReport:
     """Verify |du/dt|^2 <= r^2 K J at each grid point.
 
-    du/dt is assembled from the frame as r*(uy cos t - ux sin t).
     Violations are recorded in the report, never raised.
     """
     if K < 1.0:
         raise DomainError("dilatation bound K must be at least 1")
     zz = np.atleast_1d(np.asarray(grid, dtype=complex))
-    ux, uy = gradient_frames(boundary, zz)
-    r = np.abs(zz)
-    th = np.angle(zz)
-    ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
-    lhs = np.einsum("ij,ij->i", ut, ut)
-    _, _, j = _dilatations(ux, uy)
-    rhs = r**2 * K * j
+    lhs, rhs, _ = _angular_sides(zz, *gradient_frames(boundary, zz), K)
     records = []
     for k, z in enumerate(zz):
         margin = float(rhs[k] - lhs[k])

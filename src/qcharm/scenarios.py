@@ -48,6 +48,7 @@ from .poisson import (
     BoundaryMap,
     CheckRecord,
     QuadratureSpec,
+    _angular_sides,
     _dilatations,
     gradient_frames,
     poisson_extend,
@@ -98,7 +99,6 @@ class VerifyConfig:
     jacobian_taus: int = 32
     refine: int = 40
     tol: float = 1e-9
-    angular_tol: float = 1e-9
     upsilon: float | None = None
     workers: int | None = None
 
@@ -424,12 +424,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         angles = TWO_PI * np.arange(config.grid_angles) / config.grid_angles
         grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
         ux, uy = gradient_frames(boundary, grid)
-        r = np.abs(grid)
-        th = np.angle(grid)
-        ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
-        lhs = np.einsum("ij,ij->i", ut, ut)
-        op, mn, jac = _dilatations(ux, uy)
-        rhs = r**2 * k_used * jac
+        lhs, rhs, jac = _angular_sides(grid, ux, uy, k_used)
         margins = rhs - lhs
         worst = int(np.argmin(margins))
         rec = CheckRecord(
@@ -437,7 +432,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
             lhs=float(lhs[worst]),
             rhs=float(rhs[worst]),
             margin=float(margins[worst]),
-            passed=bool(np.all(margins >= -config.angular_tol)),
+            passed=bool(np.all(margins >= -config.tol)),
         )
         # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
         hs2 = 0.5 * (np.einsum("ij,ij->i", ux, ux) + np.einsum("ij,ij->i", uy, uy))

@@ -185,6 +185,14 @@ def test_holder_dominates_acceleration(ellipse_arc):
     assert res.value >= acc.max() - 1e-9
 
 
+def test_holder_constant_of_given_parametrization():
+    # an ellipse in its own (non-arc-length) parameter: |g''| peaks at 2
+    curve = build_curve(ellipse(2.0, 1.0), 512)
+    assert not curve.arc_length
+    assert abs(holder_derivative_constant(curve, 1.0).value - 2.0) <= 1e-9 * 2.0
+    assert abs(holder_derivative_constant(curve, 0.5).value - 2.40767325441) <= 1e-9 * 2.40767325441
+
+
 def test_holder_monotone_under_refinement(ellipse_arc):
     values = [holder_derivative_constant(ellipse_arc, 0.5, refine=k).value for k in (0, 2, 5, 10)]
     for lo, hi in zip(values, values[1:]):

@@ -7,15 +7,16 @@ import oracles
 from qcharm import (
     AngleMap,
     BoundaryMap,
+    ConsistencyError,
     DomainError,
     PowerModulus,
     QuadratureSpec,
     boundary_jacobian_bound,
     chord_tangent_kernel,
     circle,
-    derivative_holder_seminorm,
     dini_modulus_table,
     evaluate_kernel,
+    holder_derivative_constant,
     kernel_bound_dini,
     kernel_bound_holder,
     kernel_composition_residual,
@@ -111,15 +112,48 @@ def test_dini_bound_accepts_plain_callable(circle_curve):
 def test_kernel_chain_on_dense_grids(circle_curve, ellipse_curve):
     for curve in (circle_curve, ellipse_curve):
         table = dini_modulus_table(curve, np.linspace(0.02, math.pi, 80))
-        c_holder = derivative_holder_seminorm(curve, 1.0).value
+        c_holder = holder_derivative_constant(curve, 1.0).value
         majorant = PowerModulus(c_holder, 1.0)
         rng = np.random.default_rng(23)
-        for s, t in zip(rng.uniform(0, TWO_PI, 60), rng.uniform(0, TWO_PI, 60)):
-            k = chord_tangent_kernel(curve, s, t)
-            b_table = kernel_bound_dini(curve, table, s, t)
-            b_major = kernel_bound_dini(curve, majorant, s, t)
-            assert k <= b_table + 1e-9
-            assert b_table <= b_major + 1e-9
+        s, t = rng.uniform(0, TWO_PI, 60), rng.uniform(0, TWO_PI, 60)
+        k = chord_tangent_kernel(curve, s, t)
+        b_table = kernel_bound_dini(curve, table, s, t)
+        b_major = kernel_bound_dini(curve, majorant, s, t)
+        assert np.all(k <= b_table + 1e-9)
+        assert np.all(b_table <= b_major + 1e-9)
+
+
+def test_majorants_on_pair_arrays_match_scalar_calls(ellipse_curve):
+    table = dini_modulus_table(ellipse_curve, np.linspace(0.02, math.pi, 80))
+    power = PowerModulus(holder_derivative_constant(ellipse_curve, 1.0).value, 1.0)
+    plain = lambda d: 1.2 * min(d, math.pi)  # |h''| <= 1.2 bounds the ellipse modulus
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0, TWO_PI, 12)
+    t = rng.uniform(0, TWO_PI, 12)
+    t[4] = s[4]  # a diagonal pair inside the array
+    for omega in (table, power, plain):
+        arr = kernel_bound_dini(ellipse_curve, omega, s, t)
+        assert isinstance(arr, np.ndarray) and arr.shape == s.shape and arr[4] == 0.0
+        for i in range(s.size):
+            one = kernel_bound_dini(ellipse_curve, omega, s[i], t[i])
+            assert isinstance(one, float)
+            assert abs(arr[i] - one) <= 1e-14 * abs(one)
+    arr, c_h = kernel_bound_holder(ellipse_curve, 0.5, s, t)
+    assert arr[4] == 0.0
+    for i in range(s.size):
+        one, _ = kernel_bound_holder(ellipse_curve, 0.5, s[i], t[i], c_h=c_h)
+        assert isinstance(one, float)
+        assert abs(arr[i] - one) <= 1e-14 * abs(one)
+    # broadcasting: one angle against a row of angles
+    row = kernel_bound_dini(ellipse_curve, table, s[0], t)
+    assert np.array_equal(row, kernel_bound_dini(ellipse_curve, table, np.full_like(t, s[0]), t))
+
+
+def test_majorant_violation_names_worst_pair(circle_curve):
+    s = np.array([0.0, 0.5, 1.0])
+    t = np.array([1.0, 2.5, 1.5])
+    with pytest.raises(ConsistencyError, match=r"at \(0\.5, 2\.5\)"):
+        kernel_bound_holder(circle_curve, 1.0, s, t, c_h=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +179,7 @@ def test_holder_bound_diagonal(circle_curve):
 
 
 def test_holder_seminorm_circle(circle_curve):
-    assert abs(derivative_holder_seminorm(circle_curve, 1.0).value - 1.0) < 1e-9
+    assert abs(holder_derivative_constant(circle_curve, 1.0).value - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
