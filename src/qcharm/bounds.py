@@ -22,6 +22,8 @@ LOG2 = math.log(2.0)
 LOG4 = math.log(4.0)
 
 _AREA_BLOCK = 1 << 16
+# largest relative correction of the doubled area rule
+_AREA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ def minimal_surface_bound(lam: float, mu: float, c_slot: float, length: float) -
 # surface area and the isoperimetric ratio check
 
 
-def surface_area(boundary: BoundaryMap, tol: float = 1e-6) -> tuple[float, dict]:
+def surface_area(boundary: BoundaryMap) -> tuple[float, dict]:
     """Area of the harmonic extension's image counted with multiplicity:
     the integral of the Jacobian over the disk.
 
@@ -207,14 +209,14 @@ def surface_area(boundary: BoundaryMap, tol: float = 1e-6) -> tuple[float, dict]
     Jacobian of a sense-preserving planar map (degree 2J - 2) exactly.
     The rule of twice the size in each direction gives the returned area;
     its difference from the first rule is the reported correction, and
-    ``RefinementError`` is raised when it exceeds tol relative.
+    ``RefinementError`` is raised when it exceeds 1e-6 relative.
     """
     degree = boundary.series().degree
     n_r, n_t = degree + 8, 4 * degree + 16
     coarse = _polar_area(boundary, n_r, n_t)
     area = _polar_area(boundary, 2 * n_r, 2 * n_t)
     correction = abs(area - coarse)
-    if correction > tol * max(1.0, abs(area)):
+    if correction > _AREA_TOL * max(1.0, abs(area)):
         raise RefinementError(f"area rule did not settle: doubled-rule correction {correction:.3e}")
     return area, {"radial_nodes": 2 * n_r, "angular_nodes": 2 * n_t, "correction": correction}
 
@@ -229,7 +231,7 @@ def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:
     total = 0.0
     for lo in range(0, n_r, step):
         rb = r[lo : lo + step]
-        _, _, jac = _dilatations(*gradient_frames(boundary, (rb[:, None] * ring[None, :]).ravel()))
+        _, _, jac, _ = _dilatations(*gradient_frames(boundary, (rb[:, None] * ring[None, :]).ravel()))
         total += float(np.sum(w[lo : lo + step] * rb * jac.reshape(rb.size, n_t).mean(axis=1)))
     return math.pi * total
 

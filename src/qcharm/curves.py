@@ -20,11 +20,17 @@ from .errors import DomainError, InjectivityError, RefinementError, RegularityEr
 
 TWO_PI = 2.0 * np.pi
 
-# Absolute default tolerance for geometric constants; quadratures use 1e-8.
+# Absolute default tolerance for geometric constants.
 CONST_TOL = 1e-6
-QUAD_TOL = 1e-8
 
 _EVAL_CHUNK = 2048
+# trailing harmonics below this fraction of the peak weight are dropped
+_TRUNCATE_REL = 1e-17
+# the pair scans start from at most this many uniform nodes
+_COARSE_NODES = 512
+# the modulus table scans this many base points and lags per step
+_MODULUS_POINTS = 2048
+_MODULUS_LAGS = 64
 
 
 def circle_distance(s, t):
@@ -102,10 +108,10 @@ class TrigPolynomial:
             coeffs[1 : self.degree + 1] = 0.5 * (self.cos_coeffs[1:] - 1j * self.sin_coeffs[1:])
         return np.fft.irfft(coeffs * n, n=n, axis=0)
 
-    def truncated(self, rel_tol: float = 1e-17) -> "TrigPolynomial":
-        """Drop trailing harmonics whose weight is below rel_tol of the peak."""
+    def truncated(self) -> "TrigPolynomial":
+        """Drop trailing harmonics whose weight is below 1e-17 of the peak."""
         weight = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=1))
-        floor = rel_tol * float(np.max(weight)) if np.max(weight) > 0 else 0.0
+        floor = _TRUNCATE_REL * float(np.max(weight)) if np.max(weight) > 0 else 0.0
         keep = np.nonzero(weight > floor)[0]
         cut = int(keep[-1]) + 1 if keep.size else 1
         return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut])
@@ -128,22 +134,15 @@ class PeriodicAntiderivative:
 
     def __init__(self, samples):
         g = np.asarray(samples, dtype=float)
-        m = g.size
-        c = np.fft.rfft(g) / m
-        self.mean = c[0].real
-        a = np.zeros(m // 2 + 1)
-        b = np.zeros(m // 2 + 1)
-        a[1:] = 2.0 * c[1:].real
-        b[1:] = -2.0 * c[1:].imag
-        if m % 2 == 0:
-            a[m // 2] = c[m // 2].real
-            b[m // 2] = 0.0
-        j = np.arange(m // 2 + 1, dtype=float)
-        j[0] = 1.0  # unused slot, avoids divide warning
+        fit = TrigPolynomial.from_samples(g[:, None])
+        a, b = fit.cos_coeffs[:, 0], fit.sin_coeffs[:, 0]
+        self.mean = a[0]
+        j = np.arange(a.size, dtype=float)
+        j[0] = np.inf  # the mean is the linear part, not a harmonic
         # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
         self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None]).truncated()
         self._osc0 = float(self._osc(0.0)[0])
-        self._grid = m
+        self._grid = g.size
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -192,11 +191,15 @@ class _ArcLengthView:
         wraps = np.floor(theta / TWO_PI)
         target = (theta - wraps * TWO_PI) * self.scale
         t = np.interp(target, self._cum_f, self._tf)
+        tol = 1e-13 * max(self.total, 1.0)
+        resid = self._cum(t) - target
         for _ in range(8):
-            resid = self._cum(t) - target
-            if np.max(np.abs(resid)) < 1e-13 * max(self.total, 1.0):
+            if np.max(np.abs(resid)) < tol:
                 break
             t = t - resid / np.linalg.norm(self.base.velocity(t), axis=-1)
+            resid = self._cum(t) - target
+        if not np.max(np.abs(resid)) < tol:
+            raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
         return t + wraps * TWO_PI
 
     def position(self, theta):
@@ -263,19 +266,20 @@ class JordanCurve:
 
     def velocity_grid(self, n: int, lag: float = 0.0) -> np.ndarray:
         """Velocity at n uniform nodes (shifted by lag), the fast way."""
-        if self.view is not None:
-            return self.view.velocity(TWO_PI * np.arange(n) / n + lag)
-        poly = self._vel if lag == 0.0 else self._vel.shifted(lag)
-        if n >= 2 * poly.degree:
-            return poly.resample(n)
-        return poly(TWO_PI * np.arange(n) / n)
+        return self._on_grid(n, "velocity", self._vel, lag)
 
     def acceleration_grid(self, n: int) -> np.ndarray:
+        return self._on_grid(n, "acceleration", self._acc)
+
+    def _on_grid(self, n: int, name: str, poly: TrigPolynomial, lag: float = 0.0) -> np.ndarray:
+        """The view's evaluator ``name`` at n uniform nodes shifted by lag,
+        else ``poly`` there by inverse FFT when that does not alias."""
+        t = TWO_PI * np.arange(n) / n
         if self.view is not None:
-            return self.view.acceleration(TWO_PI * np.arange(n) / n)
-        if n >= 2 * self._acc.degree:
-            return self._acc.resample(n)
-        return self._acc(TWO_PI * np.arange(n) / n)
+            return getattr(self.view, name)(t + lag)
+        if lag != 0.0:
+            poly = poly.shifted(lag)
+        return poly.resample(n) if n >= 2 * poly.degree else poly(t)
 
     def scaled(self, c: float) -> "JordanCurve":
         if self.view is not None:
@@ -385,8 +389,7 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
 
     _check_sampled_injectivity(points)
 
-    speed = np.linalg.norm(derivs, axis=1)
-    flat = float(np.max(speed) - np.min(speed)) <= CONST_TOL * float(np.mean(speed))
+    flat = float(np.max(speeds) - np.min(speeds)) <= CONST_TOL * float(np.mean(speeds))
     return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, arc_length=flat)
 
 
@@ -395,12 +398,10 @@ def _check_sampled_injectivity(points):
     diam = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))) * 2.0
     tol = 1e-9 * max(diam, 1e-12)
     # block the diagonal and the two adjacent bands (periodic)
-    idx = np.arange(m)
     for lo in range(0, m, 512):
         hi = min(lo + 512, m)
         d = np.linalg.norm(points[lo:hi, None, :] - points[None, :, :], axis=2)
-        gap = np.minimum((idx[lo:hi, None] - idx[None, :]) % m, (idx[None, :] - idx[lo:hi, None]) % m)
-        d[gap <= 1] = np.inf
+        d[_index_gap(np.arange(lo, hi), m) <= 1] = np.inf
         if np.min(d) <= tol:
             i, j = np.unravel_index(np.argmin(d), d.shape)
             raise InjectivityError(f"sampled self-intersection between nodes {lo + i} and {j}")
@@ -410,11 +411,11 @@ def _check_sampled_injectivity(points):
 # length and reparametrization
 
 
-def curve_length(curve: JordanCurve, quad_nodes: int | None = None) -> float:
+def curve_length(curve: JordanCurve) -> float:
     """Total length by the periodic trapezoid rule applied to the speed."""
     if curve.view is not None:
         return curve.view.total
-    m = max(quad_nodes or max(curve.node_count, 1024), 2 * curve.poly.degree)
+    m = max(curve.node_count, 1024, 2 * curve.poly.degree)
     speed = np.linalg.norm(curve.velocity_grid(m), axis=1)
     return float(TWO_PI * np.mean(speed))
 
@@ -447,7 +448,14 @@ def _require_arc_length(curve: JordanCurve, who: str):
 # supremum scans over parameter pairs
 
 
-def _pair_supremum(objective, diagonal_value, coarse_matrix, refine=40, tol=CONST_TOL):
+def _index_gap(rows, m: int):
+    """Circular distance between the node indices ``rows`` and 0..m-1 of
+    an m-node grid, shape (rows, m)."""
+    cols = np.arange(m)
+    return np.minimum((rows[:, None] - cols[None, :]) % m, (cols[None, :] - rows[:, None]) % m)
+
+
+def _pair_supremum(objective, diagonal_value, coarse_matrix, refine=40):
     """Estimate sup over angle pairs of a smooth symmetric objective.
 
     ``coarse_matrix`` holds the objective on the uniform pair grid; the
@@ -459,9 +467,7 @@ def _pair_supremum(objective, diagonal_value, coarse_matrix, refine=40, tol=CONS
     vals = np.array(coarse_matrix, dtype=float, copy=True)
     m = vals.shape[0]
     theta = TWO_PI * np.arange(m) / m
-    idx = np.arange(m)
-    gap = np.minimum((idx[:, None] - idx[None, :]) % m, (idx[None, :] - idx[:, None]) % m)
-    vals[gap < 10] = -np.inf
+    vals[_index_gap(np.arange(m), m) < 10] = -np.inf
 
     best = max(float(np.max(vals)), diagonal_value)
 
@@ -523,12 +529,10 @@ def _pair_norm_matrix(values):
 
 
 def _gap_angles(m0: int):
-    idx = np.arange(m0)
-    gap = np.minimum((idx[:, None] - idx[None, :]) % m0, (idx[None, :] - idx[:, None]) % m0)
-    return gap * (TWO_PI / m0)
+    return _index_gap(np.arange(m0), m0) * (TWO_PI / m0)
 
 
-def chord_arc_constant(curve: JordanCurve, refine: int = 40, coarse_nodes: int | None = None) -> ScanResult:
+def chord_arc_constant(curve: JordanCurve, refine: int = 40) -> ScanResult:
     """Supremum of (shorter arc length) / (chord length) over boundary pairs.
 
     Requires an arc-length parametrization; the coincident-pair limit is
@@ -537,7 +541,7 @@ def chord_arc_constant(curve: JordanCurve, refine: int = 40, coarse_nodes: int |
     _require_arc_length(curve, "chord_arc_constant")
     length = curve_length(curve)
     speed_scale = length / TWO_PI
-    m0 = min(coarse_nodes or curve.node_count, 512)
+    m0 = min(curve.node_count, _COARSE_NODES)
 
     def objective(ti, tj):
         chord = np.linalg.norm(curve.position(ti) - curve.position(tj), axis=1)
@@ -555,9 +559,7 @@ def chord_arc_constant(curve: JordanCurve, refine: int = 40, coarse_nodes: int |
     return _pair_supremum(objective, diag, coarse, refine=refine)
 
 
-def holder_derivative_constant(
-    curve: JordanCurve, mu: float, refine: int = 40, coarse_nodes: int | None = None
-) -> ScanResult:
+def holder_derivative_constant(curve: JordanCurve, mu: float, refine: int = 40) -> ScanResult:
     """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs,
     for the given parametrization of the curve.
 
@@ -568,7 +570,7 @@ def holder_derivative_constant(
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    m0 = min(coarse_nodes or curve.node_count, 512)
+    m0 = min(curve.node_count, _COARSE_NODES)
 
     def objective(ti, tj):
         dv = np.linalg.norm(curve.velocity(ti) - curve.velocity(tj), axis=1)
@@ -586,39 +588,29 @@ def holder_derivative_constant(
             diag = curve.view.scale**2 * _max_curvature_impl(curve.view.base)
         else:
             fine_n = max(4 * m0, 2048)
-            diag = float(np.max(np.linalg.norm(curve.acceleration_grid(fine_n), axis=1)))
+            diag = _polished_max(
+                lambda t: np.linalg.norm(curve.acceleration(t), axis=1),
+                np.linalg.norm(curve.acceleration_grid(fine_n), axis=1),
+            )
     else:
         diag = 0.0
     return _pair_supremum(objective, diag, coarse, refine=refine)
 
 
-def _max_curvature_impl(curve: JordanCurve, grid: int | None = None) -> float:
-    """Grid max of the parametrization-invariant curvature, with polish."""
-    m = grid or max(4 * curve.node_count, 2048)
-    t = TWO_PI * np.arange(m) / m
-    v = curve.velocity_grid(m)
-    a = curve.acceleration_grid(m)
-    v2 = np.einsum("ij,ij->i", v, v)
-    a2 = np.einsum("ij,ij->i", a, a)
-    va = np.einsum("ij,ij->i", v, a)
-    rad = np.clip(v2 * a2 - va**2, 0.0, None)
-    kappa = np.sqrt(rad) / v2**1.5
-    k = int(np.argmax(kappa))
-
-    # golden-style local polish around the grid argmax
+def _polished_max(f, grid_values) -> float:
+    """Maximum of a smooth periodic function f from its values on a
+    uniform grid: the grid maximum, polished by shrinking 9-point searches
+    around the grid argmax (the true maximum may fall between nodes)."""
+    m = grid_values.size
+    k = int(np.argmax(grid_values))
     w = TWO_PI / m
-    center = t[k]
-    best = float(kappa[k])
+    center = TWO_PI * k / m
+    best = float(grid_values[k])
     for _ in range(30):
         tt = center + np.linspace(-w, w, 9)
-        v = curve.velocity(tt)
-        a = curve.acceleration(tt)
-        v2 = np.einsum("ij,ij->i", v, v)
-        va = np.einsum("ij,ij->i", v, a)
-        a2 = np.einsum("ij,ij->i", a, a)
-        kk = np.sqrt(np.clip(v2 * a2 - va**2, 0.0, None)) / v2**1.5
-        j = int(np.argmax(kk))
-        best = max(best, float(kk[j]))
+        vals = f(tt)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
         center = tt[j]
         w *= 0.45
         if w < 1e-12:
@@ -626,7 +618,24 @@ def _max_curvature_impl(curve: JordanCurve, grid: int | None = None) -> float:
     return best
 
 
-def max_curvature(curve: JordanCurve, grid: int | None = None) -> float:
+def _curvature(v, a):
+    """sqrt(|v|^2 |a|^2 - <v, a>^2) / |v|^3 rowwise."""
+    v2 = np.einsum("ij,ij->i", v, v)
+    a2 = np.einsum("ij,ij->i", a, a)
+    va = np.einsum("ij,ij->i", v, a)
+    return np.sqrt(np.clip(v2 * a2 - va**2, 0.0, None)) / v2**1.5
+
+
+def _max_curvature_impl(curve: JordanCurve) -> float:
+    """Polished grid max of the parametrization-invariant curvature."""
+    m = max(4 * curve.node_count, 2048)
+    return _polished_max(
+        lambda t: _curvature(curve.velocity(t), curve.acceleration(t)),
+        _curvature(curve.velocity_grid(m), curve.acceleration_grid(m)),
+    )
+
+
+def max_curvature(curve: JordanCurve) -> float:
     """Largest curvature, measured against true arc length.
 
     Uses kappa = sqrt(|g'|^2 |g''|^2 - <g', g''>^2) / |g'|^3, which is
@@ -638,7 +647,7 @@ def max_curvature(curve: JordanCurve, grid: int | None = None) -> float:
     source = curve.view.base if curve.view is not None else curve
     if source.view is None:
         _nyquist_check(source)
-    return _max_curvature_impl(source, grid)
+    return _max_curvature_impl(source)
 
 
 def _nyquist_check(curve: JordanCurve, tail_fraction: float = 0.25, limit: float = 1e-6):
@@ -716,7 +725,7 @@ class PowerModulus:
         return self.coefficient * x ** (1.0 + self.mu) / (1.0 + self.mu)
 
 
-def dini_modulus_table(curve: JordanCurve, steps, t_grid: int = 2048, lag_grid: int = 64) -> TabulatedModulus:
+def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     """Modulus of continuity of the curve derivative at the given steps.
 
     For each step delta the table holds sup over |t - s| <= delta (circle
@@ -725,13 +734,13 @@ def dini_modulus_table(curve: JordanCurve, steps, t_grid: int = 2048, lag_grid: 
     deltas = np.sort(np.asarray(steps, dtype=float))
     if np.any(deltas <= 0):
         raise DomainError("modulus steps must be positive")
-    v0 = curve.velocity_grid(t_grid)
+    v0 = curve.velocity_grid(_MODULUS_POINTS)
     values = np.empty(deltas.size)
     for i, delta in enumerate(deltas):
-        lags = np.linspace(delta / lag_grid, min(delta, np.pi), lag_grid)
+        lags = np.linspace(delta / _MODULUS_LAGS, min(delta, np.pi), _MODULUS_LAGS)
         worst = 0.0
         for lag in lags:
-            dv = np.linalg.norm(curve.velocity_grid(t_grid, lag=lag) - v0, axis=1)
+            dv = np.linalg.norm(curve.velocity_grid(_MODULUS_POINTS, lag=lag) - v0, axis=1)
             worst = max(worst, float(np.max(dv)))
         values[i] = worst
     values = np.maximum.accumulate(values)
@@ -742,25 +751,25 @@ def dini_modulus_table(curve: JordanCurve, steps, t_grid: int = 2048, lag_grid: 
 # Dini-type double integral identity
 
 
-def dini_double_integral(omega, y: float, scale: float = 1.0) -> float:
-    """integral_{0+}^{y} x^{-2} integral_0^x omega(scale*t) dt dx."""
+def dini_double_integral(omega, y: float) -> float:
+    """integral_{0+}^{y} x^{-2} integral_0^x omega(t) dt dx."""
     if y <= 0:
         raise DomainError("upper limit must be positive")
 
     def inner(x):
-        val, _ = quad(lambda t: float(omega(scale * t)), 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=200)
+        val, _ = quad(lambda t: float(omega(t)), 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=200)
         return val
 
     val, _ = quad(lambda x: inner(x) / x**2, 0.0, y, epsabs=1e-11, epsrel=1e-11, limit=200)
     return float(val)
 
 
-def dini_single_integral(omega, y: float, scale: float = 1.0) -> float:
-    """integral_{0+}^{y} (omega(scale*x)/x - omega(scale*x)/y) dx."""
+def dini_single_integral(omega, y: float) -> float:
+    """integral_{0+}^{y} (omega(x)/x - omega(x)/y) dx."""
     if y <= 0:
         raise DomainError("upper limit must be positive")
     val, _ = quad(
-        lambda x: float(omega(scale * x)) * (1.0 / x - 1.0 / y),
+        lambda x: float(omega(x)) * (1.0 / x - 1.0 / y),
         0.0,
         y,
         epsabs=1e-11,
@@ -774,14 +783,12 @@ def dini_single_integral(omega, y: float, scale: float = 1.0) -> float:
 # bundled constants
 
 
-def compute_curve_constants(
-    curve: JordanCurve, mu: float = 1.0, refine: int = 40, coarse_nodes: int | None = None
-) -> CurveConstants:
+def compute_curve_constants(curve: JordanCurve, mu: float = 1.0, refine: int = 40) -> CurveConstants:
     """Length, chord-arc, derivative Hölder constant and curvature in one pass."""
     arc = curve if curve.arc_length else arc_length_reparametrize(curve)
     length = curve_length(arc)
-    lam = chord_arc_constant(arc, refine=refine, coarse_nodes=coarse_nodes)
-    hol = holder_derivative_constant(arc, mu, refine=refine, coarse_nodes=coarse_nodes)
+    lam = chord_arc_constant(arc, refine=refine)
+    hol = holder_derivative_constant(arc, mu, refine=refine)
     try:
         kappa = max_curvature(arc)
         kappa_ok = True

@@ -18,6 +18,11 @@ from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
 RADICAND_FLOOR = -1e-14
+# a kernel may exceed its majorant by this much before it is inconsistent
+_MAJORANT_TOL = 1e-9
+# the boundary-Jacobian rule has settled when doubling its order moves it
+# by at most this much relative
+_SETTLE = 1e-11
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,10 @@ def _modulus_integral(omega, upper):
     return np.array([quad(lambda x: float(omega(x)), 0.0, u, epsabs=1e-12, epsrel=1e-11, limit=200)[0] for u in upper])
 
 
-def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str, tol: float):
+def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str):
     """majorant(|h(s) - h(t)|, |e^{is} - e^{it}|) at broadcast angle pairs,
     0 on the diagonal; the kernel is recomputed at every pair and a pair
-    where it exceeds the majorant by more than tol raises ConsistencyError
+    where it exceeds the majorant by more than 1e-9 raises ConsistencyError
     naming the worst one.  Scalar pairs give a float."""
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     shape = s.shape
@@ -99,12 +104,12 @@ def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str, tol: float)
     bound[off] = majorant(np.linalg.norm(chord[off], axis=1), chord_circle[off])
     value = _cross_norm(chord, curve.velocity(s))
     k = int(np.argmax(value - bound))
-    if value[k] > bound[k] + tol:
+    if value[k] > bound[k] + _MAJORANT_TOL:
         raise ConsistencyError(f"kernel {value[k]:.6e} exceeds {what} bound {bound[k]:.6e} at ({s[k]}, {t[k]})")
     return float(bound[0]) if not shape else bound.reshape(shape)
 
 
-def kernel_bound_dini(curve: JordanCurve, omega, s, t, tol: float = 1e-9):
+def kernel_bound_dini(curve: JordanCurve, omega, s, t):
     """Modulus-integral majorant of the kernel at angle pairs.
 
     bound = (|h(s) - h(t)| / |e^{is} - e^{it}|) * integral_0^{pi |e^{is}-e^{it}|} omega.
@@ -115,10 +120,10 @@ def kernel_bound_dini(curve: JordanCurve, omega, s, t, tol: float = 1e-9):
     def majorant(chord, circ):
         return (chord / circ) * _modulus_integral(omega, np.pi * circ)
 
-    return _checked_majorant(curve, s, t, majorant, "modulus", tol)
+    return _checked_majorant(curve, s, t, majorant, "modulus")
 
 
-def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None = None, tol: float = 1e-9):
+def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None = None):
     """Hölder-form majorant c_h |h(s) - h(t)| |e^{is} - e^{it}|^mu at angle pairs.
 
     c_h = (1 / (1 + mu)) * sup |h'(x) - h'(y)| / dist(x, y)^mu is computed
@@ -128,7 +133,7 @@ def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None =
         raise DomainError("holder exponent mu must lie in (0, 1]")
     if c_h is None:
         c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
-    return _checked_majorant(curve, s, t, lambda chord, circ: c_h * chord * circ**mu, "holder", tol), c_h
+    return _checked_majorant(curve, s, t, lambda chord, circ: c_h * chord * circ**mu, "holder"), c_h
 
 
 def evaluate_kernel(
@@ -190,6 +195,11 @@ def boundary_jacobian_bound(
 
     ``form="holder"`` evaluates the companion majorant built from boundary
     differences |F(t) - F(tau)|^(1+mu) instead of the kernel.
+
+    The graded rule runs at Gauss orders 16, 32, 64 and 128 per panel and
+    returns the first value that moved by at most 1e-11 relative from the
+    order before; ``RefinementError`` when none settles.  ``spec.m`` sizes
+    the trapezoid rule of the majorant method only.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
@@ -263,15 +273,10 @@ def boundary_jacobian_bound(
         outer = float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
         return inner + outer
 
-    settle = max(spec.tol, 1e-11)
     prev = evaluate(16)
     for order in (32, 64, 128):
         cur = evaluate(order)
-        if abs(cur - prev) <= settle * (1.0 + abs(cur)):
+        if abs(cur - prev) <= _SETTLE * (1.0 + abs(cur)):
             return fp_tau * cur
         prev = cur
-        if not spec.adaptive:
-            break
-    if spec.adaptive:
-        raise RefinementError("boundary integral did not converge; raise the rule order")
-    return fp_tau * prev
+    raise RefinementError("boundary integral did not converge; raise the rule order")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,7 +47,6 @@ from .kernels import boundary_jacobian_bound
 from .poisson import (
     BoundaryMap,
     CheckRecord,
-    QuadratureSpec,
     _angular_sides,
     _dilatations,
     gradient_frames,
@@ -57,6 +56,17 @@ from .poisson import (
 # R2 low-discrepancy sequence constants (plastic-number based)
 _LD_A1 = 0.7548776662466927
 _LD_A2 = 0.5698402909980532
+
+# fixed sample sizes of the verification stages
+_SUP_ANGLES = 128  # unit-circle angles of the gradient and dilatation sups
+_GRID_RADII = 32  # polar grid of the angular and quasiconformality checks
+_GRID_ANGLES = 32
+_GRID_RMAX = 0.9  # outer radius of that grid and of the interior pairs
+_BOUNDARY_PAIRS = 10_000  # boundary Hölder pairs, of which
+_NEAR_DIAGONAL_PAIRS = 1_000  # these are near the diagonal
+_INTERIOR_PAIRS = 10_000  # displacement pairs
+_JACOBIAN_TAUS = 32  # angles of the boundary-Jacobian bound
+_WITNESS_NODES = 4096  # arc-length samples of the normalization witness
 
 
 @dataclass
@@ -88,15 +98,6 @@ class Scenario:
 class VerifyConfig:
     node_count: int = 512
     mu: float = 1.0
-    quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(m=256))
-    sup_angles: int = 128
-    grid_radii: int = 32
-    grid_angles: int = 32
-    grid_rmax: float = 0.9
-    boundary_pairs: int = 10_000
-    near_diagonal_pairs: int = 1_000
-    interior_pairs: int = 10_000
-    jacobian_taus: int = 32
     refine: int = 40
     tol: float = 1e-9
     upsilon: float | None = None
@@ -328,13 +329,13 @@ def _const_frames(z, ux, uy):
     return gx, gy
 
 
-def normalization_witness(boundary: BoundaryMap, fine: int = 4096) -> NormalizationWitness:
+def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     """Preimages of three points cutting the image curve into equal arcs.
 
     Anchored at parameter 0; the other two preimages are found by solving
     the cumulative-length equation along the boundary data.
     """
-    t = TWO_PI * np.arange(fine) / fine
+    t = TWO_PI * np.arange(_WITNESS_NODES) / _WITNESS_NODES
     speed = np.linalg.norm(boundary.derivative(t), axis=1)
     cum = PeriodicAntiderivative(speed)
     total = cum.mean * TWO_PI
@@ -411,7 +412,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         checks.append(_tol_check("area_vs_exact", abs(area - scenario.area_exact), 1e-8))
 
     # (2) gradient and dilatation sups
-    sup_grad, k_boundary = _gradient_sups(boundary, config)
+    sup_grad, k_boundary = _gradient_sups(boundary)
     k_estimate = max(k_boundary, 1.0)
     if scenario.sup_grad_exact is not None:
         checks.append(_tol_check("sup_grad_vs_exact", abs(sup_grad - scenario.sup_grad_exact), 1e-6))
@@ -420,33 +421,17 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     k_used = scenario.k_exact if scenario.k_exact is not None else k_estimate
 
     def stage_angular():
-        radii = np.linspace(config.grid_rmax / config.grid_radii, config.grid_rmax, config.grid_radii)
-        angles = TWO_PI * np.arange(config.grid_angles) / config.grid_angles
+        radii = np.linspace(_GRID_RMAX / _GRID_RADII, _GRID_RMAX, _GRID_RADII)
+        angles = TWO_PI * np.arange(_GRID_ANGLES) / _GRID_ANGLES
         grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
         ux, uy = gradient_frames(boundary, grid)
-        lhs, rhs, jac = _angular_sides(grid, ux, uy, k_used)
-        margins = rhs - lhs
-        worst = int(np.argmin(margins))
-        rec = CheckRecord(
-            name="angular_derivative",
-            lhs=float(lhs[worst]),
-            rhs=float(rhs[worst]),
-            margin=float(margins[worst]),
-            passed=bool(np.all(margins >= -config.tol)),
-        )
-        # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
-        hs2 = 0.5 * (np.einsum("ij,ij->i", ux, ux) + np.einsum("ij,ij->i", uy, uy))
-        qrhs = 0.5 * (k_used + 1.0 / k_used) * jac
-        qmargins = qrhs - hs2
-        qworst = int(np.argmin(qmargins))
-        qrec = CheckRecord(
-            name="quasiconformality",
-            lhs=float(hs2[qworst]),
-            rhs=float(qrhs[qworst]),
-            margin=float(qmargins[qworst]),
-            passed=bool(np.all(qmargins >= -config.tol)),
-        )
-        return [rec, qrec]
+        _, _, jac, hs2 = _dilatations(ux, uy)
+        lhs, rhs = _angular_sides(grid, ux, uy, jac, k_used)
+        return [
+            _worst_record("angular_derivative", lhs, rhs, config.tol),
+            # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
+            _worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac, config.tol),
+        ]
 
     upsilon = config.upsilon
     if upsilon is None:
@@ -455,39 +440,18 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     growth = mori_constant(k_used, constants.chord_arc, upsilon, area)
 
     def stage_mori():
-        t1, t2 = _boundary_pair_angles(config.boundary_pairs, config.near_diagonal_pairs)
+        t1, t2 = _boundary_pair_angles(_BOUNDARY_PAIRS, _NEAR_DIAGONAL_PAIRS)
         f1 = boundary.values(t1)
         f2 = boundary.values(t2)
         lhs = np.linalg.norm(f1 - f2, axis=1)
         dz = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
-        rhs = growth * dz**alpha
-        margins = rhs - lhs
-        worst = int(np.argmin(margins))
-        return [
-            CheckRecord(
-                name="boundary_holder",
-                lhs=float(lhs[worst]),
-                rhs=float(rhs[worst]),
-                margin=float(margins[worst]),
-                passed=bool(np.all(margins >= -config.tol)),
-            )
-        ]
+        return [_worst_record("boundary_holder", lhs, growth * dz**alpha, config.tol)]
 
     def stage_boundary_jacobian():
-        taus = TWO_PI * np.arange(config.jacobian_taus) / config.jacobian_taus
-        rhs = np.array([boundary_jacobian_bound(boundary, tau, config.quad, mu=config.mu) for tau in taus])
+        taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
+        rhs = np.array([boundary_jacobian_bound(boundary, tau, mu=config.mu) for tau in taus])
         lhs = _boundary_jacobians(scenario, boundary, taus)
-        margins = rhs - lhs
-        worst = int(np.argmin(margins))
-        return [
-            CheckRecord(
-                name="boundary_jacobian",
-                lhs=float(lhs[worst]),
-                rhs=float(rhs[worst]),
-                margin=float(margins[worst]),
-                passed=bool(np.all(margins >= -config.tol)),
-            )
-        ]
+        return [_worst_record("boundary_jacobian", lhs, rhs, config.tol)]
 
     def stage_isoperimetric():
         rep = isoperimetric_check(boundary, upsilon=upsilon, area=area, tol=config.tol)
@@ -520,22 +484,13 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
             margin=bound.value - sup_grad,
             passed=sup_grad <= bound.value + config.tol,
         )
-        z1 = _interior_points(config.interior_pairs, config.grid_rmax)
-        z2 = _interior_points(config.interior_pairs, config.grid_rmax, offset=314_159)
+        z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
+        z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
         u1 = poisson_extend(boundary, z1)
         u2 = poisson_extend(boundary, z2)
         lhs = np.linalg.norm(u1 - u2, axis=1)
         rhs = k_used * bound.value * np.abs(z1 - z2)
-        margins = rhs - lhs
-        worst = int(np.argmin(margins))
-        disp = CheckRecord(
-            name="displacement_bound",
-            lhs=float(lhs[worst]),
-            rhs=float(rhs[worst]),
-            margin=float(margins[worst]),
-            passed=bool(np.all(margins >= -config.tol)),
-        )
-        return [rec, disp]
+        return [rec, _worst_record("displacement_bound", lhs, rhs, config.tol)]
 
     stages = [stage_angular, stage_mori, stage_boundary_jacobian, stage_isoperimetric, stage_main_bound]
     n_workers = worker_count(config.workers)
@@ -576,14 +531,28 @@ def _tol_check(name: str, deviation: float, tol: float) -> CheckRecord:
     return CheckRecord(name=name, lhs=deviation, rhs=tol, margin=tol - deviation, passed=deviation <= tol)
 
 
-def _gradient_sups(boundary: BoundaryMap, config: VerifyConfig):
-    """Sups of |grad u| and of the dilatation over the sampled unit circle.
+def _worst_record(name: str, lhs, rhs, tol: float) -> CheckRecord:
+    """The check lhs <= rhs over all samples, reported at its worst margin;
+    it passes when every margin rhs - lhs is at least -tol."""
+    margins = rhs - lhs
+    worst = int(np.argmin(margins))
+    return CheckRecord(
+        name=name,
+        lhs=float(lhs[worst]),
+        rhs=float(rhs[worst]),
+        margin=float(margins[worst]),
+        passed=bool(np.all(margins >= -tol)),
+    )
+
+
+def _gradient_sups(boundary: BoundaryMap):
+    """Sups of |grad u| and of the dilatation over 128 angles of the unit circle.
 
     The operator norm of a harmonic gradient is subharmonic, so its disk
     supremum lies on the circle; the dilatation is taken there as well.
     """
-    z = np.exp(1j * TWO_PI * np.arange(config.sup_angles) / config.sup_angles)
-    op, mn, _ = _dilatations(*gradient_frames(boundary, z))
+    z = np.exp(1j * TWO_PI * np.arange(_SUP_ANGLES) / _SUP_ANGLES)
+    op, mn, _, _ = _dilatations(*gradient_frames(boundary, z))
     with np.errstate(divide="ignore", invalid="ignore"):
         dil = np.where(mn > 0, op / mn, np.inf)
     return float(np.max(op)), float(np.max(dil))
@@ -595,5 +564,5 @@ def _boundary_jacobians(scenario: Scenario, boundary: BoundaryMap, taus):
     z = np.exp(1j * np.asarray(taus))
     if scenario.jacobian_exact is not None:
         return np.asarray(scenario.jacobian_exact(z), dtype=float)
-    _, _, jac = _dilatations(*gradient_frames(boundary, z))
+    _, _, jac, _ = _dilatations(*gradient_frames(boundary, z))
     return jac

@@ -51,7 +51,7 @@ def test_c1_identity_equality_suite(identity_scenario):
     worst_bj = max(abs(boundary_jacobian_bound(bm, tau, spec) - 1.0) for tau in taus)
     assert worst_bj < 1e-6
 
-    rep = angular_derivative_check(bm, _grid(32, 32), K=1.0, tol=1e-12)
+    rep = angular_derivative_check(bm, _grid(32, 32), K=1.0)
     assert rep.all_passed
     worst_margin = max(abs(rec.margin) for rec in rep.records)
     assert worst_margin < 1e-12
@@ -75,13 +75,13 @@ def test_c2_affine_suite(affine_scenario):
 
     grid = _grid(16, 16)
     ux, uy = gradient_frames(bm, grid)
-    op, mn, jac = _dilatations(ux, uy)
+    op, mn, jac, _ = _dilatations(ux, uy)
     dil = op / mn
     assert np.max(np.abs(dil - 1.5)) < 1e-9
 
-    from qcharm.scenarios import VerifyConfig, _gradient_sups
+    from qcharm.scenarios import _gradient_sups
 
-    sup_extrap, _ = _gradient_sups(bm, VerifyConfig())
+    sup_extrap, _ = _gradient_sups(bm)
     assert abs(sup_extrap - 1.2) < 1e-6
 
     hs2 = 0.5 * (np.einsum("ij,ij->i", ux, ux) + np.einsum("ij,ij->i", uy, uy))

@@ -122,6 +122,14 @@ def test_reparametrize_circle_unchanged(circle_curve):
     assert np.max(np.abs(arc.points - circle_curve.points)) < 1e-10
 
 
+def test_reparametrize_newton_nonconvergence_raises(ellipse_curve, monkeypatch):
+    arc = arc_length_reparametrize(ellipse_curve)
+    # a cumulative length that never reaches its target stalls every Newton step
+    monkeypatch.setattr(arc.view, "_cum", lambda t: np.full(np.shape(t), -1.0))
+    with pytest.raises(RefinementError, match="Newton"):
+        arc.position(np.array([0.5, 1.5]))
+
+
 def test_reparametrize_idempotent(ellipse_arc):
     again = arc_length_reparametrize(ellipse_arc)
     assert np.max(np.abs(again.points - ellipse_arc.points)) < 1e-10
@@ -191,6 +199,22 @@ def test_holder_constant_of_given_parametrization():
     assert not curve.arc_length
     assert abs(holder_derivative_constant(curve, 1.0).value - 2.0) <= 1e-9 * 2.0
     assert abs(holder_derivative_constant(curve, 0.5).value - 2.40767325441) <= 1e-9 * 2.40767325441
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        # |g''| peaks at t = -pi/2048, half a spacing between scan nodes
+        ellipse(2.0, 1.0).shifted(math.pi / 2048),
+        fourier_curve([[0, 0], [1.0, 0], [0, 0], [0.05, 0.02]], [[0, 0], [0, 1.0], [0.03, 0], [0, -0.04]]),
+    ],
+)
+def test_holder_diagonal_maximum_between_nodes(generator):
+    # at mu = 1 the constant of a plain parametrization is max |g''|; a
+    # 2^16-node scan pins that maximum to well below 1e-8 relative
+    curve = build_curve(generator, 512)
+    reference = float(np.max(np.linalg.norm(curve.acceleration_grid(1 << 16), axis=1)))
+    assert abs(holder_derivative_constant(curve, 1.0).value - reference) <= 1e-8 * reference
 
 
 def test_holder_monotone_under_refinement(ellipse_arc):

@@ -11,6 +11,7 @@ from qcharm import (
     DomainError,
     PowerModulus,
     QuadratureSpec,
+    RefinementError,
     boundary_jacobian_bound,
     chord_tangent_kernel,
     circle,
@@ -237,6 +238,13 @@ def test_boundary_jacobian_majorant_is_conservative(identity_scenario):
         graded = boundary_jacobian_bound(bm, tau, spec)
         majorant = boundary_jacobian_bound(bm, tau, spec, method="majorant")
         assert majorant >= graded - 1e-9
+
+
+def test_boundary_jacobian_unsettled_ladder_raises(affine_scenario, monkeypatch):
+    # with a zero settle tolerance no pair of successive orders agrees
+    monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
+    with pytest.raises(RefinementError):
+        boundary_jacobian_bound(affine_scenario.boundary, 0.3)
 
 
 def test_boundary_jacobian_holder_form(affine_scenario):

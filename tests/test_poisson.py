@@ -324,7 +324,7 @@ def test_angular_check_identity(identity_map):
     r = np.linspace(0.1, 0.9, 8)
     th = TWO_PI * np.arange(8) / 8
     grid = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    rep = angular_derivative_check(identity_map, grid, K=1.0, tol=1e-12)
+    rep = angular_derivative_check(identity_map, grid, K=1.0)
     assert rep.all_passed
     assert abs(rep.worst_margin) < 1e-12
 
