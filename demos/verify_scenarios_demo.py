@@ -6,12 +6,12 @@ the margins below show which inequalities are equalities (zero margin)
 and which carry slack.
 """
 
-from qcharm import VerifyConfig, make_scenario, verify
+from qcharm import make_scenario, verify
 
 
 def run(name, **params):
     scenario = make_scenario(name, **params)
-    report = verify(scenario, VerifyConfig())
+    report = verify(scenario)
     label = f"{name}({', '.join(f'{k}={v}' for k, v in scenario.params.items())})"
     print(f"\n{label}: all passed = {report.all_passed}")
     print(f"  K = {report.k_estimate:.9f} (exact {scenario.k_exact}),  sup|grad| = {report.sup_grad_extrapolated:.9f}")

@@ -81,7 +81,6 @@ from .scenarios import (
     NormalizationWitness,
     Scenario,
     VerificationReport,
-    VerifyConfig,
     make_scenario,
     normalization_witness,
     scenario_catalog,

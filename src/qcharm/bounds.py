@@ -24,6 +24,8 @@ LOG4 = math.log(4.0)
 _AREA_BLOCK = 1 << 16
 # largest relative correction of the doubled area rule
 _AREA_TOL = 1e-6
+# an inequality check passes down to this negative margin
+_GATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,10 @@ class IsoperimetricReport:
     area_rule: dict  # surface_area's rule sizes and correction; empty for a given area
 
 
-def isoperimetric_coefficient(surface_class: str, K: float | None = None, upsilon: float | None = None) -> float:
+def isoperimetric_coefficient(surface_class: str, K: float | None = None) -> float:
     """Catalog coefficient by surface class.
 
-    minimal -> pi; harmonic -> 1; qc_harmonic -> max(2*pi/(1+K^2), 1);
-    custom passes an explicit coefficient through a range check.
+    minimal -> pi; harmonic -> 1; qc_harmonic -> max(2*pi/(1+K^2), 1).
     """
     if surface_class == "minimal":
         return math.pi
@@ -100,10 +101,6 @@ def isoperimetric_coefficient(surface_class: str, K: float | None = None, upsilo
         if K is None or K < 1.0:
             raise DomainError("qc_harmonic needs a dilatation bound K >= 1")
         return max(2.0 * math.pi / (1.0 + K * K), 1.0)
-    if surface_class == "custom":
-        if upsilon is None or not 0.0 < upsilon <= math.pi:
-            raise DomainError("custom coefficient must lie in (0, pi]")
-        return upsilon
     raise DomainError(f"unknown surface class {surface_class!r}")
 
 
@@ -236,13 +233,9 @@ def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:
     return math.pi * total
 
 
-def isoperimetric_check(
-    boundary: BoundaryMap,
-    upsilon: float = 1.0,
-    area: float | None = None,
-    tol: float = 1e-9,
-) -> IsoperimetricReport:
-    """Ratio area / length^2 against the ceiling 1 / (4*upsilon)."""
+def isoperimetric_check(boundary: BoundaryMap, upsilon: float = 1.0, area: float | None = None) -> IsoperimetricReport:
+    """Ratio area / length^2 against the ceiling 1 / (4*upsilon); the check
+    passes down to the margin -1e-9 (``_GATE``)."""
     if not 0.0 < upsilon <= math.pi:
         raise DomainError("isoperimetric coefficient must lie in (0, pi]")
     if boundary.curve is None:
@@ -264,6 +257,6 @@ def isoperimetric_check(
         ratio=ratio,
         bound=bound,
         margin=margin,
-        passed=margin >= -tol,
+        passed=margin >= -_GATE,
         area_rule=rule,
     )

@@ -25,7 +25,7 @@ from .curves import (
     ellipse,
 )
 from .errors import QcharmError, RefinementError
-from .scenarios import VerifyConfig, make_scenario, scenario_catalog, verify
+from .scenarios import make_scenario, scenario_catalog, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,7 +75,7 @@ def cmd_constants(args) -> int:
     gen, desc = _curve_from_args(args)
     curve = build_curve(gen, args.nodes)
     arc = arc_length_reparametrize(curve)
-    constants = compute_curve_constants(arc, mu=args.mu, refine=args.refine)
+    constants = compute_curve_constants(arc, mu=args.mu)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",
@@ -173,16 +173,7 @@ def _scenario_from_args(args):
 
 
 def cmd_verify(args) -> int:
-    scenario = _scenario_from_args(args)
-    config = VerifyConfig(
-        node_count=args.nodes,
-        mu=args.mu,
-        refine=args.refine,
-        tol=args.tol,
-        upsilon=args.upsilon,
-        workers=args.workers,
-    )
-    rep = verify(scenario, config)
+    rep = verify(_scenario_from_args(args), mu=args.mu)
     checks = [
         {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "passed": r.passed} for r in rep.checks
     ]
@@ -248,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", default=None, help="CSV with columns t, x_1..x_n")
     p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--refine", type=int, default=40)
     common(p)
     p.set_defaults(func=cmd_constants)
 
@@ -272,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", default=None, help="JSON file with cos_coeffs/sin_coeffs")
     p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--refine", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--upsilon", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
 

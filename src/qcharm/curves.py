@@ -507,7 +507,7 @@ def _pair_supremum(objective, diagonal_value, coarse_matrix, refine=40):
         if len(history) >= 3 and history[-1] - history[-3] < 1e-14:
             break
 
-    converged = len(history) >= 2 and history[-1] - history[-2] <= max(1e-10, 1e-9 * abs(best))
+    converged = len(history) >= 2 and bool(history[-1] - history[-2] <= max(1e-10, 1e-9 * abs(best)))
     return ScanResult(value=best, depth=depth_used, converged=converged)
 
 
@@ -645,8 +645,7 @@ def max_curvature(curve: JordanCurve) -> float:
     """
     _require_arc_length(curve, "max_curvature")
     source = curve.view.base if curve.view is not None else curve
-    if source.view is None:
-        _nyquist_check(source)
+    _nyquist_check(source)
     return _max_curvature_impl(source)
 
 
@@ -783,12 +782,12 @@ def dini_single_integral(omega, y: float) -> float:
 # bundled constants
 
 
-def compute_curve_constants(curve: JordanCurve, mu: float = 1.0, refine: int = 40) -> CurveConstants:
+def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstants:
     """Length, chord-arc, derivative Hölder constant and curvature in one pass."""
     arc = curve if curve.arc_length else arc_length_reparametrize(curve)
     length = curve_length(arc)
-    lam = chord_arc_constant(arc, refine=refine)
-    hol = holder_derivative_constant(arc, mu, refine=refine)
+    lam = chord_arc_constant(arc)
+    hol = holder_derivative_constant(arc, mu)
     try:
         kappa = max_curvature(arc)
         kappa_ok = True

@@ -50,7 +50,6 @@ class AngleMap:
             raise DomainError("periodic part of an angle map must be scalar-valued")
         self._osc = periodic
         self._osc_d = periodic.derivative() if periodic is not None else None
-        self._osc_dd = self._osc_d.derivative() if periodic is not None else None
         t = TWO_PI * np.arange(512) / 512
         fp = self.derivative(t)
         if np.min(fp) < -1e-9:
@@ -80,12 +79,6 @@ class AngleMap:
             return np.ones_like(t) if t.ndim else 1.0
         osc = self._osc_d(t)[..., 0] if t.ndim else float(self._osc_d(t)[0])
         return 1.0 + osc
-
-    def second_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._osc_dd is None:
-            return np.zeros_like(t) if t.ndim else 0.0
-        return self._osc_dd(t)[..., 0] if t.ndim else float(self._osc_dd(t)[0])
 
 
 class BoundaryMap:

@@ -143,7 +143,7 @@ def dumps_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# minimal jsonschema-style validation (type tree only)
+# report schemas in the JSON Schema keywords type, required, properties and items
 
 _NUMBER = {"type": ["number", "null"]}
 _CHECK = {
@@ -189,16 +189,34 @@ SCHEMAS = {
 }
 
 
-def validate_report(report: dict, kind: str):
-    """Check required keys and basic types against the schema for ``kind``."""
-    try:
-        import jsonschema
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 
-        jsonschema.validate(report, SCHEMAS[kind])
-        return
-    except ImportError:
-        pass
-    schema = SCHEMAS[kind]
-    for key in schema.get("required", []):
-        if key not in report:
-            raise DomainError(f"report missing required key {key!r}")
+
+def _has_type(value, name: str) -> bool:
+    if name == "number":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, _TYPES[name])
+
+
+def _check(value, schema: dict, path: str):
+    names = schema.get("type", [])
+    names = [names] if isinstance(names, str) else names
+    if names and not any(_has_type(value, name) for name in names):
+        raise DomainError(f"report field {path} is not of type {' or '.join(names)}")
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key not in value:
+                raise DomainError(f"report missing required key {key!r} in {path}")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_report(report: dict, kind: str):
+    """Check a sanitized report against the schema for ``kind``, reading
+    the keywords ``type``, ``required``, ``properties`` and ``items``;
+    a bool does not count as a number."""
+    _check(report, SCHEMAS[kind], kind)

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bounds import (
+    _GATE,
     BoundInputs,
     LipschitzBound,
     isoperimetric_check,
@@ -95,16 +96,6 @@ class Scenario:
 
 
 @dataclass
-class VerifyConfig:
-    node_count: int = 512
-    mu: float = 1.0
-    refine: int = 40
-    tol: float = 1e-9
-    upsilon: float | None = None
-    workers: int | None = None
-
-
-@dataclass
 class VerificationReport:
     scenario: str
     params: dict
@@ -127,10 +118,8 @@ class VerificationReport:
     series_tail: float
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else QCH_THREADS, else cpu count (<=4)."""
-    if requested is not None:
-        return max(1, requested)
+def worker_count() -> int:
+    """Worker cap of the verification stages: QCH_THREADS, else cpu count (<=4)."""
     env = os.environ.get("QCH_THREADS")
     if env:
         try:
@@ -380,30 +369,30 @@ def _interior_points(n: int, r_max: float, offset: int = 0):
     return np.sqrt(u1) * r_max * np.exp(1j * TWO_PI * u2)
 
 
-def verify(scenario: Scenario, config: VerifyConfig | None = None) -> VerificationReport:
-    """Run the full inequality suite on one scenario.
+def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
+    """Run the full inequality suite on one scenario with Hölder exponent mu.
 
     Stages: (1) curve constants; (2) gradient/dilatation sups, evaluated
     on the unit circle from the boundary series; (3) pointwise
     angular-derivative inequality;
     (4) boundary Hölder estimate on sampled pairs; (5) boundary Jacobian
     bound at sampled angles; (6) isoperimetric ratio; (7) gradient and
-    displacement bounds.  Inequality violations are recorded, not raised.
+    displacement bounds.  Inequality violations are recorded, not raised;
+    an inequality check passes down to the margin -1e-9 (``_GATE``).  The
+    curve constants are computed once, at the scenario curve's node
+    count, and ``RefinementError`` is raised when any of them does not
+    converge.
     """
-    config = config or VerifyConfig()
     checks: list[CheckRecord] = []
     boundary = scenario.boundary
 
-    # (1) curve constants, escalating resolution for near-degenerate curves
-    n_nodes = config.node_count
-    while True:
-        arc = arc_length_reparametrize(scenario.curve, node_count=n_nodes)
-        constants = compute_curve_constants(arc, mu=config.mu, refine=config.refine)
-        if constants.all_converged():
-            break
-        n_nodes *= 2
-        if n_nodes > 16_384:
-            raise RefinementError(f"curve constants did not converge: {constants.converged}")
+    # (1) curve constants
+    constants = compute_curve_constants(arc_length_reparametrize(scenario.curve), mu=mu)
+    if not constants.all_converged():
+        raise RefinementError(
+            f"curve constants did not converge at {scenario.curve.node_count} nodes: {constants.converged};"
+            " a larger node count (--nodes) may resolve them"
+        )
     length = constants.length
 
     # area is shared by stages (4) and (6)
@@ -428,14 +417,12 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         _, _, jac, hs2 = _dilatations(ux, uy)
         lhs, rhs = _angular_sides(grid, ux, uy, jac, k_used)
         return [
-            _worst_record("angular_derivative", lhs, rhs, config.tol),
+            _worst_record("angular_derivative", lhs, rhs),
             # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
-            _worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac, config.tol),
+            _worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac),
         ]
 
-    upsilon = config.upsilon
-    if upsilon is None:
-        upsilon = isoperimetric_coefficient(scenario.surface_class, K=k_used)
+    upsilon = isoperimetric_coefficient(scenario.surface_class, K=k_used)
     alpha = mori_exponent(k_used, constants.chord_arc, upsilon)
     growth = mori_constant(k_used, constants.chord_arc, upsilon, area)
 
@@ -445,16 +432,16 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         f2 = boundary.values(t2)
         lhs = np.linalg.norm(f1 - f2, axis=1)
         dz = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
-        return [_worst_record("boundary_holder", lhs, growth * dz**alpha, config.tol)]
+        return [_worst_record("boundary_holder", lhs, growth * dz**alpha)]
 
     def stage_boundary_jacobian():
         taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
-        rhs = np.array([boundary_jacobian_bound(boundary, tau, mu=config.mu) for tau in taus])
+        rhs = np.array([boundary_jacobian_bound(boundary, tau, mu=mu) for tau in taus])
         lhs = _boundary_jacobians(scenario, boundary, taus)
-        return [_worst_record("boundary_jacobian", lhs, rhs, config.tol)]
+        return [_worst_record("boundary_jacobian", lhs, rhs)]
 
     def stage_isoperimetric():
-        rep = isoperimetric_check(boundary, upsilon=upsilon, area=area, tol=config.tol)
+        rep = isoperimetric_check(boundary, upsilon=upsilon, area=area)
         return [
             CheckRecord(
                 name="isoperimetric",
@@ -468,7 +455,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
     bound = lipschitz_bound(
         BoundInputs(
             K=k_used,
-            mu=config.mu,
+            mu=mu,
             upsilon=upsilon,
             lam=constants.chord_arc,
             c_gamma=constants.holder_constant,
@@ -482,7 +469,7 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
             lhs=sup_grad,
             rhs=bound.value,
             margin=bound.value - sup_grad,
-            passed=sup_grad <= bound.value + config.tol,
+            passed=sup_grad <= bound.value + _GATE,
         )
         z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
         z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
@@ -490,10 +477,10 @@ def verify(scenario: Scenario, config: VerifyConfig | None = None) -> Verificati
         u2 = poisson_extend(boundary, z2)
         lhs = np.linalg.norm(u1 - u2, axis=1)
         rhs = k_used * bound.value * np.abs(z1 - z2)
-        return [rec, _worst_record("displacement_bound", lhs, rhs, config.tol)]
+        return [rec, _worst_record("displacement_bound", lhs, rhs)]
 
     stages = [stage_angular, stage_mori, stage_boundary_jacobian, stage_isoperimetric, stage_main_bound]
-    n_workers = worker_count(config.workers)
+    n_workers = worker_count()
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(s) for s in stages]
@@ -531,9 +518,9 @@ def _tol_check(name: str, deviation: float, tol: float) -> CheckRecord:
     return CheckRecord(name=name, lhs=deviation, rhs=tol, margin=tol - deviation, passed=deviation <= tol)
 
 
-def _worst_record(name: str, lhs, rhs, tol: float) -> CheckRecord:
+def _worst_record(name: str, lhs, rhs) -> CheckRecord:
     """The check lhs <= rhs over all samples, reported at its worst margin;
-    it passes when every margin rhs - lhs is at least -tol."""
+    it passes when every margin rhs - lhs is at least -1e-9 (``_GATE``)."""
     margins = rhs - lhs
     worst = int(np.argmin(margins))
     return CheckRecord(
@@ -541,7 +528,7 @@ def _worst_record(name: str, lhs, rhs, tol: float) -> CheckRecord:
         lhs=float(lhs[worst]),
         rhs=float(rhs[worst]),
         margin=float(margins[worst]),
-        passed=bool(np.all(margins >= -tol)),
+        passed=bool(np.all(margins >= -_GATE)),
     )
 
 

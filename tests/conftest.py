@@ -1,7 +1,6 @@
 import pytest
 
 from qcharm import (
-    VerifyConfig,
     arc_length_reparametrize,
     build_curve,
     circle,
@@ -58,4 +57,4 @@ def catalog_scenarios(identity_scenario, affine_scenario, poly_scenario, graph_s
 
 @pytest.fixture(scope="session")
 def catalog_reports(catalog_scenarios):
-    return {sc.name: verify(sc, VerifyConfig()) for sc in catalog_scenarios}
+    return {sc.name: verify(sc) for sc in catalog_scenarios}

@@ -37,12 +37,9 @@ def test_isoperimetric_catalog():
     assert isoperimetric_coefficient("qc_harmonic", K=1.0) == PI
     assert abs(isoperimetric_coefficient("qc_harmonic", K=1.5) - 2 * PI / 3.25) < 1e-15
     assert isoperimetric_coefficient("qc_harmonic", K=10.0) == 1.0
-    assert isoperimetric_coefficient("custom", upsilon=2.0) == 2.0
 
 
 def test_isoperimetric_catalog_rejects():
-    with pytest.raises(DomainError):
-        isoperimetric_coefficient("custom", upsilon=4.0)
     with pytest.raises(DomainError):
         isoperimetric_coefficient("qc_harmonic", K=0.5)
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import oracles
 from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
@@ -164,3 +165,27 @@ def test_unconverged_constants_exit_three(capsys, tmp_path):
     args = ["constants", "--curve", "csv", "--samples", str(csv_path), "--nodes", "256"]
     code, _, _ = run_cli(args, capsys)
     assert code == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "identity", "--refine", "10"],
+        ["verify", "--scenario", "identity", "--tol", "1e-3"],
+        ["verify", "--scenario", "identity", "--upsilon", "1"],
+        ["verify", "--scenario", "identity", "--workers", "1"],
+        ["constants", "--curve", "circle", "--refine", "10"],
+    ],
+)
+def test_removed_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_config_naming_removed_flag_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "identity", "tol": 1e-3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == EXIT_CONFIG

@@ -317,6 +317,7 @@ def test_dini_identity_power_modulus(mu, y):
 def test_compute_constants_ellipse(ellipse_curve):
     cc = compute_curve_constants(ellipse_curve)
     assert cc.all_converged()
+    assert all(type(flag) is bool for flag in cc.converged.values())
     assert abs(cc.length - ELLIPSE_PERIMETER) < 1e-8
     assert abs(cc.chord_arc - ELLIPSE_CHORD_ARC) < 1e-4
     assert abs(cc.max_curvature - ELLIPSE_MAX_CURVATURE) < 1e-4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcharm import report
+from qcharm import DomainError, report
 from qcharm.report import NonFiniteError, dumps, dumps_csv, sanitize
 
 
@@ -55,3 +55,19 @@ def test_csv_flat_rows():
 def test_validate_report_missing_key():
     with pytest.raises(Exception):
         report.validate_report({"command": "bound"}, "bound")
+
+
+def _verify_report(check):
+    return {"schema_version": "1", "command": "verify", "scenario": "identity", "checks": [check], "all_passed": True}
+
+
+def test_validate_report_checks_record_types():
+    good = {"name": "area_vs_exact", "lhs": 0.0, "rhs": 1e-8, "margin": 1e-8, "passed": True}
+    report.validate_report(_verify_report(good), "verify")
+    report.validate_report(_verify_report(good | {"rhs": None, "margin": 0}), "verify")
+    with pytest.raises(DomainError):
+        report.validate_report(_verify_report(good | {"passed": "yes"}), "verify")
+    with pytest.raises(DomainError):
+        report.validate_report(_verify_report({k: v for k, v in good.items() if k != "margin"}), "verify")
+    with pytest.raises(DomainError):
+        report.validate_report(_verify_report(good | {"lhs": True}), "verify")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -7,13 +8,16 @@ import pytest
 import oracles
 from qcharm import (
     DomainError,
-    VerifyConfig,
+    RefinementError,
     dilatation,
     gradient,
+    gradient_frames,
     make_scenario,
+    poisson_extend,
     scenario_catalog,
     verify,
 )
+from qcharm import scenarios
 from qcharm.scenarios import worker_count
 
 TWO_PI = 2.0 * math.pi
@@ -156,14 +160,14 @@ def test_fourier_scenario_numeric_only():
     sin_c[3] = [0.0, -0.05]
     sc = make_scenario("fourier", cos_coeffs=cos_c, sin_coeffs=sin_c)
     assert sc.k_exact is None
-    rep = verify(sc, VerifyConfig())
+    rep = verify(sc)
     assert rep.all_passed
     assert rep.k_estimate > 1.0
 
 
 def test_affine_extreme_reports_log_bound():
     sc = make_scenario("affine", c=0.99)
-    rep = verify(sc, VerifyConfig())
+    rep = verify(sc)
     assert rep.all_passed
     assert math.isfinite(rep.bound.log_value)
     assert rep.bound.value == float("inf")
@@ -171,8 +175,6 @@ def test_affine_extreme_reports_log_bound():
 
 
 def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QCH_THREADS", raising=False)
-    assert worker_count(3) == 3
     monkeypatch.setenv("QCH_THREADS", "2")
     assert worker_count() == 2
     monkeypatch.setenv("QCH_THREADS", "zero")
@@ -180,10 +182,70 @@ def test_worker_count_env(monkeypatch):
         worker_count()
 
 
-def test_verify_sequential_matches_parallel(identity_scenario):
-    seq = verify(identity_scenario, VerifyConfig(workers=1))
-    par = verify(identity_scenario, VerifyConfig(workers=4))
+def test_verify_sequential_matches_parallel(identity_scenario, monkeypatch):
+    monkeypatch.setenv("QCH_THREADS", "1")
+    seq = verify(identity_scenario)
+    monkeypatch.setenv("QCH_THREADS", "4")
+    par = verify(identity_scenario)
     assert seq.all_passed and par.all_passed
     for a, b in zip(seq.checks, par.checks):
         assert a.name == b.name
         assert a.margin == b.margin
+
+
+def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
+    """One report, one computation of the curve constants, at the scenario
+    curve's node count; unconverged constants raise at once."""
+    real = scenarios.compute_curve_constants
+    calls = []
+
+    def counted(curve, mu=1.0, **kwargs):
+        calls.append(curve.node_count)
+        return real(curve, mu=mu, **kwargs)
+
+    monkeypatch.setattr(scenarios, "compute_curve_constants", counted)
+    assert verify(identity_scenario).all_passed
+    assert calls == [512]
+
+    def unconverged(curve, mu=1.0, **kwargs):
+        cc = counted(curve, mu=mu, **kwargs)
+        return dataclasses.replace(cc, converged=cc.converged | {"holder_constant": False})
+
+    calls.clear()
+    monkeypatch.setattr(scenarios, "compute_curve_constants", unconverged)
+    with pytest.raises(RefinementError) as exc:
+        verify(identity_scenario)
+    assert calls == [512]
+    assert "--nodes" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the series extension against the closed forms
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("identity", {}),
+        ("affine", {"c": 0.2}),
+        ("conformal_poly", {"eps": 0.3, "m": 2}),
+        ("conformal_poly", {"eps": 0.3, "m": 3}),
+        ("harmonic_graph", {"eps": 0.1, "m": 2}),
+        ("harmonic_graph", {"eps": 0.1, "m": 3}),
+    ],
+)
+def test_extension_matches_closed_form(name, params):
+    """poisson_extend and gradient_frames against u_exact and grad_exact at
+    seeded points with r <= 0.9 and on |z| = 1, to 1e-12 relative to max |u|."""
+    sc = make_scenario(name, **params)
+    rng = np.random.default_rng(20111)
+    inner = 0.9 * np.sqrt(rng.random(500)) * np.exp(2j * math.pi * rng.random(500))
+    z = np.concatenate([inner, np.exp(2j * math.pi * rng.random(500))])
+    u = sc.u_exact(z)
+    scale = float(np.max(np.linalg.norm(u, axis=-1)))
+    deviations = [poisson_extend(sc.boundary, z) - u]
+    for got, want in zip(gradient_frames(sc.boundary, z), sc.grad_exact(z)):
+        assert got.shape == want.shape
+        deviations.append(got - want)
+    worst = max(float(np.max(np.abs(d))) for d in deviations) / scale
+    assert worst <= 1e-12, f"{name} {params}: worst deviation {worst:.2e}"
