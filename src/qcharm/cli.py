@@ -18,7 +18,6 @@ import numpy as np
 from . import report as report_mod
 from .bounds import BoundInputs, lipschitz_bound, mori_constant
 from .curves import (
-    arc_length_reparametrize,
     build_curve,
     circle,
     compute_curve_constants,
@@ -74,8 +73,7 @@ def _curve_from_args(args) -> tuple:
 def cmd_constants(args) -> int:
     gen, desc = _curve_from_args(args)
     curve = build_curve(gen, args.nodes)
-    arc = arc_length_reparametrize(curve)
-    constants = compute_curve_constants(arc, mu=args.mu)
+    constants = compute_curve_constants(curve, mu=args.mu)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",

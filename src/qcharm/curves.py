@@ -11,6 +11,7 @@ metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +27,12 @@ CONST_TOL = 1e-6
 _EVAL_CHUNK = 2048
 # trailing harmonics below this fraction of the peak weight are dropped
 _TRUNCATE_REL = 1e-17
-# the pair scans start from at most this many uniform nodes
-_COARSE_NODES = 512
-# the modulus table scans this many base points and lags per step
-_MODULUS_POINTS = 2048
-_MODULUS_LAGS = 64
+# the lag scans pair uniform nodes t_i with t_i + k h, for node shifts k
+# spaced geometrically at this many per octave
+_SCAN_NODES = 2048
+_LAGS_PER_OCTAVE = 16
+# at most this many restarted shrinking searches polish the best pair
+_SEARCHES = 20
 
 
 def circle_distance(s, t):
@@ -149,12 +151,44 @@ class PeriodicAntiderivative:
         osc = self._osc(t)[..., 0] if t.ndim else float(self._osc(t)[0])
         return self.mean * t + osc - self._osc0
 
-    def values_on_grid(self, n: int | None = None) -> np.ndarray:
-        """Values at n uniform nodes in [0, 2*pi) via the inverse FFT."""
-        n = n or self._grid
+    def values_on_grid(self, n: int) -> np.ndarray:
+        """Values at n uniform nodes in [0, 2*pi) via the inverse FFT, on
+        the smallest multiple of n that does not alias."""
         t = TWO_PI * np.arange(n) / n
-        osc = self._osc.resample(n)[:, 0] if n >= 2 * self._osc.degree else self._osc(t)[:, 0]
-        return self.mean * t + osc - self._osc0
+        r = max(-(-2 * self._osc.degree // n), 1)
+        return self.mean * t + self._osc.resample(n * r)[::r, 0] - self._osc0
+
+
+def _cumulative_length(curve: "JordanCurve", fine: int) -> PeriodicAntiderivative:
+    """Antiderivative of the speed from ``fine`` (>= 512) uniform samples, doubled until the
+    top quarter of the speed spectrum holds at most 1e-24 of its energy (or 2^20 nodes)."""
+    fine = max(fine, 512)
+    while True:
+        speed = np.linalg.norm(curve.velocity_grid(fine), axis=1)
+        spec = np.abs(np.fft.rfft(speed))
+        tail = float(np.sum(spec[3 * spec.size // 4 :] ** 2))
+        total = float(np.sum(spec**2))
+        if tail <= 1e-24 * total or fine >= (1 << 20):
+            break
+        fine *= 2
+    if np.min(speed) <= 0:
+        raise RefinementError("cumulative arc length non-monotone; refine the curve first")
+    return PeriodicAntiderivative(speed)
+
+
+def _invert_length(curve: "JordanCurve", cum, length: float, target, t):
+    """Parameters where the cumulative length ``cum`` reaches ``target``, by at most 8 Newton
+    steps from nearby parameters t, to a residual below 1e-13 max(length, 1)."""
+    tol = 1e-13 * max(length, 1.0)
+    resid = cum(t) - target
+    for _ in range(8):
+        if np.max(np.abs(resid)) < tol:
+            break
+        t = t - resid / np.linalg.norm(curve.velocity(t), axis=-1)
+        resid = cum(t) - target
+    if not np.max(np.abs(resid)) < tol:
+        raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
+    return t
 
 
 class _ArcLengthView:
@@ -168,20 +202,10 @@ class _ArcLengthView:
 
     def __init__(self, base: "JordanCurve", fine: int = 2048):
         self.base = base
-        fine = max(fine, 512)
-        while True:
-            speed = np.linalg.norm(base.velocity_grid(fine), axis=1)
-            spec = np.abs(np.fft.rfft(speed))
-            tail = float(np.sum(spec[3 * spec.size // 4 :] ** 2))
-            total = float(np.sum(spec**2))
-            if tail <= 1e-24 * total or fine >= (1 << 20):
-                break
-            fine *= 2
-        if np.min(speed) <= 0:
-            raise RefinementError("cumulative arc length non-monotone; refine the curve first")
-        self._cum = PeriodicAntiderivative(speed)
+        self._cum = _cumulative_length(base, fine)
         self.total = self._cum.mean * TWO_PI
         self.scale = self.total / TWO_PI
+        fine = self._cum._grid
         self._tf = TWO_PI * np.arange(fine + 1) / fine
         self._cum_f = np.concatenate([self._cum.values_on_grid(fine), [self.total]])
 
@@ -191,16 +215,7 @@ class _ArcLengthView:
         wraps = np.floor(theta / TWO_PI)
         target = (theta - wraps * TWO_PI) * self.scale
         t = np.interp(target, self._cum_f, self._tf)
-        tol = 1e-13 * max(self.total, 1.0)
-        resid = self._cum(t) - target
-        for _ in range(8):
-            if np.max(np.abs(resid)) < tol:
-                break
-            t = t - resid / np.linalg.norm(self.base.velocity(t), axis=-1)
-            resid = self._cum(t) - target
-        if not np.max(np.abs(resid)) < tol:
-            raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
-        return t + wraps * TWO_PI
+        return _invert_length(self.base, self._cum, self.total, target, t) + wraps * TWO_PI
 
     def position(self, theta):
         return self.base.position(self.parameter(theta))
@@ -264,21 +279,19 @@ class JordanCurve:
     def acceleration(self, t):
         return self.view.acceleration(t) if self.view is not None else self._acc(t)
 
-    def velocity_grid(self, n: int, lag: float = 0.0) -> np.ndarray:
-        """Velocity at n uniform nodes (shifted by lag), the fast way."""
-        return self._on_grid(n, "velocity", self._vel, lag)
+    def velocity_grid(self, n: int) -> np.ndarray:
+        """Velocity at n uniform nodes, the fast way."""
+        return self._on_grid(n, "velocity", self._vel)
 
     def acceleration_grid(self, n: int) -> np.ndarray:
         return self._on_grid(n, "acceleration", self._acc)
 
-    def _on_grid(self, n: int, name: str, poly: TrigPolynomial, lag: float = 0.0) -> np.ndarray:
-        """The view's evaluator ``name`` at n uniform nodes shifted by lag,
-        else ``poly`` there by inverse FFT when that does not alias."""
+    def _on_grid(self, n: int, name: str, poly: TrigPolynomial) -> np.ndarray:
+        """The view's evaluator ``name`` at n uniform nodes, else ``poly``
+        there by inverse FFT when that does not alias."""
         t = TWO_PI * np.arange(n) / n
         if self.view is not None:
-            return getattr(self.view, name)(t + lag)
-        if lag != 0.0:
-            poly = poly.shifted(lag)
+            return getattr(self.view, name)(t)
         return poly.resample(n) if n >= 2 * poly.degree else poly(t)
 
     def scaled(self, c: float) -> "JordanCurve":
@@ -397,11 +410,13 @@ def _check_sampled_injectivity(points):
     m = points.shape[0]
     diam = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))) * 2.0
     tol = 1e-9 * max(diam, 1e-12)
+    cols = np.arange(m)
     # block the diagonal and the two adjacent bands (periodic)
     for lo in range(0, m, 512):
         hi = min(lo + 512, m)
         d = np.linalg.norm(points[lo:hi, None, :] - points[None, :, :], axis=2)
-        d[_index_gap(np.arange(lo, hi), m) <= 1] = np.inf
+        rows = np.arange(lo, hi)[:, None]
+        d[np.minimum((rows - cols) % m, (cols - rows) % m) <= 1] = np.inf
         if np.min(d) <= tol:
             i, j = np.unravel_index(np.argmin(d), d.shape)
             raise InjectivityError(f"sampled self-intersection between nodes {lo + i} and {j}")
@@ -439,127 +454,100 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
     return JordanCurve(nodes=nodes, points=pts, derivs=derivs, poly=poly, arc_length=True, view=view)
 
 
-def _require_arc_length(curve: JordanCurve, who: str):
-    if not curve.arc_length:
-        raise DomainError(f"{who} requires an arc-length reparametrized curve")
-
-
 # ---------------------------------------------------------------------------
-# supremum scans over parameter pairs
+# lag scans over parameter pairs (t, t + d)
 
 
-def _index_gap(rows, m: int):
-    """Circular distance between the node indices ``rows`` and 0..m-1 of
-    an m-node grid, shape (rows, m)."""
-    cols = np.arange(m)
-    return np.minimum((rows[:, None] - cols[None, :]) % m, (cols[None, :] - rows[:, None]) % m)
+def _base_and_length(curve: JordanCurve):
+    """The curve under an arc-length view (else the curve) and its cumulative length."""
+    if curve.view is not None:
+        return curve.view.base, curve.view._cum
+    return curve, _cumulative_length(curve, max(4 * curve.node_count, 2 * curve.poly.degree))
 
 
-def _pair_supremum(objective, diagonal_value, coarse_matrix, refine=40):
-    """Estimate sup over angle pairs of a smooth symmetric objective.
+def _shorter_arc(forward, length: float):
+    """Shorter arc between points ``forward`` apart (mod length) on a closed curve."""
+    forward = np.asarray(forward) % length
+    return np.minimum(forward, length - forward)
 
-    ``coarse_matrix`` holds the objective on the uniform pair grid; the
-    near-diagonal band (10 node spacings) is replaced by the analytic
-    ``diagonal_value``, then shrinking local grid searches run around the
-    best local maxima.  The estimate is the running max of every pair ever
-    evaluated, so it never decreases as ``refine`` grows.
-    """
-    vals = np.array(coarse_matrix, dtype=float, copy=True)
-    m = vals.shape[0]
-    theta = TWO_PI * np.arange(m) / m
-    vals[_index_gap(np.arange(m), m) < 10] = -np.inf
 
-    best = max(float(np.max(vals)), diagonal_value)
+def _node_lags() -> np.ndarray:
+    """Lags k h of the scan grid for geometric node shifts k = 1 .. _SCAN_NODES / 2."""
+    half = _SCAN_NODES // 2
+    k = np.unique(np.rint(np.geomspace(1, half, _LAGS_PER_OCTAVE * int(np.log2(half)) + 1)))
+    return TWO_PI * k / _SCAN_NODES
 
-    # local maxima of the coarse grid (8-neighborhood, periodic)
-    neigh = np.full_like(vals, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            neigh = np.maximum(neigh, np.roll(np.roll(vals, di, axis=0), dj, axis=1))
-    peak_mask = (vals >= neigh) & np.isfinite(vals)
-    cand = np.argwhere(peak_mask)
-    order = np.argsort(vals[peak_mask])[::-1][:8]
-    peaks = [(theta[i], theta[j]) for i, j in cand[order]]
 
-    history = [best]
-    depth_used = 0
-    w = TWO_PI / m
-    offsets = np.linspace(-1.0, 1.0, 9)
-    for it in range(refine):
-        if w < 1e-10:
+def _lag_maxima(sample, score, here, lags):
+    """Per lag d, the maximum over the scan nodes t_i of score(sample(t_i), sample(t_i + d), d)
+    and its node.  ``here`` is ``sample`` (a tuple of arrays, one row per parameter) at the
+    nodes; whole node lags shift it with ``np.roll``, others sample the shifted nodes."""
+    t = TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES
+    peaks = np.empty(len(lags))
+    nodes = np.empty(len(lags), dtype=int)
+    for j, d in enumerate(lags):
+        k = int(round(d / t[1]))
+        there = tuple(np.roll(v, -k, axis=0) for v in here) if d == TWO_PI * k / _SCAN_NODES else sample(t + d)
+        vals = score(here, there, d)
+        nodes[j] = int(np.argmax(vals))
+        peaks[j] = vals[nodes[j]]
+    return peaks, nodes
+
+
+def _lag_scan(sample, score, here, diagonal: float = 0.0, arc=None) -> ScanResult:
+    """Supremum of a pair objective over (t, t + d), d != 0: the per-lag maxima, then a
+    shrinking search in both ends of the best pair, spanning its neighbouring lags but under
+    a quarter of the ends' separation.  With ``arc`` = (curve, cumulative length) the search
+    runs in cumulative length, where the shorter arc's kink at half the length is a grid
+    diagonal (in the parameter it is a curve the grid cannot follow); Newton steps find the
+    ends.  ``diagonal`` is the limit as d -> 0: the result is at least that, and a search
+    ending below it has converged to it; after _SEARCHES searches it has not."""
+    lags = _node_lags()
+    peaks, nodes = _lag_maxima(sample, score, here, lags)
+    j = int(np.argmax(peaks))
+    width = min(0.5 * (lags[min(j + 1, lags.size - 1)] - (lags[j - 1] if j else 0.0)), 0.25 * lags[j])
+    center = ends = TWO_PI * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
+    if arc is not None:
+        curve, cum = arc
+        length = cum.mean * TWO_PI
+        center, speed = cum(ends), np.linalg.norm(curve.velocity(ends), axis=1)
+        width = min(width * length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], length))
+
+    def objective(x, y):
+        if arc is not None:
+            x = _invert_length(curve, cum, length, x, ends[0] + (x - center[0]) / speed[0])
+            y = _invert_length(curve, cum, length, y, ends[1] + (y - center[1]) / speed[1])
+        return score(tuple(v[:, None] for v in sample(x)), tuple(v[None, :] for v in sample(y)), y[None, :] - x[:, None])
+
+    # restart each search where the last one ended until one gains at most 1e-12
+    # relative (roundoff): a ridge such as the kink runs further than one reaches
+    value, depth, point = float(peaks[j]), 0, center
+    for _ in range(_SEARCHES):
+        found, point, steps = _polished_max(objective, point, (width, width), value)
+        settled, value, depth = found - value <= 1e-12 * abs(found), found, depth + steps
+        if settled or value < diagonal:
             break
-        for idx, (a, b) in enumerate(peaks):
-            ti = np.repeat(a + w * offsets, 9)
-            tj = np.tile(b + w * offsets, 9)
-            ok = circle_distance(ti, tj) > 1e-9
-            if not np.any(ok):
-                continue
-            block = objective(ti[ok], tj[ok])
-            k = int(np.argmax(block))
-            peaks[idx] = (float(ti[ok][k]), float(tj[ok][k]))
-            if block[k] > best:
-                best = float(block[k])
-        history.append(best)
-        depth_used = it + 1
-        w *= 0.45
-        if len(history) >= 3 and history[-1] - history[-3] < 1e-14:
-            break
-
-    converged = len(history) >= 2 and bool(history[-1] - history[-2] <= max(1e-10, 1e-9 * abs(best)))
-    return ScanResult(value=best, depth=depth_used, converged=converged)
+    return ScanResult(float(max(value, diagonal)), depth, bool(np.isfinite(value) and settled or value < diagonal))
 
 
-def _coarse_node_data(curve: JordanCurve, m0: int):
-    """Positions and velocities on an m0 uniform grid, reusing the stored
-    node samples when they align with it."""
-    m = curve.node_count
-    if m % m0 == 0:
-        step = m // m0
-        return curve.points[::step], curve.derivs[::step]
-    theta = TWO_PI * np.arange(m0) / m0
-    return curve.position(theta), curve.velocity(theta)
+def chord_arc_constant(curve: JordanCurve) -> ScanResult:
+    """Supremum of (shorter arc length) / (chord length) over boundary pairs,
+    for any regular parametrization: arc lengths are differences of the
+    cumulative length (of the base curve, for an arc-length view)."""
+    base, cum = _base_and_length(curve)
+    length = cum.mean * TWO_PI
+
+    def sample(t):
+        return base.position(t), cum(t)
+
+    def score(a, b, d):
+        return _shorter_arc(b[1] - a[1], length) / np.linalg.norm(b[0] - a[0], axis=-1)
+
+    here = (base.position(TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES), cum.values_on_grid(_SCAN_NODES))
+    return _lag_scan(sample, score, here, arc=(base, cum))
 
 
-def _pair_norm_matrix(values):
-    """|v_i - v_j| for every pair of rows."""
-    diff = values[:, None, :] - values[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def _gap_angles(m0: int):
-    return _index_gap(np.arange(m0), m0) * (TWO_PI / m0)
-
-
-def chord_arc_constant(curve: JordanCurve, refine: int = 40) -> ScanResult:
-    """Supremum of (shorter arc length) / (chord length) over boundary pairs.
-
-    Requires an arc-length parametrization; the coincident-pair limit is
-    the ratio of the constant speed to the local speed, which equals one.
-    """
-    _require_arc_length(curve, "chord_arc_constant")
-    length = curve_length(curve)
-    speed_scale = length / TWO_PI
-    m0 = min(curve.node_count, _COARSE_NODES)
-
-    def objective(ti, tj):
-        chord = np.linalg.norm(curve.position(ti) - curve.position(tj), axis=1)
-        arc = speed_scale * circle_distance(ti, tj)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(chord > 0, arc / chord, -np.inf)
-
-    pts, _ = _coarse_node_data(curve, m0)
-    chords = _pair_norm_matrix(pts)
-    np.fill_diagonal(chords, np.inf)
-    coarse = (speed_scale * _gap_angles(m0)) / chords
-
-    speeds = np.linalg.norm(curve.derivs, axis=1)
-    diag = float(speed_scale / np.min(speeds))
-    return _pair_supremum(objective, diag, coarse, refine=refine)
-
-
-def holder_derivative_constant(curve: JordanCurve, mu: float, refine: int = 40) -> ScanResult:
+def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs,
     for the given parametrization of the curve.
 
@@ -570,52 +558,46 @@ def holder_derivative_constant(curve: JordanCurve, mu: float, refine: int = 40) 
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    m0 = min(curve.node_count, _COARSE_NODES)
-
-    def objective(ti, tj):
-        dv = np.linalg.norm(curve.velocity(ti) - curve.velocity(tj), axis=1)
-        d = circle_distance(ti, tj)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d > 0, dv / d**mu, -np.inf)
-
-    _, vel = _coarse_node_data(curve, m0)
-    dist = _gap_angles(m0)
-    np.fill_diagonal(dist, np.inf)
-    coarse = _pair_norm_matrix(vel) / dist**mu
-
-    if mu == 1.0:
-        if curve.view is not None:
-            diag = curve.view.scale**2 * _max_curvature_impl(curve.view.base)
-        else:
-            fine_n = max(4 * m0, 2048)
-            diag = _polished_max(
-                lambda t: np.linalg.norm(curve.acceleration(t), axis=1),
-                np.linalg.norm(curve.acceleration_grid(fine_n), axis=1),
-            )
-    else:
+    if mu < 1.0:
         diag = 0.0
-    return _pair_supremum(objective, diag, coarse, refine=refine)
+    elif curve.view is not None:
+        diag = curve.view.scale**2 * _max_curvature_impl(curve.view.base)
+    else:
+        acc = np.linalg.norm(curve.acceleration_grid(_SCAN_NODES), axis=1)
+        diag = _polished_grid_max(lambda t: np.linalg.norm(curve.acceleration(t), axis=1), acc)
+
+    def sample(t):
+        return (curve.velocity(t),)
+
+    def score(a, b, d):
+        return np.linalg.norm(b[0] - a[0], axis=-1) / circle_distance(0.0, d) ** mu
+
+    return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),), diag)
 
 
-def _polished_max(f, grid_values) -> float:
-    """Maximum of a smooth periodic function f from its values on a
-    uniform grid: the grid maximum, polished by shrinking 9-point searches
-    around the grid argmax (the true maximum may fall between nodes)."""
-    m = grid_values.size
-    k = int(np.argmax(grid_values))
-    w = TWO_PI / m
-    center = TWO_PI * k / m
-    best = float(grid_values[k])
-    for _ in range(30):
-        tt = center + np.linspace(-w, w, 9)
-        vals = f(tt)
-        j = int(np.argmax(vals))
-        best = max(best, float(vals[j]))
-        center = tt[j]
-        w *= 0.45
-        if w < 1e-12:
+def _polished_max(f, center, width, best: float):
+    """Maximum of a smooth f near ``center`` by shrinking searches on 9 values per coordinate
+    (half-widths ``width``, times 0.45 per step, until the first is below 1e-12 or for 30
+    steps) around the best point so far; f maps the coordinate values to its grid of values.
+    Returns the running max with ``best``, the last search centre and the step count."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    width = np.atleast_1d(np.asarray(width, dtype=float))
+    for step in range(1, 31):
+        axes = [c + np.linspace(-w, w, 9) for c, w in zip(center, width)]
+        vals = np.asarray(f(*axes))
+        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        best = max(best, float(vals[k]))
+        center = np.array([axis[i] for axis, i in zip(axes, k)])
+        width = width * 0.45
+        if width[0] < 1e-12:
             break
-    return best
+    return best, center, step
+
+
+def _polished_grid_max(f, grid_values) -> float:
+    """Maximum of a smooth periodic f from its values on a uniform grid, polished at the argmax."""
+    k = int(np.argmax(grid_values))
+    return _polished_max(f, TWO_PI * k / grid_values.size, TWO_PI / grid_values.size, float(grid_values[k]))[0]
 
 
 def _curvature(v, a):
@@ -629,7 +611,7 @@ def _curvature(v, a):
 def _max_curvature_impl(curve: JordanCurve) -> float:
     """Polished grid max of the parametrization-invariant curvature."""
     m = max(4 * curve.node_count, 2048)
-    return _polished_max(
+    return _polished_grid_max(
         lambda t: _curvature(curve.velocity(t), curve.acceleration(t)),
         _curvature(curve.velocity_grid(m), curve.acceleration_grid(m)),
     )
@@ -643,7 +625,8 @@ def max_curvature(curve: JordanCurve) -> float:
     second derivative rescaled to unit speed); reparametrized curves are
     scanned through their exact source evaluators.
     """
-    _require_arc_length(curve, "max_curvature")
+    if not curve.arc_length:
+        raise DomainError("max_curvature requires an arc-length reparametrized curve")
     source = curve.view.base if curve.view is not None else curve
     _nyquist_check(source)
     return _max_curvature_impl(source)
@@ -728,21 +711,16 @@ def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     """Modulus of continuity of the curve derivative at the given steps.
 
     For each step delta the table holds sup over |t - s| <= delta (circle
-    distance) of |h'(t) - h'(s)|; a cumulative max enforces monotonicity.
-    """
+    distance) of |h'(t) - h'(s)|: the cumulative max of the per-lag maxima
+    over lags that include every step (capped at pi)."""
     deltas = np.sort(np.asarray(steps, dtype=float))
     if np.any(deltas <= 0):
         raise DomainError("modulus steps must be positive")
-    v0 = curve.velocity_grid(_MODULUS_POINTS)
-    values = np.empty(deltas.size)
-    for i, delta in enumerate(deltas):
-        lags = np.linspace(delta / _MODULUS_LAGS, min(delta, np.pi), _MODULUS_LAGS)
-        worst = 0.0
-        for lag in lags:
-            dv = np.linalg.norm(curve.velocity_grid(_MODULUS_POINTS, lag=lag) - v0, axis=1)
-            worst = max(worst, float(np.max(dv)))
-        values[i] = worst
-    values = np.maximum.accumulate(values)
+    capped = np.minimum(deltas, np.pi)
+    lags = np.union1d(_node_lags(), capped)
+    here = (curve.velocity_grid(_SCAN_NODES),)
+    peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, d: np.linalg.norm(b[0] - a[0], axis=-1), here, lags)
+    values = np.maximum.accumulate(peaks)[np.searchsorted(lags, capped)]
     return TabulatedModulus(deltas, values)
 
 
@@ -783,17 +761,35 @@ def dini_single_integral(omega, y: float) -> float:
 
 
 def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstants:
-    """Length, chord-arc, derivative Hölder constant and curvature in one pass."""
-    arc = curve if curve.arc_length else arc_length_reparametrize(curve)
-    length = curve_length(arc)
-    lam = chord_arc_constant(arc)
-    hol = holder_derivative_constant(arc, mu)
+    """Length, chord-arc constant, Hölder constant and curvature of a curve
+    in any regular parametrization.  ``holder_constant`` is that of the
+    arc-length parametrization over [0, 2 pi): (L / 2 pi)^(1 + mu) sup
+    |T(s) - T(s')| / arc(s, s')^mu for the unit tangent T, and
+    kappa_max (L / 2 pi)^2 at mu = 1."""
+    if not 0.0 < mu <= 1.0:
+        raise DomainError("holder exponent mu must lie in (0, 1]")
+    base, cum = _base_and_length(curve)
+    length = cum.mean * TWO_PI
+    scale = length / TWO_PI
+    lam = chord_arc_constant(curve)
+    kappa = _max_curvature_impl(base)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def sample(t):
+        return unit(base.velocity(t)), cum(t)
+
+    def score(a, b, d):
+        turn = np.linalg.norm(b[0] - a[0], axis=-1)
+        return scale ** (1.0 + mu) * turn / _shorter_arc(b[1] - a[1], length) ** mu
+
+    here = (unit(base.velocity_grid(_SCAN_NODES)), cum.values_on_grid(_SCAN_NODES))
+    hol = _lag_scan(sample, score, here, scale**2 * kappa if mu == 1.0 else 0.0, arc=(base, cum))
     try:
-        kappa = max_curvature(arc)
-        kappa_ok = True
+        _nyquist_check(base)
     except RefinementError:
         kappa = float("nan")
-        kappa_ok = False
     return CurveConstants(
         length=length,
         chord_arc=lam.value,
@@ -805,6 +801,6 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
             "length": True,
             "chord_arc": lam.converged,
             "holder_constant": hol.converged,
-            "max_curvature": kappa_ok,
+            "max_curvature": not math.isnan(kappa),
         },
     )

@@ -9,6 +9,7 @@ by explicit modulus integrals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,14 @@ def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
 # boundary Jacobian bound
 
 
+# Gauss-Legendre nodes and weights, computed once per order; every caller
+# gets the same arrays, so they are only read
+_gauss_rule = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def _gauss_panels(edges, order: int):
     """Gauss-Legendre rule of the given order on each panel between consecutive edges."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_rule(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -278,5 +284,5 @@ def boundary_jacobian_bound(
         cur = evaluate(order)
         if abs(cur - prev) <= _SETTLE * (1.0 + abs(cur)):
             return fp_tau * cur
-        prev = cur
-    raise RefinementError("boundary integral did not converge; raise the rule order")
+        prev, last = cur, prev
+    raise RefinementError(f"boundary integral at tau={tau!r}, mu={mu!r} did not settle: Gauss orders 64 and 128 gave {last!r} and {prev!r}")

@@ -37,7 +37,6 @@ from .curves import (
     CurveConstants,
     JordanCurve,
     PeriodicAntiderivative,
-    arc_length_reparametrize,
     build_curve,
     circle,
     compute_curve_constants,
@@ -387,7 +386,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     boundary = scenario.boundary
 
     # (1) curve constants
-    constants = compute_curve_constants(arc_length_reparametrize(scenario.curve), mu=mu)
+    constants = compute_curve_constants(scenario.curve, mu=mu)
     if not constants.all_converged():
         raise RefinementError(
             f"curve constants did not converge at {scenario.curve.node_count} nodes: {constants.converged};"

@@ -77,6 +77,61 @@ def circle_holder_half_dense() -> float:
     return max(f1, f2)
 
 
+def _trig_derivative(cos_coeffs, sin_coeffs, t, order: int):
+    """order-th derivative of sum_j A_j cos(jt) + B_j sin(jt) at t, one row per t."""
+    a = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+    b = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
+    j = np.arange(a.shape[0])
+    phase = np.outer(t, j) + order * math.pi / 2.0
+    return (j**order * np.cos(phase)) @ a + (j**order * np.sin(phase)) @ b
+
+
+def lag_scan_lower_bound(cos_coeffs, sin_coeffs, mu: float, n: int = 512) -> dict:
+    """Brute-force lower bounds for the constants of a trigonometric curve.
+
+    Scores every pair of n uniform parameter nodes (each lag k = 1..n-1,
+    by shifting the node values): the chord-arc ratio, and the Hölder
+    quotient (L/2pi)^(1+mu) |T_i - T_j| / arc^mu of the unit tangent T,
+    with arc lengths accumulated by a 16-point Gauss-Legendre rule per node
+    interval.  At mu = 1 the curvature times (L/2pi)^2 at the nodes joins
+    the Hölder value.  ``velocity_holder`` is the Hölder quotient of the
+    velocity in the curve's own parameter, |v_i - v_j| / dist^mu, joined
+    at mu = 1 by |acceleration| at the nodes.  Every scored value is the
+    true quotient at some pair, so each maximum is at most the supremum.
+    """
+    t = TWO_PI * np.arange(n) / n
+    h = TWO_PI / n
+    x, w = np.polynomial.legendre.leggauss(16)
+    tq = (t[:, None] + 0.5 * h * (x + 1.0)[None, :]).ravel()
+    speed = np.linalg.norm(_trig_derivative(cos_coeffs, sin_coeffs, tq, 1), axis=1)
+    seg = 0.5 * h * (speed.reshape(n, 16) @ w)
+    length = float(np.sum(seg))
+    cum = np.concatenate(([0.0], np.cumsum(seg)[:-1]))
+    pos = _trig_derivative(cos_coeffs, sin_coeffs, t, 0)
+    vel = _trig_derivative(cos_coeffs, sin_coeffs, t, 1)
+    acc = _trig_derivative(cos_coeffs, sin_coeffs, t, 2)
+    speed_n = np.linalg.norm(vel, axis=1)
+    tangent = vel / speed_n[:, None]
+    chord_arc = 1.0
+    turn = 0.0
+    velocity_holder = 0.0
+    for k in range(1, n):
+        forward = (np.roll(cum, -k) - cum) % length
+        arc = np.minimum(forward, length - forward)
+        chord_arc = max(chord_arc, float(np.max(arc / np.linalg.norm(np.roll(pos, -k, axis=0) - pos, axis=1))))
+        turn = max(turn, float(np.max(np.linalg.norm(np.roll(tangent, -k, axis=0) - tangent, axis=1) / arc**mu)))
+        dist = h * min(k, n - k)
+        velocity_holder = max(velocity_holder, float(np.max(np.linalg.norm(np.roll(vel, -k, axis=0) - vel, axis=1))) / dist**mu)
+    scale = length / TWO_PI
+    holder = scale ** (1.0 + mu) * turn
+    if mu == 1.0:
+        v2 = speed_n**2
+        cross = np.sqrt(np.clip(v2 * np.sum(acc * acc, axis=1) - np.sum(vel * acc, axis=1) ** 2, 0.0, None))
+        holder = max(holder, scale**2 * float(np.max(cross / speed_n**3)))
+        velocity_holder = max(velocity_holder, float(np.max(np.linalg.norm(acc, axis=1))))
+    return {"length": length, "chord_arc": chord_arc, "holder_constant": holder, "velocity_holder": velocity_holder}
+
+
 def ellipse_max_curvature(a: float, b: float) -> float:
     """Dense-grid maximum of the ellipse curvature (closed form a/b^2 at the apex)."""
     t = np.linspace(0.0, TWO_PI, 1_000_001)

@@ -247,6 +247,19 @@ def test_boundary_jacobian_unsettled_ladder_raises(affine_scenario, monkeypatch)
         boundary_jacobian_bound(affine_scenario.boundary, 0.3)
 
 
+def test_boundary_jacobian_unsettled_message_names_inputs(affine_scenario, monkeypatch):
+    monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
+    with pytest.raises(RefinementError) as err:
+        boundary_jacobian_bound(affine_scenario.boundary, 0.3, mu=0.5)
+    message = str(err.value)
+    assert "tau=0.3" in message and "mu=0.5" in message
+    assert "orders 64 and 128" in message
+    assert "raise the rule order" not in message
+    # the last two rule values, each a full repr of a float
+    values = [float(v) for v in message.split(" gave ")[1].split(" and ")]
+    assert len(values) == 2 and all(math.isfinite(v) for v in values)
+
+
 def test_boundary_jacobian_holder_form(affine_scenario):
     bm = affine_scenario.boundary
     val = boundary_jacobian_bound(bm, 0.3, form="holder")
