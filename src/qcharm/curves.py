@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InjectivityError, RefinementError, RegularityError
 
@@ -60,6 +59,18 @@ class TrigPolynomial:
         self.sin_coeffs = b
         self.degree = a.shape[0] - 1
         self.dim = a.shape[1]
+        # c_j = a_j - i b_j, so that p(t) = Re sum_j c_j e^{ijt}
+        self.complex_coeffs = a - 1j * b
+        self.complex_coeffs[0] = a[0]
+        # e^{ijt} for j = kB + r is the giant step e^{ikBt} times the baby step e^{irt},
+        # B = ceil(sqrt(J+1)); the rows of _weights pair (Re, -Im) of c_j with the
+        # interleaved (cos, sin) of e^{ijt} (Paterson & Stockmeyer, SIAM J. Comput. 1973)
+        block = math.isqrt(self.degree) + 1
+        self._baby = np.arange(block)
+        self._giant = np.arange(0, self.degree + 1, block)
+        c = np.zeros((self._giant.size * block, self.dim), dtype=complex)
+        c[: self.degree + 1] = self.complex_coeffs
+        self._weights = np.stack([c.real, -c.imag], axis=1).reshape(-1, self.dim)
 
     @classmethod
     def from_samples(cls, points):
@@ -83,10 +94,10 @@ class TrigPolynomial:
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
         out = np.empty((tt.size, self.dim))
-        j = np.arange(self.degree + 1)
         for lo in range(0, tt.size, _EVAL_CHUNK):
-            chunk = tt[lo : lo + _EVAL_CHUNK, None] * j[None, :]
-            out[lo : lo + _EVAL_CHUNK] = np.cos(chunk) @ self.cos_coeffs + np.sin(chunk) @ self.sin_coeffs
+            x = tt[lo : lo + _EVAL_CHUNK, None]
+            table = np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]
+            out[lo : lo + _EVAL_CHUNK] = table.reshape(x.shape[0], -1).view(float) @ self._weights
         return out[0] if scalar else out
 
     def derivative(self):
@@ -101,13 +112,11 @@ class TrigPolynomial:
         if n < 2 * self.degree:
             raise DomainError(f"resampling {n} nodes would alias degree {self.degree}")
         coeffs = np.zeros((n // 2 + 1, self.dim), dtype=complex)
-        coeffs[0] = self.cos_coeffs[0]
+        coeffs[: self.degree + 1] = self.complex_coeffs
+        coeffs[1:] *= 0.5
         if n % 2 == 0 and self.degree == n // 2:
-            coeffs[1 : self.degree] = 0.5 * (self.cos_coeffs[1:-1] - 1j * self.sin_coeffs[1:-1])
             # the sine Nyquist harmonic vanishes at every aligned node
             coeffs[self.degree] = self.cos_coeffs[-1]
-        else:
-            coeffs[1 : self.degree + 1] = 0.5 * (self.cos_coeffs[1:] - 1j * self.sin_coeffs[1:])
         return np.fft.irfft(coeffs * n, n=n, axis=0)
 
     def truncated(self) -> "TrigPolynomial":
@@ -732,6 +741,7 @@ def dini_double_integral(omega, y: float) -> float:
     """integral_{0+}^{y} x^{-2} integral_0^x omega(t) dt dx."""
     if y <= 0:
         raise DomainError("upper limit must be positive")
+    from scipy.integrate import quad
 
     def inner(x):
         val, _ = quad(lambda t: float(omega(t)), 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -745,6 +755,8 @@ def dini_single_integral(omega, y: float) -> float:
     """integral_{0+}^{y} (omega(x)/x - omega(x)/y) dx."""
     if y <= 0:
         raise DomainError("upper limit must be positive")
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda x: float(omega(x)) * (1.0 / x - 1.0 / y),
         0.0,

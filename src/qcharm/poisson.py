@@ -229,10 +229,7 @@ def _closed_disk(z) -> np.ndarray:
 
 def _coefficients(boundary: BoundaryMap) -> np.ndarray:
     """c_j = a_j - i b_j, shape (J+1, n); u = Re sum_j c_j z^j."""
-    poly = boundary.series()
-    c = poly.cos_coeffs - 1j * poly.sin_coeffs
-    c[0] = poly.cos_coeffs[0]  # sin_coeffs[0] is not part of the data
-    return c
+    return boundary.series().complex_coeffs
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import (
     _GATE,
@@ -327,6 +326,7 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     speed = np.linalg.norm(boundary.derivative(t), axis=1)
     cum = PeriodicAntiderivative(speed)
     total = cum.mean * TWO_PI
+    from scipy.optimize import brentq
 
     angles = [0.0]
     for frac in (1.0 / 3.0, 2.0 / 3.0):

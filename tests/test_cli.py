@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import qcharm
 from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -12,6 +17,14 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_scipy():
+    """scipy loads only for the Dini integrals and the normalization witness."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qcharm.__file__).resolve().parents[1]))
+    code = "import sys, qcharm.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scenarios_listing(capsys):

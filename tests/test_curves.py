@@ -40,6 +40,44 @@ ELLIPSE_MAX_CURVATURE = 1.875  # closed form a/b^2; dense oracle 1.8749999999999
 
 
 # ---------------------------------------------------------------------------
+# evaluation
+
+
+def _phase_tolerance(poly, t):
+    """1e-13 of the coefficient weight, plus the rounding of each phase j*t:
+    any evaluator that forms j*t in floating point moves it by up to
+    eps/2 * |t| * j, the term-by-term reference included."""
+    weight = np.sum(np.abs(poly.cos_coeffs) + np.abs(poly.sin_coeffs))
+    return weight * (1e-13 + np.finfo(float).eps * np.abs(t) * poly.degree)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 15, 16, 128, 129, 256, 1024])
+def test_evaluation_matches_term_by_term(degree, dim):
+    rng = np.random.default_rng(100 * degree + dim)
+    a = rng.standard_normal((degree + 1, dim))
+    b = rng.standard_normal((degree + 1, dim))
+    poly = TrigPolynomial(a, b)
+    inputs = (
+        rng.uniform(-1e3, 1e3),
+        np.empty(0),
+        rng.uniform(-TWO_PI, TWO_PI, 1),
+        np.concatenate([rng.uniform(-1e3, 1e3, 4), rng.uniform(-TWO_PI, TWO_PI, 5)]),
+        np.concatenate([rng.uniform(-1e3, 1e3, 1024), rng.uniform(-TWO_PI, TWO_PI, curves._EVAL_CHUNK - 1023)]),
+    )
+    for t in inputs:
+        got = poly(t)
+        assert got.shape == np.shape(t) + (dim,)
+        want = oracles._trig_derivative(a, b, np.atleast_1d(t), 0).reshape(got.shape)
+        assert np.all(np.abs(got - want) <= _phase_tolerance(poly, t)[..., None])
+        # sin(0 t) vanishes: the nonzero sin_coeffs[0] drawn above is ignored
+        assert np.array_equal(got, TrigPolynomial(a, np.vstack([np.zeros((1, dim)), b[1:]]))(t))
+    for n in {max(2 * degree, 1), 2 * degree + 3}:
+        t = TWO_PI * np.arange(n) / n
+        assert np.all(np.abs(poly.resample(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
+
+
+# ---------------------------------------------------------------------------
 # construction
 
 
