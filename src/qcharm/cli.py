@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +32,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _write_report(payload: dict, kind: str, out: str | None, fmt: str, csv_rows=None) -> int:
-    try:
-        if fmt == "json":
-            text = report_mod.dumps(payload)
-        else:
-            text = report_mod.dumps_csv(csv_rows if csv_rows is not None else [payload])
-    except report_mod.NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if fmt == "json":
-        report_mod.validate_report(report_mod.sanitize(payload), kind)
+def _write_report(payload: dict, kind: str, out: str | None, fmt: str, csv_rows: list[dict]):
+    """Check the sanitized payload against its schema, then write it as JSON or CSV rows."""
+    clean = report_mod.sanitize(payload)
+    report_mod.validate_report(clean, kind)
+    text = report_mod.dumps(clean) if fmt == "json" else report_mod.dumps_csv(csv_rows)
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _curve_from_args(args) -> tuple:
@@ -78,22 +71,12 @@ def cmd_constants(args) -> int:
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",
         "curve": desc | {"nodes": args.nodes, "dimension": curve.dim},
-        "constants": {
-            "length": constants.length,
-            "chord_arc": constants.chord_arc,
-            "holder_constant": constants.holder_constant,
-            "holder_exponent": constants.holder_exponent,
-            "max_curvature": constants.max_curvature,
-            "refinement_depth": constants.refinement_depth,
-            "converged": constants.converged,
-        },
+        "constants": asdict(constants),
     }
     flat = {k: v for k, v in payload["constants"].items() if k != "converged"}
     flags = {f"converged_{k}": v for k, v in constants.converged.items()}
     rows = [payload["curve"] | flat | flags]
-    code = _write_report(payload, "constants", args.out, args.format, rows)
-    if code:
-        return code
+    _write_report(payload, "constants", args.out, args.format, rows)
     return EXIT_OK if constants.all_converged() else EXIT_NUMERIC
 
 
@@ -120,8 +103,8 @@ def cmd_bound(args) -> int:
         {
             "name": "bound_positive",
             "lhs": 0.0,
-            "rhs": result.log_value if math.isfinite(result.log_value) else None,
-            "margin": None if not math.isfinite(result.log_value) else result.log_value,
+            "rhs": result.log_value,
+            "margin": result.log_value,
             "passed": inputs.c_gamma == 0.0 or result.log_value > float("-inf"),
         },
     ]
@@ -140,14 +123,12 @@ def cmd_bound(args) -> int:
         "alpha": result.alpha,
         "mori_constant": growth,
         "mori_variant": args.variant,
-        "log_L": result.log_value if inputs.c_gamma > 0 else None,
+        "log_L": result.log_value,
         "L": result.value,
         "checks": checks,
     }
     rows = [payload["inputs"] | {"alpha": result.alpha, "mori_constant": growth, "log_L": payload["log_L"], "L": result.value}]
-    code = _write_report(payload, "bound", args.out, args.format, rows)
-    if code:
-        return code
+    _write_report(payload, "bound", args.out, args.format, rows)
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_VIOLATION
 
 
@@ -172,22 +153,13 @@ def _scenario_from_args(args):
 
 def cmd_verify(args) -> int:
     rep = verify(_scenario_from_args(args), mu=args.mu)
-    checks = [
-        {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "passed": r.passed} for r in rep.checks
-    ]
+    checks = [asdict(r) for r in rep.checks]
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "verify",
         "scenario": rep.scenario,
         "params": rep.params,
-        "constants": {
-            "length": rep.length,
-            "chord_arc": rep.constants.chord_arc,
-            "holder_constant": rep.constants.holder_constant,
-            "holder_exponent": rep.constants.holder_exponent,
-            "max_curvature": rep.constants.max_curvature,
-            "converged": rep.constants.converged,
-        },
+        "constants": asdict(rep.constants),
         "area": rep.area,
         "area_rule": rep.area_rule,
         "upsilon": rep.upsilon,
@@ -205,9 +177,7 @@ def cmd_verify(args) -> int:
         "worst_margin": rep.worst_margin,
         "all_passed": rep.all_passed,
     }
-    code = _write_report(payload, "verify", args.out, args.format, checks)
-    if code:
-        return code
+    _write_report(payload, "verify", args.out, args.format, checks)
     return EXIT_OK if rep.all_passed else EXIT_VIOLATION
 
 
@@ -217,7 +187,8 @@ def cmd_scenarios(args) -> int:
         "command": "scenarios",
         "catalog": scenario_catalog(),
     }
-    return _write_report(payload, "scenarios", args.out, args.format, payload["catalog"])
+    _write_report(payload, "scenarios", args.out, args.format, payload["catalog"])
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

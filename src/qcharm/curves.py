@@ -185,15 +185,21 @@ def _cumulative_length(curve: "JordanCurve", fine: int) -> PeriodicAntiderivativ
     return PeriodicAntiderivative(speed)
 
 
-def _invert_length(curve: "JordanCurve", cum, length: float, target, t):
-    """Parameters where the cumulative length ``cum`` reaches ``target``, by at most 8 Newton
-    steps from nearby parameters t, to a residual below 1e-13 max(length, 1)."""
+def _speed(curve: "JordanCurve"):
+    """The curve's speed |curve'(t)| as a function of the parameter."""
+    return lambda t: np.linalg.norm(curve.velocity(t), axis=-1)
+
+
+def _invert_length(speed, cum, length: float, target, t):
+    """Parameters where the cumulative length ``cum``, the antiderivative of ``speed``, reaches
+    ``target``, by at most 8 Newton steps from nearby parameters t, to a residual below
+    1e-13 max(length, 1)."""
     tol = 1e-13 * max(length, 1.0)
     resid = cum(t) - target
     for _ in range(8):
         if np.max(np.abs(resid)) < tol:
             break
-        t = t - resid / np.linalg.norm(curve.velocity(t), axis=-1)
+        t = t - resid / speed(t)
         resid = cum(t) - target
     if not np.max(np.abs(resid)) < tol:
         raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
@@ -211,6 +217,7 @@ class _ArcLengthView:
 
     def __init__(self, base: "JordanCurve", fine: int = 2048):
         self.base = base
+        self._speed = _speed(base)
         self._cum = _cumulative_length(base, fine)
         self.total = self._cum.mean * TWO_PI
         self.scale = self.total / TWO_PI
@@ -224,7 +231,7 @@ class _ArcLengthView:
         wraps = np.floor(theta / TWO_PI)
         target = (theta - wraps * TWO_PI) * self.scale
         t = np.interp(target, self._cum_f, self._tf)
-        return _invert_length(self.base, self._cum, self.total, target, t) + wraps * TWO_PI
+        return _invert_length(self._speed, self._cum, self.total, target, t) + wraps * TWO_PI
 
     def position(self, theta):
         return self.base.position(self.parameter(theta))
@@ -519,13 +526,14 @@ def _lag_scan(sample, score, here, diagonal: float = 0.0, arc=None) -> ScanResul
     if arc is not None:
         curve, cum = arc
         length = cum.mean * TWO_PI
-        center, speed = cum(ends), np.linalg.norm(curve.velocity(ends), axis=1)
+        speed_of = _speed(curve)
+        center, speed = cum(ends), speed_of(ends)
         width = min(width * length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], length))
 
     def objective(x, y):
         if arc is not None:
-            x = _invert_length(curve, cum, length, x, ends[0] + (x - center[0]) / speed[0])
-            y = _invert_length(curve, cum, length, y, ends[1] + (y - center[1]) / speed[1])
+            x = _invert_length(speed_of, cum, length, x, ends[0] + (x - center[0]) / speed[0])
+            y = _invert_length(speed_of, cum, length, y, ends[1] + (y - center[1]) / speed[1])
         return score(tuple(v[:, None] for v in sample(x)), tuple(v[None, :] for v in sample(y)), y[None, :] - x[:, None])
 
     # restart each search where the last one ended until one gains at most 1e-12

@@ -1,15 +1,16 @@
 """Deterministic serialization of reports.
 
-JSON is emitted by a small writer with a fixed float format (17
-significant digits, exact double round-trip) and insertion-ordered keys,
-so identical inputs produce byte-identical files.  Non-finite values are
-rejected up front: NaN signals a numerical failure, and unbounded values
-(the exponentiated bound can overflow) must be mapped to null by the
-caller before serialization.
+JSON is written by the standard library's ``json`` with insertion-ordered
+keys, two-space indentation and floats in their shortest round-trip form
+(``repr``), so identical inputs produce byte-identical files and every
+double parses back bit-identical.  CSV cells keep 17 significant digits.
+``sanitize`` runs first: infinities (the exponentiated bound can
+overflow) become null, and NaN, which signals a numerical failure, raises.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, is_dataclass
 
@@ -52,73 +53,9 @@ def sanitize(value):
     return str(value)
 
 
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _emit(value, indent: int, pieces: list):
-    pad = "  " * indent
-    if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, str):
-        pieces.append(_escape(value))
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteError("non-finite float escaped sanitization")
-        pieces.append(format(value, ".17g"))
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            pieces.append(pad + "  " + _escape(str(k)) + ": ")
-            _emit(v, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, list):
-        if not value:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, v in enumerate(value):
-            pieces.append(pad + "  ")
-            _emit(v, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise DomainError(f"unserializable value of type {type(value)!r}")
-
-
 def dumps(report: dict) -> str:
-    """Deterministic JSON text for a sanitized report dictionary."""
-    pieces: list = []
-    _emit(sanitize(report), 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Deterministic JSON text for a report dictionary, sanitized first."""
+    return json.dumps(sanitize(report), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def dumps_csv(rows: list[dict]) -> str:

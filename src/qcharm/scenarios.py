@@ -36,6 +36,7 @@ from .curves import (
     CurveConstants,
     JordanCurve,
     PeriodicAntiderivative,
+    _invert_length,
     build_curve,
     circle,
     compute_curve_constants,
@@ -319,28 +320,22 @@ def _const_frames(z, ux, uy):
 def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     """Preimages of three points cutting the image curve into equal arcs.
 
-    Anchored at parameter 0; the other two preimages are found by solving
-    the cumulative-length equation along the boundary data.
+    Anchored at parameter 0; the other two preimages invert the cumulative
+    length along the boundary data by Newton steps, seeded by interpolation
+    on its sample grid.
     """
-    t = TWO_PI * np.arange(_WITNESS_NODES) / _WITNESS_NODES
-    speed = np.linalg.norm(boundary.derivative(t), axis=1)
-    cum = PeriodicAntiderivative(speed)
-    total = cum.mean * TWO_PI
-    from scipy.optimize import brentq
 
-    angles = [0.0]
-    for frac in (1.0 / 3.0, 2.0 / 3.0):
-        target = frac * total
-        angles.append(float(brentq(lambda x: cum(x) - target, 1e-12, TWO_PI - 1e-12, xtol=1e-14)))
-    angles = np.asarray(angles)
+    def speed(x):
+        return np.linalg.norm(boundary.derivative(x), axis=-1)
+
+    t = TWO_PI * np.arange(_WITNESS_NODES + 1) / _WITNESS_NODES
+    cum = PeriodicAntiderivative(speed(t[:-1]))
+    total = cum.mean * TWO_PI
+    targets = total * np.array([1.0, 2.0]) / 3.0
+    seeds = np.interp(targets, np.append(cum.values_on_grid(_WITNESS_NODES), total), t)
+    angles = np.concatenate([[0.0], _invert_length(speed, cum, total, targets, seeds)])
     pts = boundary.values(angles)
-    arc = np.array(
-        [
-            cum(angles[1]) - cum(angles[0]),
-            cum(angles[2]) - cum(angles[1]),
-            total - cum(angles[2]),
-        ]
-    )
+    arc = np.diff(np.append(cum(angles), total))
     return NormalizationWitness(preimage_angles=angles, target_points=pts, arc_lengths=arc)
 
 

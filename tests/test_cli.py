@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 import qcharm
+from qcharm import report
 from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -20,9 +21,13 @@ def run_cli(args, capsys):
 
 
 def test_import_loads_no_scipy():
-    """scipy loads only for the Dini integrals and the normalization witness."""
+    """scipy loads only for the Dini integrals: neither importing the CLI nor verifying a
+    scenario loads it."""
     env = dict(os.environ, PYTHONPATH=str(Path(qcharm.__file__).resolve().parents[1]))
-    code = "import sys, qcharm.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    code = (
+        "import sys, qcharm.cli; from qcharm import make_scenario, verify; verify(make_scenario('identity'));"
+        " print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -80,6 +85,14 @@ def test_constants_from_csv(capsys, tmp_path):
     assert abs(payload["constants"]["length"] - oracles.ellipse_perimeter(1.2, 0.8)) < 1e-6
 
 
+def test_csv_report_is_validated(capsys, monkeypatch):
+    monkeypatch.setitem(report.SCHEMAS, "constants", {"type": "object", "required": ["no_such_key"]})
+    code, out, err = run_cli(["constants", "--format", "csv"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "no_such_key" in err
+
+
 def test_constants_csv_format(capsys):
     args = ["constants", "--curve", "circle", "--format", "csv"]
     code, out, _ = run_cli(args, capsys)
@@ -98,9 +111,10 @@ def test_verify_identity_exit_zero(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["all_passed"] is True
     assert all(rec["margin"] >= -1e-9 for rec in payload["checks"])
-    from qcharm.report import validate_report
-
-    validate_report(payload, "verify")
+    report.validate_report(payload, "verify")
+    # the identity's curve is the unit circle: its constants are the constants command's
+    _, out, _ = run_cli(["constants", "--curve", "circle"], capsys)
+    assert payload["constants"] == json.loads(out)["constants"]
 
 
 def test_determinism_byte_identical(capsys):

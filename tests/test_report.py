@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcharm import DomainError, report
@@ -30,6 +30,29 @@ def test_dumps_round_trip():
     text = dumps(payload)
     back = json.loads(text)
     assert back == payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**53), 2**53).map(float))
+@example(-0.0)
+@example(0.0)
+@example(1.0)
+@example(5e-324)
+@example(2.2250738585072014e-308 / 3)
+@example(0.3)
+def test_dumps_floats_round_trip_bit_identical(x):
+    back = json.loads(dumps({"x": x}))["x"]
+    assert type(back) is float
+    assert back.hex() == x.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), st.text()))
+def test_dumps_strings_and_key_order_round_trip(payload):
+    payload = {"z": 'q"uote', "a": "back\\slash", "m": "line\nbreak", "c": "ctrl\x01", "é": "μ ∞ 𝔻"} | payload
+    back = json.loads(dumps(payload))
+    assert back == payload
+    assert list(back) == list(payload)
 
 
 def test_dumps_deterministic():

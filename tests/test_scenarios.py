@@ -113,6 +113,26 @@ def test_affine_witness_corrected(affine_scenario):
     assert np.max(np.abs(arcs - total / 3.0)) > 1e-3
 
 
+def test_witness_thirds_match_root_finding(catalog_scenarios):
+    from scipy.optimize import brentq
+
+    from qcharm.curves import PeriodicAntiderivative, TrigPolynomial, build_curve, ellipse
+    from qcharm.poisson import AngleMap, BoundaryMap
+
+    # t -> t + 0.3 sin t is increasing, so the boundary data traverses the ellipse unevenly
+    warped = BoundaryMap(build_curve(ellipse(1.2, 0.8), 256), AngleMap(TrigPolynomial([[0.0], [0.0]], [[0.0], [0.3]])))
+    for bm in [sc.boundary for sc in catalog_scenarios] + [warped]:
+        w = scenarios.normalization_witness(bm)
+        total = w.arc_lengths.sum()
+        assert np.max(np.abs(w.arc_lengths - total / 3.0)) <= 1e-12 * total
+        t = TWO_PI * np.arange(4096) / 4096
+        cum = PeriodicAntiderivative(np.linalg.norm(bm.derivative(t), axis=1))
+        roots = [brentq(lambda x: cum(x) - f * total, 1e-12, TWO_PI - 1e-12, xtol=1e-14) for f in (1 / 3, 2 / 3)]
+        assert w.preimage_angles[0] == 0.0
+        assert np.max(np.abs(w.preimage_angles[1:] - roots)) < 1e-12
+        assert np.allclose(w.target_points, bm.values(w.preimage_angles), rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # the verification pipeline
 
