@@ -70,7 +70,7 @@ def cmd_constants(args) -> int:
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",
-        "curve": desc | {"nodes": args.nodes, "dimension": curve.dim},
+        "curve": desc | {"nodes": args.nodes, "dimension": curve.dim, "degree": curve.poly.degree, "tail": curve.fit_tail},
         "constants": asdict(constants),
     }
     flat = {k: v for k, v in payload["constants"].items() if k != "converged"}

@@ -119,13 +119,14 @@ class TrigPolynomial:
             coeffs[self.degree] = self.cos_coeffs[-1]
         return np.fft.irfft(coeffs * n, n=n, axis=0)
 
-    def truncated(self) -> "TrigPolynomial":
-        """Drop trailing harmonics whose weight is below 1e-17 of the peak."""
+    def truncated(self, floor: float) -> tuple["TrigPolynomial", float]:
+        """Without the trailing harmonics of weight at most ``floor``, and
+        sum_{j > J} j * weight_j over those."""
         weight = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=1))
-        floor = _TRUNCATE_REL * float(np.max(weight)) if np.max(weight) > 0 else 0.0
         keep = np.nonzero(weight > floor)[0]
         cut = int(keep[-1]) + 1 if keep.size else 1
-        return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut])
+        tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
+        return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut]), tail
 
     def shifted(self, lag: float) -> "TrigPolynomial":
         """The polynomial t -> p(t + lag), via a harmonic-wise rotation."""
@@ -151,7 +152,8 @@ class PeriodicAntiderivative:
         j = np.arange(a.size, dtype=float)
         j[0] = np.inf  # the mean is the linear part, not a harmonic
         # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
-        self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None]).truncated()
+        floor = _TRUNCATE_REL * float(np.max(np.sqrt((a / j) ** 2 + (b / j) ** 2)))
+        self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None]).truncated(floor)[0]
         self._osc0 = float(self._osc(0.0)[0])
         self._grid = g.size
 
@@ -263,6 +265,7 @@ class JordanCurve:
     poly : TrigPolynomial position evaluator (band-limited fit)
     arc_length : True when |derivs| is constant within tolerance
     view : composite exact evaluators, set for reparametrized curves
+    fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
     """
 
     nodes: np.ndarray
@@ -271,6 +274,7 @@ class JordanCurve:
     poly: TrigPolynomial
     arc_length: bool = False
     view: _ArcLengthView | None = None
+    fit_tail: float = 0.0
     _vel: TrigPolynomial = field(init=False, repr=False)
     _acc: TrigPolynomial = field(init=False, repr=False)
 
@@ -319,6 +323,7 @@ class JordanCurve:
             derivs=c * self.derivs,
             poly=self.poly.scaled(c),
             arc_length=self.arc_length,
+            fit_tail=abs(c) * self.fit_tail,
         )
 
 
@@ -379,9 +384,11 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
     Parameters
     ----------
     generator : TrigPolynomial or (t, points) tuple or (m, n) array
-        Analytic descriptor, or raw uniform periodic samples.  Raw nodes
-        must be uniform in [0, 2*pi); derivatives are then obtained by
-        spectral differentiation.
+        Analytic descriptor, kept whole, or raw uniform periodic samples.
+        Raw nodes must be uniform in [0, 2*pi); the samples are fitted by
+        FFT at their resolved degree (trailing harmonics below the
+        roundoff floor 1e-15 * max|sample| * log2(samples) go to
+        ``fit_tail``), and derivatives follow by spectral differentiation.
     node_count : number of uniform nodes (>= 16)
     """
     if node_count < 16:
@@ -389,7 +396,7 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
     nodes = TWO_PI * np.arange(node_count) / node_count
 
     if isinstance(generator, TrigPolynomial):
-        poly = generator
+        poly, fit_tail = generator, 0.0
         points = poly(nodes)
     else:
         if isinstance(generator, tuple):
@@ -401,7 +408,7 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
                 raise DomainError("raw samples must be uniform in [0, 2*pi)")
         else:
             pts_in = np.atleast_2d(np.asarray(generator, dtype=float))
-        poly = TrigPolynomial.from_samples(pts_in)
+        poly, fit_tail = TrigPolynomial.from_samples(pts_in).truncated(_roundoff_floor(pts_in))
         if pts_in.shape[0] == node_count:
             points = pts_in.copy()
         else:
@@ -419,23 +426,36 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
     _check_sampled_injectivity(points)
 
     flat = float(np.max(speeds) - np.min(speeds)) <= CONST_TOL * float(np.mean(speeds))
-    return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, arc_length=flat)
+    return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, arc_length=flat, fit_tail=fit_tail)
+
+
+def _roundoff_floor(samples) -> float:
+    """Weight below which a harmonic of the FFT fit through uniform samples
+    (m, n) is roundoff: 1e-15 * max|sample| * log2(m)."""
+    return 1e-15 * float(np.max(np.linalg.norm(samples, axis=1))) * np.log2(samples.shape[0])
 
 
 def _check_sampled_injectivity(points):
+    """InjectivityError naming the nearest pair of nodes, not neighbours, of
+    the first 512-row block holding a pair within 1e-9 of the diameter."""
     m = points.shape[0]
     diam = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))) * 2.0
     tol = 1e-9 * max(diam, 1e-12)
-    cols = np.arange(m)
-    # block the diagonal and the two adjacent bands (periodic)
+    # squared distance to the nearest node, 64 rows at a time (cache-sized)
+    near, nearest = np.empty(m), np.empty(m, dtype=int)
+    for lo in range(0, m, 64):
+        rows = np.arange(lo, min(lo + 64, m))
+        d2 = np.zeros((rows.size, m))
+        for x in points.T:
+            d2 += (x[rows, None] - x[None, :]) ** 2
+        for shift in (-1, 0, 1):  # the diagonal and the two adjacent bands (periodic)
+            d2[rows - lo, (rows + shift) % m] = np.inf
+        nearest[rows] = np.argmin(d2, axis=1)
+        near[rows] = d2[rows - lo, nearest[rows]]
     for lo in range(0, m, 512):
-        hi = min(lo + 512, m)
-        d = np.linalg.norm(points[lo:hi, None, :] - points[None, :, :], axis=2)
-        rows = np.arange(lo, hi)[:, None]
-        d[np.minimum((rows - cols) % m, (cols - rows) % m) <= 1] = np.inf
-        if np.min(d) <= tol:
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            raise InjectivityError(f"sampled self-intersection between nodes {lo + i} and {j}")
+        i = lo + int(np.argmin(near[lo : lo + 512]))
+        if np.sqrt(near[i]) <= tol:  # sqrt is monotone: |p_i - p_j| <= tol at the nearest pair
+            raise InjectivityError(f"sampled self-intersection between nodes {i} and {nearest[i]}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, TrigPolynomial
+from .curves import TWO_PI, JordanCurve, TrigPolynomial, _roundoff_floor
 from .errors import DegenerateFrameError, DomainError, RefinementError
 
-# relative roundoff floor of an FFT coefficient, per log2 of the fit size
-_ROUNDOFF = 1e-15
 # largest FFT fit of composed boundary data (degree cap is half of it)
 _MAX_FIT = 1 << 16
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
@@ -135,27 +133,28 @@ class BoundaryMap:
         first use and cached.
 
         The curve's own polynomial (identity angle map, no arc-length view)
-        and the interpolant of ``from_values`` are exact and returned as
-        they are.  Other data is fitted by FFT at 64, 128, ... samples until
-        every harmonic in the upper half of the fitted band is below the
-        roundoff floor 1e-15 * max|F| * log2(samples); harmonics below the
-        floor at the top are then dropped.  ``RefinementError`` when the
+        with its ``fit_tail``, and the interpolant of ``from_values``, are
+        returned as they are.  Other data is fitted by FFT at 64, 128, ...
+        samples until every harmonic in the upper half of the fitted band is
+        below the roundoff floor 1e-15 * max|F| * log2(samples); harmonics
+        below the floor at the top are then dropped.  ``RefinementError`` when the
         fit is still unresolved at 2^16 samples.
         """
         if self._series is None:
             if self.curve is None:
                 self._series = (self._poly, 0.0)
             elif self.angle_map._osc is None and self.curve.view is None:
-                self._series = (self.curve.poly, 0.0)
+                self._series = (self.curve.poly, self.curve.fit_tail)
             else:
                 self._series = self._fit_series()
         return self._series[0]
 
     @property
     def series_tail(self) -> float:
-        """sum_{j > J} j |c_j| over the harmonics the fit dropped (zero for
-        exact data).  On the closed disk it bounds the gradient error of
-        the truncation, and, since j >= 1, its value error."""
+        """sum_{j > J} j |c_j| over the harmonics the fit (of this data or of
+        the curve's samples) dropped; zero for exact data.  On the closed disk
+        it bounds the gradient error of the truncation, and, since j >= 1,
+        its value error."""
         self.series()
         return self._series[1]
 
@@ -163,18 +162,12 @@ class BoundaryMap:
         m = 64
         while True:
             samples = self.values(TWO_PI * np.arange(m) / m)
-            poly = TrigPolynomial.from_samples(samples)
-            weight = np.sqrt(np.sum(poly.cos_coeffs**2 + poly.sin_coeffs**2, axis=1))
-            floor = _ROUNDOFF * float(np.max(np.linalg.norm(samples, axis=1))) * np.log2(m)
-            if np.max(weight[m // 4 + 1 :]) <= floor:
-                break
+            fit = TrigPolynomial.from_samples(samples).truncated(_roundoff_floor(samples))
+            if fit[0].degree <= m // 4:
+                return fit
             if m >= _MAX_FIT:
                 raise RefinementError(f"boundary series not resolved at {_MAX_FIT} samples")
             m *= 2
-        keep = np.nonzero(weight > floor)[0]
-        cut = int(keep[-1]) + 1 if keep.size else 1
-        tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
-        return TrigPolynomial(poly.cos_coeffs[:cut], poly.sin_coeffs[:cut]), tail
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,11 @@ SCHEMAS = {
         "properties": {
             "schema_version": {"type": "string"},
             "command": {"type": "string"},
-            "curve": {"type": "object"},
+            "curve": {
+                "type": "object",
+                "required": ["kind", "nodes", "dimension", "degree", "tail"],
+                "properties": {"degree": {"type": "number"}, "tail": {"type": "number"}},
+            },
             "constants": {
                 "type": "object",
                 "required": ["length", "chord_arc", "holder_constant", "max_curvature", "converged"],

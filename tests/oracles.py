@@ -132,6 +132,25 @@ def lag_scan_lower_bound(cos_coeffs, sin_coeffs, mu: float, n: int = 512) -> dic
     return {"length": length, "chord_arc": chord_arc, "holder_constant": holder, "velocity_holder": velocity_holder}
 
 
+def sampled_self_intersection(points):
+    """First pair of nodes, not neighbours, within 1e-9 of the diameter of the
+    sampled closed curve (m, n), or None: full (rows, m, n) difference blocks of
+    512 rows, each masked by the periodic index distance, nearest pair first."""
+    m = points.shape[0]
+    diam = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))) * 2.0
+    tol = 1e-9 * max(diam, 1e-12)
+    cols = np.arange(m)
+    for lo in range(0, m, 512):
+        hi = min(lo + 512, m)
+        d = np.linalg.norm(points[lo:hi, None, :] - points[None, :, :], axis=2)
+        rows = np.arange(lo, hi)[:, None]
+        d[np.minimum((rows - cols) % m, (cols - rows) % m) <= 1] = np.inf
+        if np.min(d) <= tol:
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            return lo + int(i), int(j)
+    return None
+
+
 def ellipse_max_curvature(a: float, b: float) -> float:
     """Dense-grid maximum of the ellipse curvature (closed form a/b^2 at the apex)."""
     t = np.linspace(0.0, TWO_PI, 1_000_001)

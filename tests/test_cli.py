@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import qcharm
-from qcharm import report
+from qcharm import DomainError, report
 from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -71,6 +71,8 @@ def test_constants_ellipse(capsys, tmp_path):
     assert abs(consts["length"] - oracles.ellipse_perimeter(1.2, 0.8)) < 1e-8
     assert abs(consts["chord_arc"] - 1.9831799486613273) < 1e-4
     assert all(consts["converged"].values())
+    # a descriptor is exact data: every harmonic kept, nothing dropped
+    assert payload["curve"]["degree"] == 1 and payload["curve"]["tail"] == 0.0
 
 
 def test_constants_from_csv(capsys, tmp_path):
@@ -83,6 +85,16 @@ def test_constants_from_csv(capsys, tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert abs(payload["constants"]["length"] - oracles.ellipse_perimeter(1.2, 0.8)) < 1e-6
+    # harmonics 2..64 of the fit are roundoff: the curve is fitted at degree 1
+    report.validate_report(payload, "constants")
+    assert payload["curve"]["degree"] == 1
+    assert 0.0 < payload["curve"]["tail"] <= 1e-12
+    code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    row = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
+    assert int(row["degree"]) == 1 and float(row["tail"]) == payload["curve"]["tail"]
+    del payload["curve"]["degree"]
+    with pytest.raises(DomainError, match="degree"):
+        report.validate_report(payload, "constants")
 
 
 def test_csv_report_is_validated(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from qcharm import curves
 from qcharm import (
+    BoundaryMap,
     DomainError,
     InjectivityError,
     PowerModulus,
@@ -100,6 +102,57 @@ def test_figure_eight_rejected():
         build_curve(pts)
 
 
+def _named_pair(points):
+    """The node pair the injectivity check names, or None when it passes."""
+    try:
+        curves._check_sampled_injectivity(points)
+    except InjectivityError as exc:
+        return tuple(int(k) for k in re.search(r"nodes (\d+) and (\d+)", str(exc)).groups())
+    return None
+
+
+def _tolerance(points):
+    return 1e-9 * max(2.0 * float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))), 1e-12)
+
+
+@pytest.mark.parametrize("m, dim", [(64, 2), (300, 3), (600, 2)])
+def test_injectivity_check_matches_oracle(m, dim):
+    rng = np.random.default_rng(10 * m + dim)
+    t = TWO_PI * np.arange(m) / m
+    base = 0.01 * rng.standard_normal((m, dim))
+    base[:, 0] += np.cos(t)
+    base[:, 1] += np.sin(t)
+    verdicts = set()
+    for f in (0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 2.0):
+        for _ in range(2):
+            i, j = rng.choice(m, 2, replace=False)
+            if min((i - j) % m, (j - i) % m) <= 1:
+                continue
+            e = rng.standard_normal(dim)
+            pts = base.copy()
+            for _ in range(2):  # moving node j changes the tolerance a little
+                pts[j] = pts[i] + f * _tolerance(pts) * e / np.linalg.norm(e)
+            want = oracles.sampled_self_intersection(pts)
+            assert _named_pair(pts) == want
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+    if m > 512:
+        # a pinch in the first 512 rows is named before a closer one further on
+        pts = base.copy()
+        pts[300] = pts[10]
+        pts[m - 20] = pts[520]
+        pts[10, 0] += 0.5 * _tolerance(pts)
+        assert _named_pair(pts) == oracles.sampled_self_intersection(pts) == (10, 300)
+
+
+def test_pinched_curve_names_the_pinch():
+    t = TWO_PI * np.arange(256) / 256
+    pts = np.stack([np.cos(t), np.sin(t) * np.cos(t) ** 2], axis=1)
+    assert oracles.sampled_self_intersection(pts) == (64, 192)
+    with pytest.raises(InjectivityError, match="between nodes 64 and 192"):
+        build_curve(pts)
+
+
 def test_small_node_count_rejected():
     with pytest.raises(DomainError):
         build_curve(circle(), 8)
@@ -123,6 +176,79 @@ def test_raw_samples_match_descriptor(circle_curve):
     pts = np.stack([np.cos(t), np.sin(t)], axis=1)
     raw = build_curve((t, pts), 128)
     assert np.allclose(raw.derivs, np.stack([-np.sin(t), np.cos(t)], axis=1), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# sampled fits at their resolved degree
+
+
+def _degree8_source(seed: int, dim: int):
+    """Unit circle plus harmonics 1..8 decaying like j^-3, scaled so that
+    sum_j j (|a_j| + |b_j|) <= 0.3: a univalent degree-8 curve in R^dim."""
+    rng = np.random.default_rng([seed, dim])
+    j = np.arange(9)[:, None]
+    cos_c = rng.normal(size=(9, dim)) / np.maximum(j, 1) ** 3
+    sin_c = rng.normal(size=(9, dim)) / np.maximum(j, 1) ** 3
+    cos_c[0] = sin_c[0] = 0.0
+    scale = rng.uniform(0.1, 0.3) / float(np.sum(j * (np.abs(cos_c) + np.abs(sin_c))))
+    cos_c *= scale
+    sin_c *= scale
+    cos_c[1, 0] += 1.0
+    sin_c[1, 1] += 1.0
+    return cos_c, sin_c
+
+
+def _csv_curve(cos_c, sin_c, path, rows: int = 256):
+    """The curve built from a CSV of ``rows`` uniform samples, written and read as
+    ``qcharm constants --curve csv`` does."""
+    t = TWO_PI * np.arange(rows) / rows
+    j = np.arange(cos_c.shape[0])
+    pts = np.cos(np.outer(t, j)) @ cos_c + np.sin(np.outer(t, j)) @ sin_c
+    np.savetxt(path, np.column_stack([t, pts]), delimiter=",", fmt="%.17g")
+    data = np.loadtxt(path, delimiter=",")
+    return build_curve((data[:, 0], data[:, 1:]), 512)
+
+
+SOURCES = [(seed, dim) for dim in (2, 3) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("seed, dim", SOURCES)
+def test_sampled_curve_fits_at_source_degree(seed, dim, tmp_path):
+    curve = _csv_curve(*_degree8_source(seed, dim), tmp_path / "c.csv")
+    assert curve.poly.degree <= 8
+    # 120 dropped harmonics of about 2e-17 each, weighted by j
+    assert 0.0 < curve.fit_tail <= 1e-12
+    assert curve.scaled(-2.0).fit_tail == 2.0 * curve.fit_tail
+    assert BoundaryMap(curve).series_tail == curve.fit_tail
+    assert build_curve(fourier_curve(*_degree8_source(seed, dim)), 512).fit_tail == 0.0
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("seed, dim", SOURCES)
+def test_sampled_constants_match_source(seed, dim, mu, tmp_path):
+    # the parent's degree-128 fit missed holder_constant and max_curvature by ~2e-12
+    source = _degree8_source(seed, dim)
+    got = compute_curve_constants(_csv_curve(*source, tmp_path / "c.csv"), mu)
+    want = compute_curve_constants(build_curve(fourier_curve(*source), 512), mu)
+    for name in ("length", "chord_arc", "holder_constant", "max_curvature"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * getattr(want, name), name
+
+
+def test_noisy_samples_keep_every_harmonic():
+    t = TWO_PI * np.arange(256) / 256
+    noise = 1e-8 * np.random.default_rng(5).standard_normal((256, 2))
+    curve = build_curve(np.stack([np.cos(t), np.sin(t)], axis=1) + noise, 256)
+    assert curve.poly.degree == 128
+    assert curve.fit_tail == 0.0
+
+
+def test_truncated_drops_only_trailing_harmonics():
+    a = np.array([[1.0], [0.0], [2.0], [1e-20], [0.0]])
+    b = np.array([[0.0], [1e-20], [0.0], [0.0], [3e-20]])
+    poly, tail = TrigPolynomial(a, b).truncated(1e-18)
+    assert poly.degree == 2 and np.array_equal(poly.sin_coeffs[1], [1e-20])
+    assert tail == 3 * 1e-20 + 4 * 3e-20
+    assert TrigPolynomial(a, b).truncated(5.0)[0].degree == 0
 
 
 # ---------------------------------------------------------------------------
