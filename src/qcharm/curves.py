@@ -90,15 +90,30 @@ class TrigPolynomial:
         return cls(a, b)
 
     def __call__(self, t):
+        return self._sum(t, self._powers)
+
+    def increments(self, t0: float):
+        """x -> p(t0 + x) - p(t0) as Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, from the
+        powers at half angle: nothing cancels as x -> 0, so it keeps its relative accuracy."""
+        p = self.shifted(t0)
+
+        def terms(x):
+            half = p._powers(x / 2.0)
+            return 2j * half * half.imag
+
+        return lambda x: p._sum(x, terms)
+
+    def _powers(self, x):
+        """e^{ijx} for j < K*B at a column of points x, as giant step times baby step."""
+        return (np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]).reshape(x.size, -1)
+
+    def _sum(self, t, terms):
+        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        out = np.empty((tt.size, self.dim))
-        for lo in range(0, tt.size, _EVAL_CHUNK):
-            x = tt[lo : lo + _EVAL_CHUNK, None]
-            table = np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]
-            out[lo : lo + _EVAL_CHUNK] = table.reshape(x.shape[0], -1).view(float) @ self._weights
-        return out[0] if scalar else out
+        out = np.empty((t.size, self.dim))
+        for lo in range(0, t.size, _EVAL_CHUNK):
+            out[lo : lo + _EVAL_CHUNK] = terms(t.ravel()[lo : lo + _EVAL_CHUNK, None]).view(float) @ self._weights
+        return out[0] if t.ndim == 0 else out
 
     def derivative(self):
         j = np.arange(self.degree + 1)[:, None]

@@ -191,16 +191,17 @@ def boundary_jacobian_bound(
 ) -> float:
     """Singular integral bounding the boundary Jacobian at angle tau.
 
-    value = |f'(tau)| * integral of K_h(e^{i f(tau)}, e^{i f(t)}) /
-    (4*pi*sin^2((t - tau)/2)) dt.  The integrand grows like |t -
-    tau|^(mu-1) near tau for curves whose derivative is mu-Hölder, so the
-    inner piece is computed after the substitution t - tau = sigma^(1/mu)
-    which makes it bounded ("graded").  The "majorant" method instead
-    replaces the inner piece by its closed-form Hölder majorant, giving a
-    slightly larger, conservative value.
+    value = |f'(tau)| * integral of |P(x) ^ h'(f(tau))| / (4*pi*sin^2(x/2))
+    dx, with the chord P(x) = F(tau + x) - F(tau) of the boundary series
+    (``TrigPolynomial.increments``, accurate relative to |P| as x -> 0).
+    The integrand grows like |x|^(mu-1) near 0 for curves whose derivative
+    is mu-Hölder, so the inner piece is computed after the substitution x =
+    sigma^(1/mu) which makes it bounded ("graded").  The "majorant" method
+    instead replaces the inner piece by its closed-form Hölder majorant,
+    giving a slightly larger, conservative value.
 
-    ``form="holder"`` evaluates the companion majorant built from boundary
-    differences |F(t) - F(tau)|^(1+mu) instead of the kernel.
+    ``form="holder"`` evaluates the companion majorant built from the same
+    chord, |P(x)|^(1+mu), instead of the kernel.
 
     The graded rule runs at Gauss orders 16, 32, 64 and 128 per panel and
     returns the first value that moved by at most 1e-11 relative from the
@@ -220,31 +221,21 @@ def boundary_jacobian_bound(
     fmap = boundary.angle_map
     f_tau = float(fmap(tau))
     fp_tau = abs(float(fmap.derivative(tau)))
-
-    pos_tau = curve.position(f_tau)
     vel_tau = curve.velocity(f_tau)
-    acc_tau = curve.acceleration(f_tau)
+    chord = boundary.series().increments(tau)
     if form == "holder":
         if c_h is None:
             c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
         min_speed = float(np.min(np.linalg.norm(curve.derivs, axis=1)))
         holder_const = c_h / min_speed
-    # limit of the kernel integrand across the removable point t = tau
-    limit0 = float(fmap.derivative(tau)) ** 2 * float(
-        _cross_norm(acc_tau[None, :], vel_tau[None, :])[0]
-    ) / TWO_PI
 
     def integrand(x):
-        x = np.asarray(x, dtype=float)
-        den = 4.0 * np.pi * np.sin(x / 2.0) ** 2
-        safe = np.where(den == 0.0, 1.0, den)
+        p = chord(x)
         if form == "kernel":
-            xv = curve.position(fmap(tau + x)) - pos_tau
-            num = _cross_norm(xv, np.broadcast_to(vel_tau, xv.shape))
-            return np.where(np.abs(x) < 1e-8, limit0, num / safe)
-        dv = boundary.values(tau + x) - pos_tau
-        num = holder_const * np.linalg.norm(dv, axis=1) ** (1.0 + mu)
-        return num / safe
+            num = _cross_norm(p, np.broadcast_to(vel_tau, p.shape))
+        else:
+            num = holder_const * np.linalg.norm(p, axis=1) ** (1.0 + mu)
+        return num / (4.0 * np.pi * np.sin(x / 2.0) ** 2)
 
     if method == "majorant":
         eps = TWO_PI / spec.m

@@ -513,10 +513,11 @@ def _tol_check(name: str, deviation: float, tol: float) -> CheckRecord:
 
 
 def _worst_record(name: str, lhs, rhs) -> CheckRecord:
-    """The check lhs <= rhs over all samples, reported at its worst margin;
-    it passes when every margin rhs - lhs is at least -1e-9 (``_GATE``)."""
+    """The check lhs <= rhs over all samples, reported at the first sample whose
+    margin rhs - lhs is within 1e-9 (``_GATE``) of the smallest, so roundoff ties
+    do not pick it; it passes when every margin is at least -1e-9."""
     margins = rhs - lhs
-    worst = int(np.argmin(margins))
+    worst = int(np.argmax(margins <= np.min(margins) + _GATE))
     return CheckRecord(
         name=name,
         lhs=float(lhs[worst]),

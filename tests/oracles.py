@@ -86,6 +86,17 @@ def _trig_derivative(cos_coeffs, sin_coeffs, t, order: int):
     return (j**order * np.cos(phase)) @ a + (j**order * np.sin(phase)) @ b
 
 
+def trig_increment(cos_coeffs, sin_coeffs, t0: float, x):
+    """p(t0 + x) - p(t0) of sum_j A_j cos(jt) + B_j sin(jt), one row per x, summed
+    term by term as Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, c_j = A_j - i B_j."""
+    a = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+    b = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
+    j = np.arange(a.shape[0])
+    c = (a - 1j * b) * np.exp(1j * j * t0)[:, None]
+    half = np.outer(np.atleast_1d(x), j) / 2.0
+    return (2j * np.sin(half) * np.exp(1j * half) @ c).real
+
+
 def lag_scan_lower_bound(cos_coeffs, sin_coeffs, mu: float, n: int = 512) -> dict:
     """Brute-force lower bounds for the constants of a trigonometric curve.
 

@@ -129,6 +129,18 @@ def test_verify_identity_exit_zero(capsys, tmp_path):
     assert payload["constants"] == json.loads(out)["constants"]
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["identity", "affine", "conformal_poly --order 2", "conformal_poly --order 3", "harmonic_graph --order 2", "harmonic_graph --order 3"],
+)
+def test_verify_below_lipschitz_exponent_reports(scenario, capsys, tmp_path):
+    out_path = tmp_path / "v.json"
+    code, _, _ = run_cli(["verify", "--scenario", *scenario.split(), "--mu", "0.5", "--out", str(out_path)], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out_path.read_text())
+    assert payload["all_passed"] is True
+
+
 def test_determinism_byte_identical(capsys):
     args = ["bound", "--K", "1.3", "--mu", "0.5", "--upsilon", "1", "--lambda", "2.0", "--c-gamma", "0.7", "--length", "5.5"]
     _, out1, _ = run_cli(args, capsys)

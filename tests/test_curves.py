@@ -79,6 +79,35 @@ def test_evaluation_matches_term_by_term(degree, dim):
         assert np.all(np.abs(poly.resample(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 15, 16, 40])
+def test_increments_match_term_by_term(degree):
+    """x -> p(t0 + x) - p(t0) keeps its relative accuracy as x -> 0: the error
+    allowed shrinks with |x|, which a difference of two values cannot meet."""
+    rng = np.random.default_rng(200 + degree)
+    a = rng.standard_normal((degree + 1, 2))
+    b = rng.standard_normal((degree + 1, 2))
+    poly = TrigPolynomial(a, b)
+    x = np.array([1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 0.5, math.pi])
+    # term j is at most j |c_j| |x|; its phases j*t0 and j*x/2 round by eps j |t0| and eps j |x|
+    weight = np.sum(np.arange(degree + 1)[:, None] * (np.abs(a) + np.abs(b)))
+    for t0 in rng.uniform(-TWO_PI, TWO_PI, 3):
+        chord = poly.increments(t0)
+        got = chord(x)
+        tol = np.abs(x) * weight * (1e-13 + np.finfo(float).eps * degree * (abs(t0) + np.abs(x)))
+        assert got.shape == (x.size, 2)
+        assert np.all(np.abs(got - oracles.trig_increment(a, b, t0, x)) <= tol[:, None])
+        assert chord(0.5).shape == (2,) and np.all(np.abs(chord(0.5) - got[6]) <= tol[6])
+        assert np.all(chord(np.zeros(3)) == 0.0)
+
+
+def test_circle_increment_is_exact_chord():
+    for r in (1e-3, 1.0, 7.5):
+        poly = TrigPolynomial([[0.0, 0.0], [r, 0.0]], [[0.0, 0.0], [0.0, r]])
+        for t0 in (0.0, 1.3, -4.0):
+            chord = np.linalg.norm(poly.increments(t0)(1e-10))
+            assert abs(chord - 2.0 * r * math.sin(0.5e-10)) <= 1e-15 * chord
+
+
 # ---------------------------------------------------------------------------
 # construction
 

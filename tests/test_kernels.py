@@ -222,6 +222,15 @@ def test_boundary_jacobian_affine_equality(affine_scenario):
         assert AFFINE_BOUNDARY_JACOBIAN <= val + 1e-9
 
 
+@pytest.mark.parametrize("mu", [1.0, 0.5, 0.25])
+def test_boundary_jacobian_graded_exact_below_one(identity_scenario, affine_scenario, mu):
+    # the chord from the boundary series does not cancel near tau, so the
+    # graded ladder settles at every exponent and to the exact value
+    for scenario, exact in ((identity_scenario, 1.0), (affine_scenario, AFFINE_BOUNDARY_JACOBIAN)):
+        for tau in (0.0, 0.3, 2.0):
+            assert abs(boundary_jacobian_bound(scenario.boundary, tau, mu=mu) - exact) < 1e-14
+
+
 def test_boundary_jacobian_flat_angle_map(circle_curve):
     # the angle map t + sin(t) has zero derivative at tau = pi, so the
     # boundary data is locally constant there and the bound collapses
@@ -240,17 +249,18 @@ def test_boundary_jacobian_majorant_is_conservative(identity_scenario):
         assert majorant >= graded - 1e-9
 
 
-def test_boundary_jacobian_unsettled_ladder_raises(affine_scenario, monkeypatch):
-    # with a zero settle tolerance no pair of successive orders agrees
+def test_boundary_jacobian_unsettled_ladder_raises(poly_scenario, monkeypatch):
+    # with a zero settle tolerance no pair of successive orders agrees (the
+    # affine integrand is constant, so its orders agree to the bit)
     monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
     with pytest.raises(RefinementError):
-        boundary_jacobian_bound(affine_scenario.boundary, 0.3)
+        boundary_jacobian_bound(poly_scenario.boundary, 0.3)
 
 
-def test_boundary_jacobian_unsettled_message_names_inputs(affine_scenario, monkeypatch):
+def test_boundary_jacobian_unsettled_message_names_inputs(poly_scenario, monkeypatch):
     monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
     with pytest.raises(RefinementError) as err:
-        boundary_jacobian_bound(affine_scenario.boundary, 0.3, mu=0.5)
+        boundary_jacobian_bound(poly_scenario.boundary, 0.3, mu=0.5)
     message = str(err.value)
     assert "tau=0.3" in message and "mu=0.5" in message
     assert "orders 64 and 128" in message

@@ -158,6 +158,24 @@ def test_affine_equality_margins(catalog_reports):
     assert abs(by_name["boundary_jacobian"].margin) < 1e-9
 
 
+def test_worst_record_ignores_roundoff_ties(poly_scenario):
+    # a conformal map has lhs = rhs at every tau; noise far inside the gate
+    # must not move the reported sample
+    bm = poly_scenario.boundary
+    taus = TWO_PI * np.arange(32) / 32
+    rhs = np.array([scenarios.boundary_jacobian_bound(bm, tau) for tau in taus])
+    lhs = scenarios._boundary_jacobians(poly_scenario, bm, taus)
+    rec = scenarios._worst_record("boundary_jacobian", lhs, rhs)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        noisy = scenarios._worst_record("boundary_jacobian", lhs, rhs + rng.uniform(-1e-13, 1e-13, rhs.size))
+        assert noisy.lhs == rec.lhs == lhs[0]
+        assert noisy.passed
+    # passing still tests every sample
+    rhs[17] -= 2e-9
+    assert not scenarios._worst_record("boundary_jacobian", lhs, rhs).passed
+
+
 def test_dilatation_estimates_match_exact(catalog_reports, catalog_scenarios):
     for sc in catalog_scenarios:
         rep = catalog_reports[sc.name]
