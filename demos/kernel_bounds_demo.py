@@ -15,7 +15,8 @@ from qcharm import (
     boundary_jacobian_bound,
     chord_tangent_kernel,
     dini_modulus_table,
-    evaluate_kernel,
+    kernel_bound_dini,
+    kernel_bound_holder,
     kernel_composition_residual,
     make_scenario,
 )
@@ -37,9 +38,13 @@ def main():
 
     table = dini_modulus_table(ellipse_curve, np.linspace(0.02, math.pi, 60))
     print("\nkernel vs its two majorants on the ellipse:")
-    for s, t in ((0.0, math.pi / 3), (1.0, 2.5), (4.0, 5.9)):
-        ev = evaluate_kernel(ellipse_curve, s, t, omega=table, mu=1.0)
-        print(f"  K = {ev.value:.6f};  modulus bound {ev.dini_bound:.6f};  holder bound {ev.holder_bound:.6f}")
+    s = np.array([0.0, 1.0, 4.0])
+    t = np.array([math.pi / 3, 2.5, 5.9])
+    values = chord_tangent_kernel(ellipse_curve, s, t)
+    dini = kernel_bound_dini(ellipse_curve, table, s, t)
+    holder, _ = kernel_bound_holder(ellipse_curve, 1.0, s, t)
+    for k, d, h in zip(values, dini, holder):
+        print(f"  K = {k:.6f};  modulus bound {d:.6f};  holder bound {h:.6f}")
 
     t = TWO_PI * np.arange(256) / 256
     amap = AngleMap.from_samples(t + 0.1 * np.sin(t))

@@ -44,7 +44,6 @@ from .curves import (
 )
 from .errors import (
     ConsistencyError,
-    DegenerateFrameError,
     DegenerateSurfaceError,
     DomainError,
     InjectivityError,
@@ -53,10 +52,8 @@ from .errors import (
     RegularityError,
 )
 from .kernels import (
-    KernelEvaluation,
     boundary_jacobian_bound,
     chord_tangent_kernel,
-    evaluate_kernel,
     kernel_bound_dini,
     kernel_bound_holder,
     kernel_composition_residual,
@@ -65,16 +62,8 @@ from .poisson import (
     AngleMap,
     BoundaryMap,
     CheckRecord,
-    FrameNorms,
-    GradientFrame,
-    InequalityReport,
     QuadratureSpec,
-    angular_derivative_check,
-    dilatation,
-    frame_norms,
-    gradient,
     gradient_frames,
-    jacobian,
     poisson_extend,
 )
 from .scenarios import (

@@ -53,7 +53,10 @@ def _curve_from_args(args) -> tuple:
     elif args.curve == "csv":
         if not args.samples:
             raise QcharmError("--curve csv requires --samples PATH")
-        data = np.loadtxt(args.samples, delimiter=",")
+        try:
+            data = np.loadtxt(args.samples, delimiter=",")
+        except (OSError, ValueError) as exc:
+            raise QcharmError(f"unreadable samples {args.samples!r}: {exc}")
         if data.ndim != 2 or data.shape[1] < 3:
             raise QcharmError("sample CSV needs columns t, x_1, ..., x_n")
         gen = (data[:, 0], data[:, 1:])
@@ -145,9 +148,12 @@ def _scenario_from_args(args):
     elif args.scenario == "fourier":
         if not args.coeffs:
             raise QcharmError("fourier scenario requires --coeffs FILE.json")
-        spec = json.loads(Path(args.coeffs).read_text())
-        kwargs["cos_coeffs"] = spec["cos_coeffs"]
-        kwargs["sin_coeffs"] = spec["sin_coeffs"]
+        try:
+            spec = json.loads(Path(args.coeffs).read_text())
+            kwargs["cos_coeffs"] = spec["cos_coeffs"]
+            kwargs["sin_coeffs"] = spec["sin_coeffs"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise QcharmError(f"unreadable coefficients {args.coeffs!r}: {type(exc).__name__}: {exc}")
     return make_scenario(args.scenario, node_count=args.nodes, **kwargs)
 
 
@@ -242,14 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """--config FILE supplies defaults under the same names; flags win."""
-    if "--config" not in argv:
+    """--config FILE (or --config=FILE) supplies defaults under the same
+    names; flags win, whether given as --flag value or --flag=value."""
+    given = {arg.partition("=")[0] for arg in argv if arg.startswith("--")}
+    if "--config" not in given:
         return argv
-    idx = argv.index("--config")
-    try:
+    if "--config" in argv:
+        idx = argv.index("--config")
+        if idx + 1 == len(argv):
+            raise QcharmError("--config needs a path")
         path = argv[idx + 1]
-    except IndexError:
-        raise QcharmError("--config needs a path")
+    else:
+        path = next(arg for arg in argv if arg.startswith("--config=")).partition("=")[2]
     try:
         overrides = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -259,7 +269,7 @@ def _apply_config_file(parser, argv):
     out = list(argv)
     for key, value in overrides.items():
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if flag in given:
             continue  # explicit flags win
         if isinstance(value, bool):
             raise QcharmError(f"boolean config key {key!r} is not a CLI flag")

@@ -780,35 +780,64 @@ def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
 # Dini-type double integral identity
 
 
-def dini_double_integral(omega, y: float) -> float:
-    """integral_{0+}^{y} x^{-2} integral_0^x omega(t) dt dx."""
+def _require_modulus(omega):
+    """``DomainError`` unless omega is one of the moduli with exact integrals."""
+    if not isinstance(omega, (TabulatedModulus, PowerModulus)):
+        raise DomainError("modulus of continuity must be a TabulatedModulus or a PowerModulus")
+
+
+def _dini_power(omega, y: float):
+    """c y^mu / (mu (1 + mu)), both Dini integrals of a ``PowerModulus`` c x^mu,
+    or None for a table; ``DomainError`` for a nonpositive y or another modulus."""
+    _require_modulus(omega)
     if y <= 0:
         raise DomainError("upper limit must be positive")
-    from scipy.integrate import quad
+    if isinstance(omega, PowerModulus):
+        return omega.coefficient * y**omega.mu / (omega.mu * (1.0 + omega.mu))
+    return None
 
-    def inner(x):
-        val, _ = quad(lambda t: float(omega(t)), 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
 
-    val, _ = quad(lambda x: inner(x) / x**2, 0.0, y, epsabs=1e-11, epsrel=1e-11, limit=200)
-    return float(val)
+def _table_segments(omega: TabulatedModulus, y: float):
+    """Pieces [lo, hi] of [0, y] on which the table is a + b x, with a and b
+    there: one per knot segment, then the constant extension past the last
+    knot.  The first piece starts at (0, 0), so its a is 0."""
+    d, v = omega.deltas, omega.values
+    b = np.append(np.diff(v) / np.diff(d), 0.0)
+    a = np.append(v[:-1] - b[:-1] * d[:-1], v[-1])
+    lo = d[d < y]
+    n = lo.size
+    hi = np.minimum(np.append(d[1:], np.inf)[:n], y)
+    return lo, hi, a[:n], b[:n]
+
+
+def dini_double_integral(omega, y: float) -> float:
+    """integral_{0+}^{y} x^{-2} integral_0^x omega(t) dt dx, in closed form for a
+    ``PowerModulus`` or ``TabulatedModulus``.
+
+    On each table piece the inner integral is A + B x + C x^2, so the outer
+    integrand has the antiderivative -A/x + B ln x + C x; on the first piece
+    A = B = 0."""
+    power = _dini_power(omega, y)
+    if power is not None:
+        return float(power)
+    lo, hi, a, b = _table_segments(omega, y)
+    big_a = omega.integral_to(lo) - a * lo - 0.5 * b * lo**2
+    terms = 0.5 * b * (hi - lo)
+    terms[1:] += big_a[1:] * (hi[1:] - lo[1:]) / (lo[1:] * hi[1:]) + a[1:] * np.log(hi[1:] / lo[1:])
+    return float(np.sum(terms))
 
 
 def dini_single_integral(omega, y: float) -> float:
-    """integral_{0+}^{y} (omega(x)/x - omega(x)/y) dx."""
-    if y <= 0:
-        raise DomainError("upper limit must be positive")
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda x: float(omega(x)) * (1.0 / x - 1.0 / y),
-        0.0,
-        y,
-        epsabs=1e-11,
-        epsrel=1e-11,
-        limit=200,
-    )
-    return float(val)
+    """integral_{0+}^{y} (omega(x)/x - omega(x)/y) dx, in closed form for a
+    ``PowerModulus`` or ``TabulatedModulus``: per table piece a + b x,
+    a ln(hi/lo) + b (hi - lo), less integral_0^y omega / y."""
+    power = _dini_power(omega, y)
+    if power is not None:
+        return float(power)
+    lo, hi, a, b = _table_segments(omega, y)
+    terms = b * (hi - lo)
+    terms[1:] += a[1:] * np.log(hi[1:] / lo[1:])
+    return float(np.sum(terms) - omega.integral_to(y) / y)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ class RefinementError(QcharmError):
     """A quadrature or scan failed to converge at the allowed resolution."""
 
 
-class DegenerateFrameError(QcharmError):
-    """Gradient frame has rank <= 1 (branch point); dilatation undefined."""
-
-
 class DegenerateSurfaceError(QcharmError):
     """Image surface has no area/length to compare (e.g. constant boundary data)."""
 

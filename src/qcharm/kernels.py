@@ -10,11 +10,10 @@ by explicit modulus integrals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, holder_derivative_constant
+from .curves import TWO_PI, JordanCurve, _require_modulus, holder_derivative_constant
 from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
@@ -24,17 +23,6 @@ _MAJORANT_TOL = 1e-9
 # the boundary-Jacobian rule has settled when doubling its order moves it
 # by at most this much relative
 _SETTLE = 1e-11
-
-
-@dataclass(frozen=True)
-class KernelEvaluation:
-    """Kernel value at an angle pair, with its majorants when requested."""
-
-    s: float
-    t: float
-    value: float
-    dini_bound: float | None = None
-    holder_bound: float | None = None
 
 
 def _cross_norm(x, y):
@@ -75,21 +63,6 @@ def _chordal(s, t):
     return 2.0 * np.abs(np.sin((np.asarray(s) - np.asarray(t)) / 2.0))
 
 
-def _modulus_integral(omega, upper):
-    """Integral of a modulus over [0, u] for each u in ``upper``: exact for
-    table/power objects, which validate themselves when built; adaptive
-    quadrature for plain callables, which are probed once for monotonicity
-    and called with scalars."""
-    if hasattr(omega, "integral_to"):
-        return omega.integral_to(upper)
-    probe = np.linspace(1e-6, TWO_PI, 64)
-    if np.any(np.diff([float(omega(x)) for x in probe]) < -1e-10):
-        raise DomainError("modulus of continuity must be nondecreasing")
-    from scipy.integrate import quad
-
-    return np.array([quad(lambda x: float(omega(x)), 0.0, u, epsabs=1e-12, epsrel=1e-11, limit=200)[0] for u in upper])
-
-
 def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str):
     """majorant(|h(s) - h(t)|, |e^{is} - e^{it}|) at broadcast angle pairs,
     0 on the diagonal; the kernel is recomputed at every pair and a pair
@@ -113,13 +86,15 @@ def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str):
 def kernel_bound_dini(curve: JordanCurve, omega, s, t):
     """Modulus-integral majorant of the kernel at angle pairs.
 
-    bound = (|h(s) - h(t)| / |e^{is} - e^{it}|) * integral_0^{pi |e^{is}-e^{it}|} omega.
-    s and t broadcast; the kernel value is recomputed and checked against
-    the bound at every pair.
+    bound = (|h(s) - h(t)| / |e^{is} - e^{it}|) * integral_0^{pi |e^{is}-e^{it}|} omega
+    for a ``TabulatedModulus`` or ``PowerModulus`` omega (``DomainError`` for
+    anything else).  s and t broadcast; the kernel value is recomputed and
+    checked against the bound at every pair.
     """
+    _require_modulus(omega)
 
     def majorant(chord, circ):
-        return (chord / circ) * _modulus_integral(omega, np.pi * circ)
+        return (chord / circ) * omega.integral_to(np.pi * circ)
 
     return _checked_majorant(curve, s, t, majorant, "modulus")
 
@@ -135,16 +110,6 @@ def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None =
     if c_h is None:
         c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
     return _checked_majorant(curve, s, t, lambda chord, circ: c_h * chord * circ**mu, "holder"), c_h
-
-
-def evaluate_kernel(
-    curve: JordanCurve, s: float, t: float, omega=None, mu: float | None = None
-) -> KernelEvaluation:
-    """Kernel value plus the modulus and Hölder majorants when asked for."""
-    value = float(chord_tangent_kernel(curve, s, t))
-    dini = kernel_bound_dini(curve, omega, s, t) if omega is not None else None
-    holder = kernel_bound_holder(curve, mu, s, t)[0] if mu is not None else None
-    return KernelEvaluation(s=float(s), t=float(t), value=value, dini_bound=dini, holder_bound=holder)
 
 
 def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:

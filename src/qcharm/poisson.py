@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import TWO_PI, JordanCurve, TrigPolynomial, _roundoff_floor
-from .errors import DegenerateFrameError, DomainError, RefinementError
+from .errors import DomainError, RefinementError
 
 # largest FFT fit of composed boundary data (degree cap is half of it)
 _MAX_FIT = 1 << 16
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
 _DISK_SLACK = 1e-12
-# an angular check passes down to this negative margin
-_ANGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,26 +168,6 @@ class BoundaryMap:
             m *= 2
 
 
-@dataclass(frozen=True)
-class GradientFrame:
-    """Pair of partial-derivative vectors of a disk map at one point."""
-
-    z: complex
-    ux: np.ndarray
-    uy: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.ux)) and np.all(np.isfinite(self.uy))):
-            raise DomainError("gradient frame entries must be finite")
-
-
-@dataclass(frozen=True)
-class FrameNorms:
-    hs_norm: float
-    op_norm: float
-    min_norm: float
-
-
 @dataclass
 class CheckRecord:
     """One verified inequality: margin = rhs - lhs, passing when >= -tol."""
@@ -199,14 +177,6 @@ class CheckRecord:
     rhs: float
     margin: float
     passed: bool
-
-
-@dataclass
-class InequalityReport:
-    name: str
-    records: list
-    worst_margin: float
-    all_passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +220,8 @@ def gradient_frames(boundary: BoundaryMap, z):
     return df.real, -df.imag
 
 
-def gradient(boundary: BoundaryMap, z: complex) -> GradientFrame:
-    """Gradient frame at a single point of the closed disk."""
-    ux, uy = gradient_frames(boundary, [z])
-    return GradientFrame(z=complex(z), ux=ux[0], uy=uy[0])
-
-
 # ---------------------------------------------------------------------------
 # frame algebra
-
-
-def jacobian(frame: GradientFrame) -> float:
-    """sqrt(|ux|^2 |uy|^2 - <ux, uy>^2); the area magnification factor."""
-    return float(_dilatations(frame.ux[None, :], frame.uy[None, :])[2][0])
-
-
-def frame_norms(frame: GradientFrame) -> FrameNorms:
-    """Hilbert-Schmidt, operator and minimal stretch of the frame."""
-    op, mn, _, hs2 = _dilatations(frame.ux[None, :], frame.uy[None, :])
-    return FrameNorms(hs_norm=float(np.sqrt(hs2[0])), op_norm=float(op[0]), min_norm=float(mn[0]))
-
-
-def dilatation(frame: GradientFrame) -> float:
-    """Pointwise stretch ratio op/min >= 1; 1 exactly for conformal frames."""
-    norms = frame_norms(frame)
-    if norms.min_norm == 0.0:
-        raise DegenerateFrameError("frame has rank <= 1 (branch point); dilatation undefined")
-    return norms.op_norm / norms.min_norm
 
 
 def _dilatations(ux, uy):
@@ -308,34 +253,3 @@ def _angular_sides(zz, ux, uy, jac, K: float):
     ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
     return np.einsum("ij,ij->i", ut, ut), r**2 * K * jac
 
-
-def angular_derivative_check(boundary: BoundaryMap, grid, K: float) -> InequalityReport:
-    """Verify |du/dt|^2 <= r^2 K J at each grid point, passing down to a
-    margin of -1e-12.
-
-    Violations are recorded in the report, never raised.
-    """
-    if K < 1.0:
-        raise DomainError("dilatation bound K must be at least 1")
-    zz = np.atleast_1d(np.asarray(grid, dtype=complex))
-    ux, uy = gradient_frames(boundary, zz)
-    lhs, rhs = _angular_sides(zz, ux, uy, _dilatations(ux, uy)[2], K)
-    records = []
-    for k, z in enumerate(zz):
-        margin = float(rhs[k] - lhs[k])
-        records.append(
-            CheckRecord(
-                name=f"angular_derivative[{k}]",
-                lhs=float(lhs[k]),
-                rhs=float(rhs[k]),
-                margin=margin,
-                passed=margin >= -_ANGULAR_TOL,
-            )
-        )
-    worst = min(rec.margin for rec in records)
-    return InequalityReport(
-        name="angular_derivative",
-        records=records,
-        worst_margin=worst,
-        all_passed=all(rec.passed for rec in records),
-    )

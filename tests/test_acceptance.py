@@ -12,7 +12,6 @@ from qcharm import (
     BoundInputs,
     PowerModulus,
     QuadratureSpec,
-    angular_derivative_check,
     boundary_jacobian_bound,
     build_curve,
     chord_tangent_kernel,
@@ -31,7 +30,8 @@ from qcharm import (
     poisson_extend,
 )
 from qcharm.curves import arc_length_reparametrize, curve_length
-from qcharm.poisson import BoundaryMap, _dilatations
+from qcharm.poisson import BoundaryMap, _angular_sides, _dilatations
+from qcharm.scenarios import _worst_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,9 +51,11 @@ def test_c1_identity_equality_suite(identity_scenario):
     worst_bj = max(abs(boundary_jacobian_bound(bm, tau, spec) - 1.0) for tau in taus)
     assert worst_bj < 1e-6
 
-    rep = angular_derivative_check(bm, _grid(32, 32), K=1.0)
-    assert rep.all_passed
-    worst_margin = max(abs(rec.margin) for rec in rep.records)
+    grid = _grid(32, 32)
+    ux, uy = gradient_frames(bm, grid)
+    lhs, rhs = _angular_sides(grid, ux, uy, _dilatations(ux, uy)[2], 1.0)
+    assert _worst_record("angular_derivative", lhs, rhs).passed
+    worst_margin = float(np.max(np.abs(rhs - lhs)))
     assert worst_margin < 1e-12
 
     iso = isoperimetric_check(bm, upsilon=math.pi)
@@ -238,7 +240,7 @@ def test_c7_numerical_analysis_checks(ellipse_curve):
 def test_c8_dini_identity():
     worst = 0.0
     for mu in (0.5, 1.0):
-        omega = lambda t: t**mu
+        omega = PowerModulus(1.0, mu)
         for y in (0.5, 1.0, 2.0):
             lhs = dini_double_integral(omega, y)
             rhs = dini_single_integral(omega, y)

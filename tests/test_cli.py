@@ -20,16 +20,88 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def test_import_loads_no_scipy():
-    """scipy loads only for the Dini integrals: neither importing the CLI nor verifying a
-    scenario loads it."""
+# Runs in a fresh interpreter in which importing scipy fails: calls every
+# public function of qcharm once, then prints the scipy modules loaded.
+_NUMPY_ONLY_SCRIPT = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(name + " is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import inspect
+import math
+
+import numpy as np
+
+import qcharm as q
+from qcharm.cli import main
+
+ell = q.build_curve(q.ellipse(1.2, 0.8), 128)
+affine = q.make_scenario("affine", c=0.2)
+bm = affine.boundary
+table = q.TabulatedModulus([0.5, 1.0, 2.0], [0.25, 0.9, 1.1])
+inputs = q.BoundInputs(K=1.5, mu=0.5, upsilon=1.0, lam=1.5, c_gamma=1.0, length=6.3)
+calls = {
+    "arc_length_reparametrize": lambda: q.arc_length_reparametrize(ell),
+    "boundary_jacobian_bound": lambda: q.boundary_jacobian_bound(bm, 0.3, mu=0.5),
+    "build_curve": lambda: q.build_curve(q.circle(), 64),
+    "chord_arc_constant": lambda: q.chord_arc_constant(ell),
+    "chord_tangent_kernel": lambda: q.chord_tangent_kernel(ell, 0.1, 2.0),
+    "circle": lambda: q.circle(2.0),
+    "compute_curve_constants": lambda: q.compute_curve_constants(ell, mu=0.5),
+    "curve_length": lambda: q.curve_length(ell),
+    "dini_double_integral": lambda: q.dini_double_integral(table, 1.7),
+    "dini_modulus_table": lambda: q.dini_modulus_table(ell, [0.5, 1.0, 2.0]),
+    "dini_single_integral": lambda: q.dini_single_integral(q.PowerModulus(1.0, 0.5), 1.7),
+    "ellipse": lambda: q.ellipse(2.0, 1.0),
+    "fourier_curve": lambda: q.fourier_curve([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+    "gradient_frames": lambda: q.gradient_frames(bm, [0.3j, 0.5]),
+    "holder_derivative_constant": lambda: q.holder_derivative_constant(ell, 0.5),
+    "isoperimetric_check": lambda: q.isoperimetric_check(bm, upsilon=math.pi),
+    "isoperimetric_coefficient": lambda: q.isoperimetric_coefficient("qc_harmonic", K=1.5),
+    "kernel_bound_dini": lambda: q.kernel_bound_dini(ell, q.dini_modulus_table(ell, np.linspace(0.05, math.pi, 20)), 0.1, 2.0),
+    "kernel_bound_holder": lambda: q.kernel_bound_holder(ell, 0.5, 0.1, 2.0),
+    "kernel_composition_residual": lambda: q.kernel_composition_residual(ell, q.AngleMap.identity(), 0.1, 2.0),
+    "lipschitz_bound": lambda: q.lipschitz_bound(inputs),
+    "make_scenario": lambda: q.make_scenario("harmonic_graph", eps=0.1, m=2),
+    "max_curvature": lambda: q.max_curvature(q.arc_length_reparametrize(ell)),
+    "minimal_surface_bound": lambda: q.minimal_surface_bound(1.5, 0.5, 1.0, 6.3),
+    "mori_constant": lambda: q.mori_constant(1.5, 1.5, 1.0, 3.0),
+    "mori_exponent": lambda: q.mori_exponent(1.5, 1.5, 1.0),
+    "normalization_witness": lambda: q.normalization_witness(bm),
+    "poisson_extend": lambda: q.poisson_extend(bm, [0.3j, 0.5]),
+    "scenario_catalog": q.scenario_catalog,
+    "surface_area": lambda: q.surface_area(bm),
+    "verify": lambda: q.verify(affine, mu=0.5),
+}
+public = {name for name in q.__all__ if inspect.isfunction(getattr(q, name))}
+assert set(calls) == public, sorted(public ^ set(calls))
+for call in calls.values():
+    call()
+assert main(["constants", "--curve", "ellipse", "--nodes", "128", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    """Every public function, and the CLI, runs with scipy unimportable and loads no scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(qcharm.__file__).resolve().parents[1]))
-    code = (
-        "import sys, qcharm.cli; from qcharm import make_scenario, verify; verify(make_scenario('identity'));"
-        " print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_SCRIPT, str(tmp_path / "constants.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_scenarios_listing(capsys):
@@ -178,6 +250,51 @@ def test_unreadable_config_exits_two(capsys, tmp_path):
     code, _, err = run_cli(["bound", "--config", str(bad)], capsys)
     assert code == EXIT_CONFIG
     assert "unreadable config" in err
+
+
+def test_config_equals_form_is_read(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mu": 0.5}))
+    _, out, _ = run_cli(["constants", "--curve", "ellipse", f"--config={cfg}"], capsys)
+    assert json.loads(out)["constants"]["holder_exponent"] == 0.5
+
+
+def test_explicit_equals_flag_wins_over_config(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mu": 1.0}))
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        _, out, _ = run_cli(["constants", "--curve", "ellipse", "--mu=0.5", *config], capsys)
+        assert json.loads(out)["constants"]["holder_exponent"] == 0.5
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, "not,a,number\n"], ids=["missing", "not-numeric"])
+def test_unreadable_samples_exit_two(content, capsys, tmp_path):
+    path = tmp_path / "samples.csv"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(["constants", "--curve", "csv", "--samples", str(path)], capsys)
+    _assert_one_line_error(code, out, err)
+    assert "unreadable samples" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({"sin_coeffs": [[0.0, 0.0], [0.0, 1.0]]})],
+    ids=["missing", "malformed", "no-cos-coeffs"],
+)
+def test_unreadable_coeffs_exit_two(content, capsys, tmp_path):
+    path = tmp_path / "coeffs.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(["verify", "--scenario", "fourier", "--coeffs", str(path)], capsys)
+    _assert_one_line_error(code, out, err)
+    assert "unreadable coefficients" in err
 
 
 def test_bad_bound_inputs_exit_two(capsys):

@@ -12,11 +12,11 @@ from qcharm import (
     PowerModulus,
     QuadratureSpec,
     RefinementError,
+    TabulatedModulus,
     boundary_jacobian_bound,
     chord_tangent_kernel,
     circle,
     dini_modulus_table,
-    evaluate_kernel,
     holder_derivative_constant,
     kernel_bound_dini,
     kernel_bound_holder,
@@ -51,14 +51,13 @@ def test_kernel_vanishes_on_diagonal(ellipse_curve):
         assert chord_tangent_kernel(ellipse_curve, s, s) == 0.0
 
 
-def test_evaluate_kernel_record(circle_curve):
+def test_kernel_and_majorants_at_one_pair(circle_curve):
     table = dini_modulus_table(circle_curve, np.linspace(0.05, math.pi, 30))
-    ev = evaluate_kernel(circle_curve, 0.0, math.pi / 2, omega=table, mu=1.0)
-    assert abs(ev.value - 1.0) < 1e-12
-    assert ev.value <= ev.dini_bound + 1e-9
-    assert ev.value <= ev.holder_bound + 1e-9
-    bare = evaluate_kernel(circle_curve, 1.0, 1.0)
-    assert bare.value == 0.0 and bare.dini_bound is None and bare.holder_bound is None
+    value = chord_tangent_kernel(circle_curve, 0.0, math.pi / 2)
+    assert abs(value - 1.0) < 1e-12
+    assert value <= kernel_bound_dini(circle_curve, table, 0.0, math.pi / 2) + 1e-9
+    assert value <= kernel_bound_holder(circle_curve, 1.0, 0.0, math.pi / 2)[0] + 1e-9
+    assert chord_tangent_kernel(circle_curve, 1.0, 1.0) == 0.0
 
 
 def test_kernel_periodicity(ellipse_curve):
@@ -99,15 +98,14 @@ def test_dini_bound_scaling(ellipse_curve):
 
 def test_dini_bound_rejects_nonmonotone(circle_curve):
     with pytest.raises(DomainError):
-        kernel_bound_dini(circle_curve, lambda x: -x, 0.0, 1.0)
+        kernel_bound_dini(circle_curve, TabulatedModulus([0.5, 1.0], [1.0, 0.5]), 0.0, 1.0)
 
 
-def test_dini_bound_accepts_plain_callable(circle_curve):
-    # the exact circle modulus as a bare function, integrated adaptively
+def test_dini_bound_rejects_plain_callable(circle_curve):
+    # the exact circle modulus as a bare function has no exact integral
     omega = lambda d: 2.0 * math.sin(min(d, math.pi) / 2.0)
-    s, t = 0.0, math.pi / 2
-    bound = kernel_bound_dini(circle_curve, omega, s, t)
-    assert bound >= chord_tangent_kernel(circle_curve, s, t)
+    with pytest.raises(DomainError, match="TabulatedModulus or a PowerModulus"):
+        kernel_bound_dini(circle_curve, omega, 0.0, math.pi / 2)
 
 
 def test_kernel_chain_on_dense_grids(circle_curve, ellipse_curve):
@@ -127,12 +125,11 @@ def test_kernel_chain_on_dense_grids(circle_curve, ellipse_curve):
 def test_majorants_on_pair_arrays_match_scalar_calls(ellipse_curve):
     table = dini_modulus_table(ellipse_curve, np.linspace(0.02, math.pi, 80))
     power = PowerModulus(holder_derivative_constant(ellipse_curve, 1.0).value, 1.0)
-    plain = lambda d: 1.2 * min(d, math.pi)  # |h''| <= 1.2 bounds the ellipse modulus
     rng = np.random.default_rng(5)
     s = rng.uniform(0, TWO_PI, 12)
     t = rng.uniform(0, TWO_PI, 12)
     t[4] = s[4]  # a diagonal pair inside the array
-    for omega in (table, power, plain):
+    for omega in (table, power):
         arr = kernel_bound_dini(ellipse_curve, omega, s, t)
         assert isinstance(arr, np.ndarray) and arr.shape == s.shape and arr[4] == 0.0
         for i in range(s.size):

@@ -10,24 +10,19 @@ from oracles import poisson_kernel
 from qcharm import (
     AngleMap,
     BoundaryMap,
-    DegenerateFrameError,
     DomainError,
-    GradientFrame,
     QuadratureSpec,
     RefinementError,
     TrigPolynomial,
-    angular_derivative_check,
     build_curve,
-    dilatation,
     fourier_curve,
-    frame_norms,
-    gradient,
     gradient_frames,
-    jacobian,
     poisson_extend,
     surface_area,
 )
 from qcharm import poisson
+from qcharm.poisson import _angular_sides, _dilatations
+from qcharm.scenarios import _worst_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,27 +212,27 @@ def test_harmonicity_five_point(wavy_map):
 
 
 def test_gradient_identity(identity_map):
-    g = gradient(identity_map, 0.35 - 0.2j)
-    assert np.max(np.abs(g.ux - [1.0, 0.0])) < 1e-12
-    assert np.max(np.abs(g.uy - [0.0, 1.0])) < 1e-12
+    ux, uy = gradient_frames(identity_map, [0.35 - 0.2j])
+    assert np.max(np.abs(ux[0] - [1.0, 0.0])) < 1e-12
+    assert np.max(np.abs(uy[0] - [0.0, 1.0])) < 1e-12
 
 
 def test_gradient_affine(affine_map):
-    g = gradient(affine_map, -0.3 + 0.55j)
-    assert np.max(np.abs(g.ux - [1.2, 0.0])) < 1e-9
-    assert np.max(np.abs(g.uy - [0.0, 0.8])) < 1e-9
+    ux, uy = gradient_frames(affine_map, [-0.3 + 0.55j])
+    assert np.max(np.abs(ux[0] - [1.2, 0.0])) < 1e-9
+    assert np.max(np.abs(uy[0] - [0.0, 0.8])) < 1e-9
 
 
 def test_gradient_matches_finite_differences(affine_map, wavy_map):
     z0 = 0.2 + 0.1j
     h = 1e-5
     for bm in (affine_map, wavy_map):
-        g = gradient(bm, z0)
+        ux, uy = (g[0] for g in gradient_frames(bm, [z0]))
         fx = (poisson_extend(bm, z0 + h) - poisson_extend(bm, z0 - h)) / (2 * h)
         fy = (poisson_extend(bm, z0 + 1j * h) - poisson_extend(bm, z0 - 1j * h)) / (2 * h)
-        scale = max(np.linalg.norm(g.ux), np.linalg.norm(g.uy))
-        assert np.max(np.abs(g.ux - fx)) / scale < 1e-6
-        assert np.max(np.abs(g.uy - fy)) / scale < 1e-6
+        scale = max(np.linalg.norm(ux), np.linalg.norm(uy))
+        assert np.max(np.abs(ux - fx)) / scale < 1e-6
+        assert np.max(np.abs(uy - fy)) / scale < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -245,46 +240,48 @@ def test_gradient_matches_finite_differences(affine_map, wavy_map):
 
 
 def _frame(ux, uy):
-    return GradientFrame(z=0.0, ux=np.asarray(ux, dtype=float), uy=np.asarray(uy, dtype=float))
+    """Operator norm, minimal stretch, Jacobian and hs^2 = (|ux|^2 + |uy|^2) / 2
+    of one frame."""
+    op, mn, jac, hs2 = _dilatations(np.asarray([ux], dtype=float), np.asarray([uy], dtype=float))
+    return float(op[0]), float(mn[0]), float(jac[0]), float(hs2[0])
 
 
 def test_jacobian_cases():
-    assert jacobian(_frame([1, 0], [0, 1])) == 1.0
-    assert abs(jacobian(_frame([1.2, 0], [0, 0.8])) - 0.96) < 1e-15
-    assert jacobian(_frame([1, 2], [1, 2])) == 0.0
+    assert _frame([1, 0], [0, 1])[2] == 1.0
+    assert abs(_frame([1.2, 0], [0, 0.8])[2] - 0.96) < 1e-15
+    assert _frame([1, 2], [1, 2])[2] == 0.0
 
 
 def test_frame_norms_diagonal():
-    n = frame_norms(_frame([1.2, 0], [0, 0.8]))
-    assert abs(n.op_norm - 1.2) < 1e-15
-    assert abs(n.min_norm - 0.8) < 1e-15
-    assert abs(n.hs_norm - math.sqrt(1.04)) < 1e-15
+    op, mn, _, hs2 = _frame([1.2, 0], [0, 0.8])
+    assert abs(op - 1.2) < 1e-15
+    assert abs(mn - 0.8) < 1e-15
+    assert abs(math.sqrt(hs2) - math.sqrt(1.04)) < 1e-15
 
 
 def test_frame_norms_conformal():
     a, b = 0.6, -1.1
-    n = frame_norms(_frame([a, b], [-b, a]))
+    op, mn, _, _ = _frame([a, b], [-b, a])
     r = math.hypot(a, b)
-    assert abs(n.op_norm - r) < 1e-14
-    assert abs(n.min_norm - r) < 1e-14
+    assert abs(op - r) < 1e-14
+    assert abs(mn - r) < 1e-14
 
 
 def test_frame_norms_zero_frame():
-    n = frame_norms(_frame([0, 0], [0, 0]))
-    assert n.hs_norm == n.op_norm == n.min_norm == 0.0
+    op, mn, _, hs2 = _frame([0, 0], [0, 0])
+    assert hs2 == op == mn == 0.0
 
 
 def test_frame_norms_brute_force_oracle():
     rng = np.random.default_rng(3)
     ux = rng.normal(size=3)
     uy = rng.normal(size=3)
-    f = _frame(ux, uy)
-    n = frame_norms(f)
+    op, mn, jac, _ = _frame(ux, uy)
     phi = TWO_PI * np.arange(100_000) / 100_000
     stretch = np.linalg.norm(np.outer(np.cos(phi), ux) + np.outer(np.sin(phi), uy), axis=1)
-    assert abs(n.op_norm - stretch.max()) < 1e-8
-    assert abs(n.min_norm - stretch.min()) < 1e-8
-    assert abs(n.op_norm * n.min_norm - jacobian(f)) < 1e-12
+    assert abs(op - stretch.max()) < 1e-8
+    assert abs(mn - stretch.min()) < 1e-8
+    assert abs(op * mn - jac) < 1e-12
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -293,60 +290,59 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 @settings(max_examples=100, deadline=None)
 @given(st.lists(finite, min_size=4, max_size=4))
 def test_frame_identity_product(vals):
-    f = _frame(vals[:2], vals[2:])
-    n = frame_norms(f)
-    scale = max(1.0, n.op_norm**2)
-    assert abs(n.op_norm * n.min_norm - jacobian(f)) < 1e-12 * scale
-    assert abs(n.hs_norm**2 - (n.op_norm**2 + n.min_norm**2) / 2.0) < 1e-12 * scale
+    op, mn, jac, hs2 = _frame(vals[:2], vals[2:])
+    scale = max(1.0, op**2)
+    assert abs(op * mn - jac) < 1e-12 * scale
+    assert abs(hs2 - (op**2 + mn**2) / 2.0) < 1e-12 * scale
 
 
 def test_dilatation_cases():
-    assert abs(dilatation(_frame([0.6, 0.8], [-0.8, 0.6])) - 1.0) < 1e-14
-    assert abs(dilatation(_frame([1.2, 0], [0, 0.8])) - 1.5) < 1e-14
+    op, mn, _, _ = _frame([0.6, 0.8], [-0.8, 0.6])
+    assert abs(op / mn - 1.0) < 1e-14
+    op, mn, _, _ = _frame([1.2, 0], [0, 0.8])
+    assert abs(op / mn - 1.5) < 1e-14
+    op, mn, jac, _ = _frame([1, 1], [1, 1])  # rank 1: the dilatation sups read it as infinite
+    assert op > 0.0 and mn == 0.0 and jac == 0.0
 
 
 def test_dilatation_affine_map_everywhere(affine_scenario):
-    for z in (0.1 + 0.1j, -0.5j, 0.8):
-        g = gradient(affine_scenario.boundary, z)
-        assert abs(dilatation(g) - 1.5) < 1e-9
-
-
-def test_dilatation_degenerate():
-    with pytest.raises(DegenerateFrameError):
-        dilatation(_frame([1, 1], [1, 1]))
+    op, mn, _, _ = _dilatations(*gradient_frames(affine_scenario.boundary, [0.1 + 0.1j, -0.5j, 0.8]))
+    assert np.max(np.abs(op / mn - 1.5)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# angular-derivative inequality
+# angular-derivative inequality (both sides as verify computes them)
+
+
+def _angular(bm, grid, K):
+    zz = np.asarray(grid, dtype=complex)
+    ux, uy = gradient_frames(bm, zz)
+    lhs, rhs = _angular_sides(zz, ux, uy, _dilatations(ux, uy)[2], K)
+    return lhs, rhs
 
 
 def test_angular_check_identity(identity_map):
     r = np.linspace(0.1, 0.9, 8)
     th = TWO_PI * np.arange(8) / 8
     grid = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    rep = angular_derivative_check(identity_map, grid, K=1.0)
-    assert rep.all_passed
-    assert abs(rep.worst_margin) < 1e-12
+    lhs, rhs = _angular(identity_map, grid, K=1.0)
+    assert _worst_record("angular_derivative", lhs, rhs).passed
+    assert np.max(np.abs(rhs - lhs)) < 1e-12
 
 
 def test_angular_check_affine_axis_cases(affine_map):
     r = 0.6
-    eq = angular_derivative_check(affine_map, [r * 1j], K=1.5)  # t = pi/2
-    assert abs(eq.worst_margin) < 1e-10
-    slack = angular_derivative_check(affine_map, [r + 0j], K=1.5)  # t = 0
+    lhs, rhs = _angular(affine_map, [r * 1j, r + 0j], K=1.5)  # t = pi/2 and t = 0
+    assert abs(rhs[0] - lhs[0]) < 1e-10
     expected = 1.44 * r**2 - 0.64 * r**2
-    assert abs(slack.worst_margin - expected) < 1e-9
+    assert abs(rhs[1] - lhs[1] - expected) < 1e-9
 
 
 def test_angular_check_records_violations(affine_map):
-    rep = angular_derivative_check(affine_map, [0.5j, 0.5], K=1.0)
-    assert not rep.all_passed  # too-small K forces a recorded violation
-    assert any(not rec.passed for rec in rep.records)
-
-
-def test_angular_check_rejects_bad_k(affine_map):
-    with pytest.raises(DomainError):
-        angular_derivative_check(affine_map, [0.5], K=0.5)
+    lhs, rhs = _angular(affine_map, [0.5j, 0.5], K=1.0)
+    rec = _worst_record("angular_derivative", lhs, rhs)
+    assert not rec.passed  # too-small K forces a recorded violation
+    assert rec.margin < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,34 +351,22 @@ def test_angular_check_rejects_bad_k(affine_map):
 
 def test_quasiconformality_equality_affine(affine_map):
     K = 1.5
-    for z in (0.3 + 0.2j, -0.6j):
-        g = gradient(affine_map, z)
-        n = frame_norms(g)
-        lhs = n.hs_norm**2
-        rhs = 0.5 * (K + 1.0 / K) * jacobian(g)
-        assert abs(lhs - rhs) < 1e-10
+    _, _, jac, hs2 = _dilatations(*gradient_frames(affine_map, [0.3 + 0.2j, -0.6j]))
+    assert np.max(np.abs(hs2 - 0.5 * (K + 1.0 / K) * jac)) < 1e-10
 
 
 def test_quasiconformality_bound_wavy(wavy_map):
     zs = 0.7 * np.exp(1j * TWO_PI * np.arange(16) / 16)
-    dils = []
-    frames = []
-    for z in zs:
-        g = gradient(wavy_map, z)
-        frames.append(g)
-        dils.append(dilatation(g))
-    K = max(dils)
-    for g in frames:
-        n = frame_norms(g)
-        assert n.hs_norm**2 <= 0.5 * (K + 1.0 / K) * jacobian(g) + 1e-9
+    op, mn, jac, hs2 = _dilatations(*gradient_frames(wavy_map, zs))
+    K = float(np.max(op / mn))
+    assert np.all(hs2 <= 0.5 * (K + 1.0 / K) * jac + 1e-9)
 
 
 def test_conformal_scenario_isothermal(poly_scenario):
-    for z in (0.2 + 0.3j, -0.5 + 0.1j):
-        g = gradient(poly_scenario.boundary, z)
-        j = jacobian(g)
-        assert abs(j - float(g.ux @ g.ux)) < 1e-9
-        assert abs(j - float(g.uy @ g.uy)) < 1e-9
+    ux, uy = gradient_frames(poly_scenario.boundary, [0.2 + 0.3j, -0.5 + 0.1j])
+    jac = _dilatations(ux, uy)[2]
+    assert np.max(np.abs(jac - np.einsum("ij,ij->i", ux, ux))) < 1e-9
+    assert np.max(np.abs(jac - np.einsum("ij,ij->i", uy, uy))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
