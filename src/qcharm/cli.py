@@ -198,7 +198,8 @@ def cmd_scenarios(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qcharm", description=__doc__)
+    # no prefix abbreviations: the flag names _apply_config_file compares are the only ones
+    parser = argparse.ArgumentParser(prog="qcharm", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None, help="JSON config file with the same field names")
 
-    p = sub.add_parser("constants", help="geometric constants of a curve")
+    p = sub.add_parser("constants", allow_abbrev=False, help="geometric constants of a curve")
     p.add_argument("--curve", choices=("circle", "ellipse", "csv"), default="circle")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--a", type=float, default=1.2)
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("bound", help="explicit gradient bound from constants")
+    p = sub.add_parser("bound", allow_abbrev=False, help="explicit gradient bound from constants")
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--upsilon", type=float, required=True)
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("verify", help="run the inequality suite on a scenario")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the inequality suite on a scenario")
     p.add_argument("--scenario", choices=("identity", "affine", "conformal_poly", "harmonic_graph", "fourier"), required=True)
     p.add_argument("--c", type=float, default=0.2, help="affine coefficient")
     p.add_argument("--epsilon", type=float, default=0.3)
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scenarios", help="list the scenario catalog")
+    p = sub.add_parser("scenarios", allow_abbrev=False, help="list the scenario catalog")
     common(p)
     p.set_defaults(func=cmd_scenarios)
 

@@ -73,6 +73,17 @@ class TrigPolynomial:
         self._weights = np.stack([c.real, -c.imag], axis=1).reshape(-1, self.dim)
 
     @classmethod
+    def stack(cls, *polys):
+        """One polynomial whose coordinates are those of ``polys`` in order, each padded with
+        zero harmonics to the largest degree, so that one power table evaluates them all."""
+        top = max(p.degree for p in polys) + 1
+
+        def padded(c):
+            return np.pad(c, ((0, top - c.shape[0]), (0, 0)))
+
+        return cls(np.hstack([padded(p.cos_coeffs) for p in polys]), np.hstack([padded(p.sin_coeffs) for p in polys]))
+
+    @classmethod
     def from_samples(cls, points):
         """Band-limited fit through uniform periodic samples (m, n)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -108,12 +119,13 @@ class TrigPolynomial:
         return (np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]).reshape(x.size, -1)
 
     def _sum(self, t, terms):
-        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk."""
+        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk; shape t.shape + (dim,)."""
         t = np.asarray(t, dtype=float)
-        out = np.empty((t.size, self.dim))
-        for lo in range(0, t.size, _EVAL_CHUNK):
-            out[lo : lo + _EVAL_CHUNK] = terms(t.ravel()[lo : lo + _EVAL_CHUNK, None]).view(float) @ self._weights
-        return out[0] if t.ndim == 0 else out
+        x = t.ravel()
+        out = np.empty((x.size, self.dim))
+        for lo in range(0, x.size, _EVAL_CHUNK):
+            out[lo : lo + _EVAL_CHUNK] = terms(x[lo : lo + _EVAL_CHUNK, None]).view(float) @ self._weights
+        return out.reshape(t.shape + (self.dim,))
 
     def derivative(self):
         j = np.arange(self.degree + 1)[:, None]
@@ -190,7 +202,7 @@ def _cumulative_length(curve: "JordanCurve", fine: int) -> PeriodicAntiderivativ
     top quarter of the speed spectrum holds at most 1e-24 of its energy (or 2^20 nodes)."""
     fine = max(fine, 512)
     while True:
-        speed = np.linalg.norm(curve.velocity_grid(fine), axis=1)
+        speed = _norms(curve.velocity_grid(fine))
         spec = np.abs(np.fft.rfft(speed))
         tail = float(np.sum(spec[3 * spec.size // 4 :] ** 2))
         total = float(np.sum(spec**2))
@@ -202,25 +214,39 @@ def _cumulative_length(curve: "JordanCurve", fine: int) -> PeriodicAntiderivativ
     return PeriodicAntiderivative(speed)
 
 
-def _speed(curve: "JordanCurve"):
-    """The curve's speed |curve'(t)| as a function of the parameter."""
-    return lambda t: np.linalg.norm(curve.velocity(t), axis=-1)
+def _norms(v):
+    """|v| over the last axis, summed coordinate by coordinate in the order of
+    ``np.linalg.norm(v, axis=-1)`` (the same bits, without a reduction over a short axis)."""
+    v = np.asarray(v)
+    squares = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        squares = squares + v[..., k] * v[..., k]
+    return np.sqrt(squares)
 
 
-def _invert_length(speed, cum, length: float, target, t):
-    """Parameters where the cumulative length ``cum``, the antiderivative of ``speed``, reaches
-    ``target``, by at most 8 Newton steps from nearby parameters t, to a residual below
-    1e-13 max(length, 1)."""
+def _invert_length(evaluate, length: float, target, t):
+    """Parameters where the cumulative length reaches ``target``, by at most 8 Newton steps
+    from nearby parameters t, to a residual below 1e-13 max(length, 1).  t and target are
+    (rows, n); each row stops when its own residual is below the tolerance, so it takes the
+    steps it would take alone.  ``evaluate(x)`` returns a tuple of arrays whose leading axes
+    are those of x, the cumulative length and the speed first.  Returns the parameters and
+    ``evaluate`` at them."""
     tol = 1e-13 * max(length, 1.0)
-    resid = cum(t) - target
+    t = np.array(t, dtype=float)
+    vals = list(evaluate(t))
+    resid = vals[0] - target
     for _ in range(8):
-        if np.max(np.abs(resid)) < tol:
+        rows = np.nonzero(~(np.max(np.abs(resid), axis=1) < tol))[0]
+        if not rows.size:
             break
-        t = t - resid / speed(t)
-        resid = cum(t) - target
+        t[rows] -= resid[rows] / vals[1][rows]
+        step = evaluate(t[rows])
+        for v, new in zip(vals, step):
+            v[rows] = new
+        resid[rows] = step[0] - target[rows]
     if not np.max(np.abs(resid)) < tol:
         raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
-    return t
+    return t, vals
 
 
 class _ArcLengthView:
@@ -234,7 +260,6 @@ class _ArcLengthView:
 
     def __init__(self, base: "JordanCurve", fine: int = 2048):
         self.base = base
-        self._speed = _speed(base)
         self._cum = _cumulative_length(base, fine)
         self.total = self._cum.mean * TWO_PI
         self.scale = self.total / TWO_PI
@@ -246,17 +271,17 @@ class _ArcLengthView:
         """Original-curve parameter t with cumulative length theta * scale."""
         theta = np.asarray(theta, dtype=float)
         wraps = np.floor(theta / TWO_PI)
-        target = (theta - wraps * TWO_PI) * self.scale
+        target = ((theta - wraps * TWO_PI) * self.scale).reshape(1, -1)
         t = np.interp(target, self._cum_f, self._tf)
-        return _invert_length(self._speed, self._cum, self.total, target, t) + wraps * TWO_PI
+        t = _invert_length(lambda x: (self._cum(x), _norms(self.base.velocity(x))), self.total, target, t)[0]
+        return t.reshape(theta.shape) + wraps * TWO_PI
 
     def position(self, theta):
         return self.base.position(self.parameter(theta))
 
     def velocity(self, theta):
         v = self.base.velocity(self.parameter(theta))
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-        return v * (self.scale / norms)
+        return v * (self.scale / _norms(v)[..., None])
 
     def acceleration(self, theta):
         t = self.parameter(theta)
@@ -292,10 +317,13 @@ class JordanCurve:
     fit_tail: float = 0.0
     _vel: TrigPolynomial = field(init=False, repr=False)
     _acc: TrigPolynomial = field(init=False, repr=False)
+    # position and velocity as one polynomial of 2n coordinates
+    _frame: TrigPolynomial = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_vel", self.poly.derivative())
         object.__setattr__(self, "_acc", self._vel.derivative())
+        object.__setattr__(self, "_frame", TrigPolynomial.stack(self.poly, self._vel))
 
     @property
     def dim(self) -> int:
@@ -517,9 +545,40 @@ def _base_and_length(curve: JordanCurve):
 
 
 def _shorter_arc(forward, length: float):
-    """Shorter arc between points ``forward`` apart (mod length) on a closed curve."""
-    forward = np.asarray(forward) % length
+    """Shorter arc between points ``forward`` apart (mod length) on a closed curve.  Within
+    one length either way, forward mod length is forward (+ length below 0), the bits of
+    ``%`` with -0.0 taken to +0.0."""
+    forward = np.asarray(forward)
+    if np.all(np.abs(forward) < length):
+        forward = np.where(forward < 0.0, forward + length, forward + 0.0)
+    else:
+        forward = forward % length
     return np.minimum(forward, length - forward)
+
+
+class _LengthTable:
+    """Cumulative length, speed and a point sample of a curve at t, from one evaluation of
+    the stacked polynomial (oscillating part of ``cum``, velocity, position): called, it
+    returns (cumulative length, speed, unit tangent with ``tangent``, else position)."""
+
+    def __init__(self, curve: JordanCurve, cum: PeriodicAntiderivative, tangent: bool):
+        self._poly = TrigPolynomial.stack(cum._osc, curve._vel, *(() if tangent else (curve.poly,)))
+        self._mean, self._offset, self._dim = cum.mean, cum._osc0, curve.dim
+        self._tangent = tangent
+        self.length = cum.mean * TWO_PI
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        v = self._poly(t)
+        vel = v[..., 1 : 1 + self._dim]
+        speed = _norms(vel)
+        at = vel / speed[..., None] if self._tangent else v[..., 1 + self._dim :]
+        return self._mean * t + v[..., 0] - self._offset, speed, at
+
+    def sample(self, t):
+        """(point sample, cumulative length) at t, the pair sample of the arc scans."""
+        cum, _, at = self(t)
+        return at, cum
 
 
 def _node_lags() -> np.ndarray:
@@ -532,44 +591,48 @@ def _node_lags() -> np.ndarray:
 def _lag_maxima(sample, score, here, lags):
     """Per lag d, the maximum over the scan nodes t_i of score(sample(t_i), sample(t_i + d), d)
     and its node.  ``here`` is ``sample`` (a tuple of arrays, one row per parameter) at the
-    nodes; whole node lags shift it with ``np.roll``, others sample the shifted nodes."""
+    nodes; whole node lags k slice rows k .. k + nodes of ``here`` repeated twice, others
+    sample the shifted nodes."""
     t = TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES
+    doubled = tuple(np.concatenate([v, v]) for v in here)
     peaks = np.empty(len(lags))
     nodes = np.empty(len(lags), dtype=int)
     for j, d in enumerate(lags):
         k = int(round(d / t[1]))
-        there = tuple(np.roll(v, -k, axis=0) for v in here) if d == TWO_PI * k / _SCAN_NODES else sample(t + d)
+        there = tuple(v[k : k + _SCAN_NODES] for v in doubled) if d == TWO_PI * k / _SCAN_NODES else sample(t + d)
         vals = score(here, there, d)
         nodes[j] = int(np.argmax(vals))
         peaks[j] = vals[nodes[j]]
     return peaks, nodes
 
 
-def _lag_scan(sample, score, here, diagonal: float = 0.0, arc=None) -> ScanResult:
+def _lag_scan(sample, score, here, diagonal: float = 0.0, arc: _LengthTable | None = None) -> ScanResult:
     """Supremum of a pair objective over (t, t + d), d != 0: the per-lag maxima, then a
     shrinking search in both ends of the best pair, spanning its neighbouring lags but under
-    a quarter of the ends' separation.  With ``arc`` = (curve, cumulative length) the search
-    runs in cumulative length, where the shorter arc's kink at half the length is a grid
-    diagonal (in the parameter it is a curve the grid cannot follow); Newton steps find the
-    ends.  ``diagonal`` is the limit as d -> 0: the result is at least that, and a search
-    ending below it has converged to it; after _SEARCHES searches it has not."""
+    a quarter of the ends' separation.  With a length table ``arc`` (whose ``sample`` is
+    ``sample``) the search runs in cumulative length, where the shorter arc's kink at half
+    the length is a grid diagonal (in the parameter it is a curve the grid cannot follow);
+    one Newton solve finds both ends, and its last evaluation is their sample.
+    ``diagonal`` is the limit as d -> 0: the result is at least that, and a search ending
+    below it has converged to it; after _SEARCHES searches it has not."""
     lags = _node_lags()
     peaks, nodes = _lag_maxima(sample, score, here, lags)
     j = int(np.argmax(peaks))
     width = min(0.5 * (lags[min(j + 1, lags.size - 1)] - (lags[j - 1] if j else 0.0)), 0.25 * lags[j])
     center = ends = TWO_PI * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
     if arc is not None:
-        curve, cum = arc
-        length = cum.mean * TWO_PI
-        speed_of = _speed(curve)
-        center, speed = cum(ends), speed_of(ends)
-        width = min(width * length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], length))
+        center, speed, _ = arc(ends)
+        width = min(width * arc.length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], arc.length))
 
     def objective(x, y):
-        if arc is not None:
-            x = _invert_length(speed_of, cum, length, x, ends[0] + (x - center[0]) / speed[0])
-            y = _invert_length(speed_of, cum, length, y, ends[1] + (y - center[1]) / speed[1])
-        return score(tuple(v[:, None] for v in sample(x)), tuple(v[None, :] for v in sample(y)), y[None, :] - x[:, None])
+        pair = np.stack([x, y])
+        if arc is None:
+            both = sample(pair)
+        else:
+            seeds = ends[:, None] + (pair - center[:, None]) / speed[:, None]
+            cum, _, at = _invert_length(arc, arc.length, pair, seeds)[1]
+            both = (at, cum)
+        return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), y[None, :] - x[:, None])
 
     # restart each search where the last one ended until one gains at most 1e-12
     # relative (roundoff): a ridge such as the kink runs further than one reaches
@@ -588,15 +651,13 @@ def chord_arc_constant(curve: JordanCurve) -> ScanResult:
     cumulative length (of the base curve, for an arc-length view)."""
     base, cum = _base_and_length(curve)
     length = cum.mean * TWO_PI
-
-    def sample(t):
-        return base.position(t), cum(t)
+    table = _LengthTable(base, cum, tangent=False)
 
     def score(a, b, d):
-        return _shorter_arc(b[1] - a[1], length) / np.linalg.norm(b[0] - a[0], axis=-1)
+        return _shorter_arc(b[1] - a[1], length) / _norms(b[0] - a[0])
 
     here = (base.position(TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES), cum.values_on_grid(_SCAN_NODES))
-    return _lag_scan(sample, score, here, arc=(base, cum))
+    return _lag_scan(table.sample, score, here, arc=table)
 
 
 def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
@@ -615,14 +676,14 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     elif curve.view is not None:
         diag = curve.view.scale**2 * _max_curvature_impl(curve.view.base)
     else:
-        acc = np.linalg.norm(curve.acceleration_grid(_SCAN_NODES), axis=1)
-        diag = _polished_grid_max(lambda t: np.linalg.norm(curve.acceleration(t), axis=1), acc)
+        acc = _norms(curve.acceleration_grid(_SCAN_NODES))
+        diag = _polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc)
 
     def sample(t):
         return (curve.velocity(t),)
 
     def score(a, b, d):
-        return np.linalg.norm(b[0] - a[0], axis=-1) / circle_distance(0.0, d) ** mu
+        return _norms(b[0] - a[0]) / circle_distance(0.0, d) ** mu
 
     return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),), diag)
 
@@ -771,7 +832,7 @@ def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     capped = np.minimum(deltas, np.pi)
     lags = np.union1d(_node_lags(), capped)
     here = (curve.velocity_grid(_SCAN_NODES),)
-    peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, d: np.linalg.norm(b[0] - a[0], axis=-1), here, lags)
+    peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, d: _norms(b[0] - a[0]), here, lags)
     values = np.maximum.accumulate(peaks)[np.searchsorted(lags, capped)]
     return TabulatedModulus(deltas, values)
 
@@ -857,19 +918,15 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     scale = length / TWO_PI
     lam = chord_arc_constant(curve)
     kappa = _max_curvature_impl(base)
-
-    def unit(v):
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    def sample(t):
-        return unit(base.velocity(t)), cum(t)
+    table = _LengthTable(base, cum, tangent=True)
 
     def score(a, b, d):
-        turn = np.linalg.norm(b[0] - a[0], axis=-1)
+        turn = _norms(b[0] - a[0])
         return scale ** (1.0 + mu) * turn / _shorter_arc(b[1] - a[1], length) ** mu
 
-    here = (unit(base.velocity_grid(_SCAN_NODES)), cum.values_on_grid(_SCAN_NODES))
-    hol = _lag_scan(sample, score, here, scale**2 * kappa if mu == 1.0 else 0.0, arc=(base, cum))
+    vel = base.velocity_grid(_SCAN_NODES)
+    here = (vel / _norms(vel)[:, None], cum.values_on_grid(_SCAN_NODES))
+    hol = _lag_scan(table.sample, score, here, scale**2 * kappa if mu == 1.0 else 0.0, arc=table)
     try:
         _nyquist_check(base)
     except RefinementError:

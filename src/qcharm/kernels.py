@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, _require_modulus, holder_derivative_constant
+from .curves import TWO_PI, JordanCurve, _norms, _require_modulus, holder_derivative_constant
 from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
@@ -49,14 +49,13 @@ def _cross_norm(x, y):
 
 
 def chord_tangent_kernel(curve: JordanCurve, s, t):
-    """Kernel value(s) at angle pair(s): area of (h(t) - h(s)) against h'(s)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s, t = np.broadcast_arrays(s, t)
-    x = curve.position(t) - curve.position(s)
-    y = curve.velocity(s)
-    out = _cross_norm(x, y)
-    return float(out[0]) if out.size == 1 else out
+    """Kernel value(s) at angle pair(s): area of (h(t) - h(s)) against h'(s), shaped like
+    the broadcast pairs; a scalar pair gives a float."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    shape = s.shape
+    s, t = s.ravel(), t.ravel()
+    out = _cross_norm(curve.position(t) - curve.position(s), curve.velocity(s))
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _chordal(s, t):
@@ -71,12 +70,18 @@ def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str):
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     shape = s.shape
     s, t = s.ravel(), t.ravel()
-    chord = curve.position(t) - curve.position(s)
+    n = s.size
+    if curve.view is None:
+        frame = curve._frame(np.concatenate([s, t]))
+        chord, vel = frame[n:, : curve.dim] - frame[:n, : curve.dim], frame[:n, curve.dim :]
+    else:
+        pos = curve.position(np.concatenate([s, t]))
+        chord, vel = pos[n:] - pos[:n], curve.velocity(s)
     chord_circle = _chordal(s, t)
     off = chord_circle > 0.0
-    bound = np.zeros(s.size)
-    bound[off] = majorant(np.linalg.norm(chord[off], axis=1), chord_circle[off])
-    value = _cross_norm(chord, curve.velocity(s))
+    bound = np.zeros(n)
+    bound[off] = majorant(_norms(chord[off]), chord_circle[off])
+    value = _cross_norm(chord, vel)
     k = int(np.argmax(value - bound))
     if value[k] > bound[k] + _MAJORANT_TOL:
         raise ConsistencyError(f"kernel {value[k]:.6e} exceeds {what} bound {bound[k]:.6e} at ({s[k]}, {t[k]})")
@@ -191,7 +196,7 @@ def boundary_jacobian_bound(
     if form == "holder":
         if c_h is None:
             c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
-        min_speed = float(np.min(np.linalg.norm(curve.derivs, axis=1)))
+        min_speed = float(np.min(_norms(curve.derivs)))
         holder_const = c_h / min_speed
 
     def integrand(x):
@@ -199,7 +204,7 @@ def boundary_jacobian_bound(
         if form == "kernel":
             num = _cross_norm(p, np.broadcast_to(vel_tau, p.shape))
         else:
-            num = holder_const * np.linalg.norm(p, axis=1) ** (1.0 + mu)
+            num = holder_const * _norms(p) ** (1.0 + mu)
         return num / (4.0 * np.pi * np.sin(x / 2.0) ** 2)
 
     if method == "majorant":
@@ -210,7 +215,7 @@ def boundary_jacobian_bound(
         outer = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
         if c_h is None:
             c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
-        sup_speed = float(np.max(np.linalg.norm(curve.derivs, axis=1)))
+        sup_speed = float(np.max(_norms(curve.derivs)))
         t_fine = TWO_PI * np.arange(1024) / 1024
         sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
         if form == "kernel":
@@ -230,9 +235,12 @@ def boundary_jacobian_bound(
         sigma, w_in = _gauss_panels(inner_edges, order)
         x_in = sigma ** (1.0 / mu)
         jac = (1.0 / mu) * sigma ** (1.0 / mu - 1.0)
-        inner = float(np.sum(w_in * jac * (integrand(x_in) + integrand(-x_in))))
         x_out, w_out = _gauss_panels(outer_edges, order)
-        outer = float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
+        # both sides of both pieces in one call
+        pieces = (x_in, -x_in, x_out, -x_out)
+        right_in, left_in, right_out, left_out = np.split(integrand(np.concatenate(pieces)), np.cumsum([x.size for x in pieces[:3]]))
+        inner = float(np.sum(w_in * jac * (right_in + left_in)))
+        outer = float(np.sum(w_out * (right_out + left_out)))
         return inner + outer
 
     prev = evaluate(16)

@@ -333,7 +333,7 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     total = cum.mean * TWO_PI
     targets = total * np.array([1.0, 2.0]) / 3.0
     seeds = np.interp(targets, np.append(cum.values_on_grid(_WITNESS_NODES), total), t)
-    angles = np.concatenate([[0.0], _invert_length(speed, cum, total, targets, seeds)])
+    angles = np.concatenate([[0.0], _invert_length(lambda x: (cum(x), speed(x)), total, targets[None], seeds[None])[0][0]])
     pts = boundary.values(angles)
     arc = np.diff(np.append(cum(angles), total))
     return NormalizationWitness(preimage_angles=angles, target_points=pts, arc_lengths=arc)

@@ -143,6 +143,23 @@ def lag_scan_lower_bound(cos_coeffs, sin_coeffs, mu: float, n: int = 512) -> dic
     return {"length": length, "chord_arc": chord_arc, "holder_constant": holder, "velocity_holder": velocity_holder}
 
 
+def lag_maxima_roll(sample, score, here, lags, n: int = 2048):
+    """Per lag d, the maximum over n uniform nodes t_i of score(sample(t_i), sample(t_i + d), d)
+    and its node, as the lag scan first took them: ``here`` is ``sample`` at the nodes (a
+    tuple of arrays, one row per node), shifted with ``np.roll`` for whole node lags; other
+    lags sample the shifted nodes."""
+    t = TWO_PI * np.arange(n) / n
+    peaks = np.empty(len(lags))
+    nodes = np.empty(len(lags), dtype=int)
+    for j, d in enumerate(lags):
+        k = int(round(d / t[1]))
+        there = tuple(np.roll(v, -k, axis=0) for v in here) if d == TWO_PI * k / n else sample(t + d)
+        vals = score(here, there, d)
+        nodes[j] = int(np.argmax(vals))
+        peaks[j] = vals[nodes[j]]
+    return peaks, nodes
+
+
 def sampled_self_intersection(points):
     """First pair of nodes, not neighbours, within 1e-9 of the diameter of the
     sampled closed curve (m, n), or None: full (rows, m, n) difference blocks of

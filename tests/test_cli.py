@@ -267,6 +267,19 @@ def test_explicit_equals_flag_wins_over_config(capsys, tmp_path):
         assert json.loads(out)["constants"]["holder_exponent"] == 0.5
 
 
+@pytest.mark.parametrize("flag", [["--m", "0.5"], ["--m=0.5"]], ids=["space", "equals"])
+@pytest.mark.parametrize("with_config", [False, True], ids=["alone", "config"])
+def test_abbreviated_flag_exits_two(flag, with_config, capsys, tmp_path):
+    # a prefix of --mu is not --mu, so the config file cannot override it unseen
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mu": 1.0}))
+    config = ["--config", str(cfg)] if with_config else []
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--curve", "ellipse", *flag, *config])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
 def _assert_one_line_error(code, out, err):
     assert code == EXIT_CONFIG
     assert out == ""

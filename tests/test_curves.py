@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from qcharm import curves
 from qcharm import (
+    AngleMap,
     BoundaryMap,
     DomainError,
     InjectivityError,
@@ -664,3 +665,161 @@ def test_random_curves_reparametrization_preserves_length(a3, b2, a5):
     curve = build_curve(_random_curve(a3, b2, a5), 128)
     arc = arc_length_reparametrize(curve)
     assert abs(curve_length(arc) - curve_length(curve)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per point set: equivalence with separate evaluations
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(257,), (3, 50), (1,)], ids=["N", "BN", "1"])
+def test_norms_match_linalg_norm_bits(shape, dim):
+    rng = np.random.default_rng([dim, len(shape), shape[0]])
+    v = rng.standard_normal(shape + (dim,)) * np.exp(rng.uniform(-30.0, 30.0, shape + (1,)))
+    assert np.array_equal(curves._norms(v), np.linalg.norm(v, axis=-1))
+
+
+def test_shorter_arc_matches_mod_bits():
+    length = 7.3
+    rng = np.random.default_rng(31)
+    inside = np.concatenate(
+        [
+            rng.uniform(-length, length, 4000),
+            [0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-17, 1e-17],
+            [np.nextafter(length, 0.0), -np.nextafter(length, 0.0), 0.5 * length, -0.5 * length],
+        ]
+    )
+    outside = np.array([length, -length, 1.5 * length, -2.5 * length, 40.0 * length])
+    for f in (inside, outside, np.append(inside, outside)):
+        mod = f % length
+        want = np.minimum(mod, length - mod)
+        got = curves._shorter_arc(f, length)
+        assert np.array_equal(got, want)
+        assert not np.any(np.signbit(got[got == 0.0]))
+
+
+def _scan_cases():
+    """(name, sample, score, here) of the chord-arc, holder and modulus scans."""
+    n = curves._SCAN_NODES
+    grid = TWO_PI * np.arange(n) / n
+    out = []
+    for name, generator in (SEEDED[2], SEEDED[-1]):
+        curve = build_curve(generator, 512)
+        base, cum = curves._base_and_length(curve)
+        length = cum.mean * TWO_PI
+        chord = curves._LengthTable(base, cum, tangent=False)
+        turn = curves._LengthTable(base, cum, tangent=True)
+        vel = base.velocity_grid(n)
+        out += [
+            (
+                f"chord-arc {name}",
+                chord.sample,
+                lambda a, b, d, length=length: curves._shorter_arc(b[1] - a[1], length) / curves._norms(b[0] - a[0]),
+                (base.position(grid), cum.values_on_grid(n)),
+            ),
+            (
+                f"holder {name}",
+                turn.sample,
+                lambda a, b, d, length=length: curves._norms(b[0] - a[0]) / curves._shorter_arc(b[1] - a[1], length) ** 0.5,
+                (vel / curves._norms(vel)[:, None], cum.values_on_grid(n)),
+            ),
+            (
+                f"modulus {name}",
+                lambda t, curve=curve: (curve.velocity(t),),
+                lambda a, b, d: curves._norms(b[0] - a[0]),
+                (curve.velocity_grid(n),),
+            ),
+        ]
+    return out
+
+
+SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("name, sample, score, here", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_lag_maxima_match_roll_oracle_bits(name, sample, score, here):
+    # whole node lags slice a doubled copy, the others (modulus steps) sample
+    lags = np.union1d(curves._node_lags(), [0.01, 0.3, 1.0, 2.5, math.pi])
+    peaks, nodes = curves._lag_maxima(sample, score, here, lags)
+    want_peaks, want_nodes = oracles.lag_maxima_roll(sample, score, here, lags, curves._SCAN_NODES)
+    assert np.array_equal(peaks, want_peaks)
+    assert np.array_equal(nodes, want_nodes)
+
+
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_invert_length_rows_converge_separately(generator):
+    base, cum = curves._base_and_length(build_curve(generator, 512))
+    table = curves._LengthTable(base, cum, tangent=False)
+    target = np.stack([np.linspace(0.1, 0.5, 9), np.linspace(2.0, 3.0, 9)]) * table.length / TWO_PI
+    exact = curves._invert_length(table, table.length, target, target / cum.mean)[0]
+    # row 0 starts at its answer, row 1 a tenth of a radian off
+    start = exact + np.array([[0.0], [0.1]])
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape[0])
+        return table(x)
+
+    alone = []
+    for row in (0, 1):
+        calls.clear()
+        alone.append((curves._invert_length(counted, table.length, target[row : row + 1], start[row : row + 1]), len(calls)))
+    calls.clear()
+    t, vals = curves._invert_length(counted, table.length, target, start)
+    counts = [n for _, n in alone]
+    assert counts[0] < counts[1]
+    # both rows while both move, then the slower alone, one evaluation each
+    assert calls == [2] * counts[0] + [1] * (counts[1] - counts[0])
+    for row, ((t_row, vals_row), _) in enumerate(alone):
+        assert np.max(np.abs(t[row] - t_row[0])) <= 1e-15 * table.length
+        for v, v_row in zip(vals, vals_row):
+            assert np.max(np.abs(v[row] - v_row[0])) <= 1e-15 * max(table.length, np.max(np.abs(v_row)))
+
+
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_stacked_polynomial_matches_blocks(generator):
+    curve = build_curve(generator, 512)
+    base, cum = curves._base_and_length(curve)
+    blocks = (cum._osc, base._vel, base.poly)
+    stacked = TrigPolynomial.stack(*blocks)
+    assert stacked.degree == max(p.degree for p in blocks) and stacked.dim == sum(p.dim for p in blocks)
+    t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
+    got = stacked(t)
+    lo = 0
+    for p in blocks:
+        # padding changes the baby-step size, so the phases j t round differently:
+        # a roundoff of the coefficient weight per unit of |t|
+        tol = 1e-15 * np.sum(np.abs(p.complex_coeffs)) * (1.0 + np.abs(t))[..., None]
+        assert np.all(np.abs(got[..., lo : lo + p.dim] - p(t)) <= tol)
+        lo += p.dim
+    # position and velocity share their degree: the frame is the blocks to the bit
+    assert np.array_equal(curve._frame(t), np.concatenate([curve.position(t), curve.velocity(t)], axis=-1))
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["position", "tangent"])
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_length_table_matches_separate_evaluations(generator, tangent):
+    base, cum = curves._base_and_length(build_curve(generator, 512))
+    t = np.random.default_rng(5).uniform(-1.0, TWO_PI + 1.0, 300)
+    vel = base.velocity(t)
+    speed = np.linalg.norm(vel, axis=-1)
+    want = (cum(t), speed, vel / speed[:, None] if tangent else base.position(t))
+    for got, ref in zip(curves._LengthTable(base, cum, tangent)(t), want):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# evaluators at parameter arrays of any shape
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "vector", "matrix"])
+def test_evaluators_keep_parameter_shape(shape, ellipse_curve, ellipse_arc):
+    t = np.linspace(-1.0, 7.0, int(np.prod(shape))).reshape(shape)
+    antiderivative = curves.PeriodicAntiderivative(1.0 + 0.3 * np.cos(TWO_PI * np.arange(64) / 64))
+    samples = TWO_PI * np.arange(128) / 128
+    amap = AngleMap.from_samples(samples + 0.1 * np.sin(samples))
+    for evaluate, tail in ((antiderivative, ()), (amap, ()), (ellipse_arc.position, (2,)), (ellipse_curve.position, (2,))):
+        got = evaluate(t)
+        assert np.shape(got) == shape + tail
+        flat = np.array([evaluate(x) for x in t.ravel()]).reshape(shape + tail)
+        assert np.allclose(got, flat, rtol=0.0, atol=1e-13)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qcharm import kernels
 from qcharm import (
     AngleMap,
     BoundaryMap,
@@ -14,9 +15,11 @@ from qcharm import (
     RefinementError,
     TabulatedModulus,
     boundary_jacobian_bound,
+    build_curve,
     chord_tangent_kernel,
     circle,
     dini_modulus_table,
+    ellipse,
     holder_derivative_constant,
     kernel_bound_dini,
     kernel_bound_holder,
@@ -278,3 +281,80 @@ def test_boundary_jacobian_requires_curve():
     bm = BoundaryMap.from_values(np.tile([1.0, 0.0], (64, 1)))
     with pytest.raises(DomainError):
         boundary_jacobian_bound(bm, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: shapes and the one-call graded rule
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "vector", "matrix"])
+def test_kernel_keeps_pair_shape(shape, ellipse_curve):
+    s = np.linspace(-1.0, 7.0, int(np.prod(shape))).reshape(shape)
+    got = chord_tangent_kernel(ellipse_curve, s, s + 0.5)
+    assert isinstance(got, float) if not shape else got.shape == shape
+    flat = [chord_tangent_kernel(ellipse_curve, x, x + 0.5) for x in np.ravel(s)]
+    assert np.allclose(np.ravel(got), flat, rtol=0.0, atol=1e-15)
+
+
+def _four_call_graded(boundary, tau, mu, form, c_h):
+    """The graded rule of ``boundary_jacobian_bound`` with one integrand call per
+    side of each piece (inner and outer), the shape before the calls were batched."""
+    curve, fmap = boundary.curve, boundary.angle_map
+    fp_tau = abs(float(fmap.derivative(tau)))
+    vel_tau = curve.velocity(float(fmap(tau)))
+    chord = boundary.series().increments(tau)
+    holder_const = c_h / float(np.min(np.linalg.norm(curve.derivs, axis=1)))
+
+    def integrand(x):
+        p = chord(x)
+        if form == "kernel":
+            num = kernels._cross_norm(p, np.broadcast_to(vel_tau, p.shape))
+        else:
+            num = holder_const * np.linalg.norm(p, axis=1) ** (1.0 + mu)
+        return num / (4.0 * np.pi * np.sin(x / 2.0) ** 2)
+
+    def evaluate(order):
+        sigma, w_in = kernels._gauss_panels(np.linspace(0.0, 0.25**mu, 5), order)
+        x_in = sigma ** (1.0 / mu)
+        jac = (1.0 / mu) * sigma ** (1.0 / mu - 1.0)
+        inner = float(np.sum(w_in * jac * (integrand(x_in) + integrand(-x_in))))
+        x_out, w_out = kernels._gauss_panels(np.append(0.25 * 2.0 ** np.arange(4), np.pi), order)
+        return inner + float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
+
+    prev = evaluate(16)
+    for order in (32, 64, 128):
+        cur = evaluate(order)
+        if abs(cur - prev) <= kernels._SETTLE * (1.0 + abs(cur)):
+            return fp_tau * cur
+        prev = cur
+    raise RefinementError("four-call rule did not settle")
+
+
+def _graded_curves(tmp_path):
+    """Catalog curves and seeded CSV curves in R^2 and R^3."""
+    out = [build_curve(circle(), 512), build_curve(ellipse(1.2, 0.8), 512), build_curve(ellipse(16.0, 1.0), 512)]
+    t = TWO_PI * np.arange(256) / 256
+    for seed, dim in ((3, 2), (4, 3)):
+        rng = np.random.default_rng(seed)
+        pts = np.zeros((256, dim))
+        pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+        for j in range(2, 6):
+            pts += np.outer(np.cos(j * t), rng.uniform(-0.04, 0.04, dim)) + np.outer(np.sin(j * t), rng.uniform(-0.04, 0.04, dim))
+        path = tmp_path / f"curve-{seed}.csv"
+        np.savetxt(path, np.column_stack([t, pts]), delimiter=",", fmt="%.17g")
+        data = np.loadtxt(path, delimiter=",")
+        out.append(build_curve((data[:, 0], data[:, 1:]), 512))
+    return out
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+def test_one_call_graded_rule_matches_four_calls(mu, tmp_path):
+    t = TWO_PI * np.arange(256) / 256
+    amap = AngleMap.from_samples(t + 0.1 * np.sin(t))
+    for curve in _graded_curves(tmp_path):
+        for boundary in (BoundaryMap(curve), BoundaryMap(curve, amap)):
+            for form in ("kernel", "holder"):
+                for tau in (0.3, 4.5):
+                    got = boundary_jacobian_bound(boundary, tau, mu=mu, form=form, c_h=0.7)
+                    want = _four_call_graded(boundary, tau, mu, form, 0.7)
+                    assert abs(got - want) <= 1e-14 * abs(want)
