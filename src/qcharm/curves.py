@@ -11,6 +11,7 @@ metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ TWO_PI = 2.0 * np.pi
 CONST_TOL = 1e-6
 
 _EVAL_CHUNK = 2048
-# trailing harmonics below this fraction of the peak weight are dropped
-_TRUNCATE_REL = 1e-17
+# most uniform samples of a resolved FFT fit, whose kept degree is at most a quarter of them
+_MAX_FIT = 1 << 16
 # the lag scans pair uniform nodes t_i with t_i + k h, for node shifts k
 # spaced geometrically at this many per octave
 _SCAN_NODES = 2048
@@ -146,6 +147,12 @@ class TrigPolynomial:
             coeffs[self.degree] = self.cos_coeffs[-1]
         return np.fft.irfft(coeffs * n, n=n, axis=0)
 
+    def grid(self, n: int) -> np.ndarray:
+        """Values at n uniform nodes in [0, 2*pi), by the inverse FFT on the
+        smallest multiple of n that does not alias."""
+        r = max(-(-2 * self.degree // n), 1)
+        return self.resample(n * r)[::r]
+
     def truncated(self, floor: float) -> tuple["TrigPolynomial", float]:
         """Without the trailing harmonics of weight at most ``floor``, and
         sum_{j > J} j * weight_j over those."""
@@ -164,25 +171,19 @@ class TrigPolynomial:
 
 
 class PeriodicAntiderivative:
-    """Antiderivative t -> integral_0^t g of a smooth periodic function g.
-
-    Built spectrally from uniform samples of g; the linear part carries the
-    mean, the oscillatory part is integrated coefficient-wise (and then
-    truncated, since dividing by the harmonic index only shrinks tails).
+    """Antiderivative t -> integral_0^t g of a periodic function g given by its
+    fit, a scalar trigonometric polynomial: the mean is the linear part, and
+    each harmonic is integrated exactly.
     """
 
-    def __init__(self, samples):
-        g = np.asarray(samples, dtype=float)
-        fit = TrigPolynomial.from_samples(g[:, None])
+    def __init__(self, fit: TrigPolynomial):
         a, b = fit.cos_coeffs[:, 0], fit.sin_coeffs[:, 0]
         self.mean = a[0]
         j = np.arange(a.size, dtype=float)
         j[0] = np.inf  # the mean is the linear part, not a harmonic
         # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
-        floor = _TRUNCATE_REL * float(np.max(np.sqrt((a / j) ** 2 + (b / j) ** 2)))
-        self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None]).truncated(floor)[0]
+        self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None])
         self._osc0 = float(self._osc(0.0)[0])
-        self._grid = g.size
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,28 +191,24 @@ class PeriodicAntiderivative:
         return self.mean * t + osc - self._osc0
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        """Values at n uniform nodes in [0, 2*pi) via the inverse FFT, on
-        the smallest multiple of n that does not alias."""
-        t = TWO_PI * np.arange(n) / n
-        r = max(-(-2 * self._osc.degree // n), 1)
-        return self.mean * t + self._osc.resample(n * r)[::r, 0] - self._osc0
+        """Values at n uniform nodes in [0, 2*pi)."""
+        return self.mean * (TWO_PI * np.arange(n) / n) + self._osc.grid(n)[:, 0] - self._osc0
 
 
-def _cumulative_length(curve: "JordanCurve", fine: int) -> PeriodicAntiderivative:
-    """Antiderivative of the speed from ``fine`` (>= 512) uniform samples, doubled until the
-    top quarter of the speed spectrum holds at most 1e-24 of its energy (or 2^20 nodes)."""
-    fine = max(fine, 512)
+def _resolved_fit(sample, start: int) -> tuple[TrigPolynomial, float]:
+    """FFT fit through ``sample(m)``, the (m, n) samples at m uniform nodes, without its
+    trailing harmonics below the roundoff floor, and the tail they leave
+    (``TrigPolynomial.truncated``): from m = ``start`` on, doubled until the kept degree is
+    at most m / 4.  ``RefinementError`` when that needs more than _MAX_FIT samples."""
+    m = start
     while True:
-        speed = _norms(curve.velocity_grid(fine))
-        spec = np.abs(np.fft.rfft(speed))
-        tail = float(np.sum(spec[3 * spec.size // 4 :] ** 2))
-        total = float(np.sum(spec**2))
-        if tail <= 1e-24 * total or fine >= (1 << 20):
-            break
-        fine *= 2
-    if np.min(speed) <= 0:
-        raise RefinementError("cumulative arc length non-monotone; refine the curve first")
-    return PeriodicAntiderivative(speed)
+        samples = sample(m)
+        fit = TrigPolynomial.from_samples(samples).truncated(_roundoff_floor(samples))
+        if fit[0].degree <= m // 4:
+            return fit
+        if m >= _MAX_FIT:
+            raise RefinementError(f"FFT fit not resolved at {m} samples: degree {fit[0].degree} kept")
+        m *= 2
 
 
 def _norms(v):
@@ -249,43 +246,76 @@ def _invert_length(evaluate, length: float, target, t):
     return t, vals
 
 
+class _LengthTable:
+    """Cumulative length of the curve with position polynomial ``poly``: the antiderivative
+    of its speed fit, resolved from max(4 nodes, 2 degree, 512) samples on.  ``at(t)`` gives
+    (cumulative length, speed, velocity, position) from one evaluation of the stacked
+    polynomial (oscillating part of the length, velocity, position), and ``invert`` finds
+    where the length reaches its targets by Newton steps from seeds interpolated on a
+    grid of the length."""
+
+    def __init__(self, poly: TrigPolynomial, nodes: int):
+        vel = poly.derivative()
+        start = max(4 * nodes, 2 * poly.degree, 512)
+        self.cum = PeriodicAntiderivative(_resolved_fit(lambda m: _norms(vel.grid(m))[:, None], start)[0])
+        self.length = self.cum.mean * TWO_PI
+        self._poly = TrigPolynomial.stack(self.cum._osc, vel, poly)
+        self._dim = poly.dim
+        n = max(start, 4 * self.cum._osc.degree)
+        self._seed_t = TWO_PI * np.arange(n + 1) / n
+        self._seed_cum = np.append(self.cum.values_on_grid(n), self.length)
+        if not np.all(np.diff(self._seed_cum) > 0):
+            raise RefinementError("cumulative arc length non-monotone; refine the curve first")
+
+    def _split(self, t, v):
+        vel = v[..., 1 : 1 + self._dim]
+        return self.cum.mean * t + v[..., 0] - self.cum._osc0, _norms(vel), vel, v[..., 1 + self._dim :]
+
+    def at(self, t):
+        t = np.asarray(t, dtype=float)
+        return self._split(t, self._poly(t))
+
+    def grid(self, n: int):
+        """``at`` the n uniform nodes of [0, 2*pi), by one inverse FFT."""
+        return self._split(TWO_PI * np.arange(n) / n, self._poly.grid(n))
+
+    def invert(self, target):
+        """Parameters where the cumulative length reaches ``target`` (rows, n), within
+        [0, length], and ``at`` them."""
+        return _invert_length(self.at, self.length, target, np.interp(target, self._seed_cum, self._seed_t))
+
+
 class _ArcLengthView:
     """Exact evaluators of the arc-length reparametrization of a curve.
 
     Composes the original curve with the inverse of its cumulative length
-    (interpolated seeds polished by Newton steps), so positions and chain-
-    rule derivatives stay accurate for arbitrarily eccentric curves where
-    a band-limited refit would alias.
+    (the length table's Newton inversion), so positions and chain-rule
+    derivatives stay accurate for arbitrarily eccentric curves where a
+    band-limited refit would alias.
     """
 
-    def __init__(self, base: "JordanCurve", fine: int = 2048):
+    def __init__(self, base: "JordanCurve", nodes: int):
         self.base = base
-        self._cum = _cumulative_length(base, fine)
-        self.total = self._cum.mean * TWO_PI
-        self.scale = self.total / TWO_PI
-        fine = self._cum._grid
-        self._tf = TWO_PI * np.arange(fine + 1) / fine
-        self._cum_f = np.concatenate([self._cum.values_on_grid(fine), [self.total]])
+        self.table = _LengthTable(base.poly, nodes)
+        self.scale = self.table.length / TWO_PI
 
     def parameter(self, theta):
-        """Original-curve parameter t with cumulative length theta * scale."""
+        """Original-curve parameters t with cumulative length theta * scale, and the length
+        table's (cumulative length, speed, velocity, position) at t."""
         theta = np.asarray(theta, dtype=float)
         wraps = np.floor(theta / TWO_PI)
-        target = ((theta - wraps * TWO_PI) * self.scale).reshape(1, -1)
-        t = np.interp(target, self._cum_f, self._tf)
-        t = _invert_length(lambda x: (self._cum(x), _norms(self.base.velocity(x))), self.total, target, t)[0]
-        return t.reshape(theta.shape) + wraps * TWO_PI
+        t, vals = self.table.invert(((theta - wraps * TWO_PI) * self.scale).reshape(1, -1))
+        return t.reshape(theta.shape) + wraps * TWO_PI, [v.reshape(theta.shape + v.shape[2:]) for v in vals]
 
     def position(self, theta):
-        return self.base.position(self.parameter(theta))
+        return self.parameter(theta)[1][3]
 
     def velocity(self, theta):
-        v = self.base.velocity(self.parameter(theta))
-        return v * (self.scale / _norms(v)[..., None])
+        _, (_, speed, v, _) = self.parameter(theta)
+        return v * (self.scale / speed[..., None])
 
     def acceleration(self, theta):
-        t = self.parameter(theta)
-        v = self.base.velocity(t)
+        t, (_, _, v, _) = self.parameter(theta)
         a = self.base.acceleration(t)
         v2 = np.sum(v * v, axis=-1, keepdims=True)
         va = np.sum(v * a, axis=-1, keepdims=True)
@@ -350,12 +380,15 @@ class JordanCurve:
         return self._on_grid(n, "acceleration", self._acc)
 
     def _on_grid(self, n: int, name: str, poly: TrigPolynomial) -> np.ndarray:
-        """The view's evaluator ``name`` at n uniform nodes, else ``poly``
-        there by inverse FFT when that does not alias."""
-        t = TWO_PI * np.arange(n) / n
+        """The view's evaluator ``name`` at n uniform nodes, else ``poly`` there."""
         if self.view is not None:
-            return getattr(self.view, name)(t)
-        return poly.resample(n) if n >= 2 * poly.degree else poly(t)
+            return getattr(self.view, name)(TWO_PI * np.arange(n) / n)
+        return poly.grid(n)
+
+    @functools.cached_property
+    def _length(self) -> _LengthTable:
+        """The length table of this parametrization, built on first use."""
+        return _LengthTable(self.poly, self.node_count)
 
     def scaled(self, c: float) -> "JordanCurve":
         if self.view is not None:
@@ -461,7 +494,7 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
         raise DomainError("curves must live in R^n with n >= 2")
 
     derivs = poly.derivative()(nodes)
-    speeds = np.linalg.norm(derivs, axis=1)
+    speeds = _norms(derivs)
     scale = max(float(np.max(speeds)), 1.0)
     if np.min(speeds) < 1e-9 * scale:
         raise RegularityError(f"degenerate parametrization: min |d/dt| = {np.min(speeds):.3e}")
@@ -475,14 +508,14 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
 def _roundoff_floor(samples) -> float:
     """Weight below which a harmonic of the FFT fit through uniform samples
     (m, n) is roundoff: 1e-15 * max|sample| * log2(m)."""
-    return 1e-15 * float(np.max(np.linalg.norm(samples, axis=1))) * np.log2(samples.shape[0])
+    return 1e-15 * float(np.max(_norms(samples))) * np.log2(samples.shape[0])
 
 
 def _check_sampled_injectivity(points):
     """InjectivityError naming the nearest pair of nodes, not neighbours, of
     the first 512-row block holding a pair within 1e-9 of the diameter."""
     m = points.shape[0]
-    diam = float(np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))) * 2.0
+    diam = float(np.max(_norms(points - points.mean(axis=0)))) * 2.0
     tol = 1e-9 * max(diam, 1e-12)
     # squared distance to the nearest node, 64 rows at a time (cache-sized)
     near, nearest = np.empty(m), np.empty(m, dtype=int)
@@ -506,12 +539,9 @@ def _check_sampled_injectivity(points):
 
 
 def curve_length(curve: JordanCurve) -> float:
-    """Total length by the periodic trapezoid rule applied to the speed."""
-    if curve.view is not None:
-        return curve.view.total
-    m = max(curve.node_count, 1024, 2 * curve.poly.degree)
-    speed = np.linalg.norm(curve.velocity_grid(m), axis=1)
-    return float(TWO_PI * np.mean(speed))
+    """Total length: 2 pi times the mean of the resolved speed fit (of the
+    base curve, for an arc-length view)."""
+    return _base_and_length(curve)[1].length
 
 
 def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) -> JordanCurve:
@@ -525,7 +555,7 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
     """
     m = node_count or curve.node_count
     base = curve.view.base if curve.view is not None else curve
-    view = _ArcLengthView(base, fine=max(4 * m, 2 * base.poly.degree))
+    view = _ArcLengthView(base, m)
     nodes = TWO_PI * np.arange(m) / m
     pts = view.position(nodes)
     derivs = view.velocity(nodes)
@@ -538,10 +568,10 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
 
 
 def _base_and_length(curve: JordanCurve):
-    """The curve under an arc-length view (else the curve) and its cumulative length."""
+    """The curve under an arc-length view (else the curve) and its length table."""
     if curve.view is not None:
-        return curve.view.base, curve.view._cum
-    return curve, _cumulative_length(curve, max(4 * curve.node_count, 2 * curve.poly.degree))
+        return curve.view.base, curve.view.table
+    return curve, curve._length
 
 
 def _shorter_arc(forward, length: float):
@@ -554,31 +584,6 @@ def _shorter_arc(forward, length: float):
     else:
         forward = forward % length
     return np.minimum(forward, length - forward)
-
-
-class _LengthTable:
-    """Cumulative length, speed and a point sample of a curve at t, from one evaluation of
-    the stacked polynomial (oscillating part of ``cum``, velocity, position): called, it
-    returns (cumulative length, speed, unit tangent with ``tangent``, else position)."""
-
-    def __init__(self, curve: JordanCurve, cum: PeriodicAntiderivative, tangent: bool):
-        self._poly = TrigPolynomial.stack(cum._osc, curve._vel, *(() if tangent else (curve.poly,)))
-        self._mean, self._offset, self._dim = cum.mean, cum._osc0, curve.dim
-        self._tangent = tangent
-        self.length = cum.mean * TWO_PI
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        v = self._poly(t)
-        vel = v[..., 1 : 1 + self._dim]
-        speed = _norms(vel)
-        at = vel / speed[..., None] if self._tangent else v[..., 1 + self._dim :]
-        return self._mean * t + v[..., 0] - self._offset, speed, at
-
-    def sample(self, t):
-        """(point sample, cumulative length) at t, the pair sample of the arc scans."""
-        cum, _, at = self(t)
-        return at, cum
 
 
 def _node_lags() -> np.ndarray:
@@ -595,6 +600,7 @@ def _lag_maxima(sample, score, here, lags):
     sample the shifted nodes."""
     t = TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES
     doubled = tuple(np.concatenate([v, v]) for v in here)
+    here = tuple(v[:_SCAN_NODES] for v in doubled)  # contiguous, whatever ``here`` was
     peaks = np.empty(len(lags))
     nodes = np.empty(len(lags), dtype=int)
     for j, d in enumerate(lags):
@@ -606,13 +612,14 @@ def _lag_maxima(sample, score, here, lags):
     return peaks, nodes
 
 
-def _lag_scan(sample, score, here, diagonal: float = 0.0, arc: _LengthTable | None = None) -> ScanResult:
+def _lag_scan(sample, score, here, diagonal: float = 0.0, length: float | None = None) -> ScanResult:
     """Supremum of a pair objective over (t, t + d), d != 0: the per-lag maxima, then a
     shrinking search in both ends of the best pair, spanning its neighbouring lags but under
-    a quarter of the ends' separation.  With a length table ``arc`` (whose ``sample`` is
-    ``sample``) the search runs in cumulative length, where the shorter arc's kink at half
-    the length is a grid diagonal (in the parameter it is a curve the grid cannot follow);
-    one Newton solve finds both ends, and its last evaluation is their sample.
+    a quarter of the ends' separation.  With the curve's ``length`` (``sample`` then gives
+    the cumulative length and the speed first) the search runs in cumulative length, where
+    the shorter arc's kink at half the length is a grid diagonal (in the parameter it is a
+    curve the grid cannot follow); one Newton solve finds both ends, and its last
+    evaluation is their sample.
     ``diagonal`` is the limit as d -> 0: the result is at least that, and a search ending
     below it has converged to it; after _SEARCHES searches it has not."""
     lags = _node_lags()
@@ -620,18 +627,17 @@ def _lag_scan(sample, score, here, diagonal: float = 0.0, arc: _LengthTable | No
     j = int(np.argmax(peaks))
     width = min(0.5 * (lags[min(j + 1, lags.size - 1)] - (lags[j - 1] if j else 0.0)), 0.25 * lags[j])
     center = ends = TWO_PI * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
-    if arc is not None:
-        center, speed, _ = arc(ends)
-        width = min(width * arc.length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], arc.length))
+    if length is not None:
+        center, speed = sample(ends)[:2]
+        width = min(width * length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], length))
 
     def objective(x, y):
         pair = np.stack([x, y])
-        if arc is None:
+        if length is None:
             both = sample(pair)
         else:
             seeds = ends[:, None] + (pair - center[:, None]) / speed[:, None]
-            cum, _, at = _invert_length(arc, arc.length, pair, seeds)[1]
-            both = (at, cum)
+            both = _invert_length(sample, length, pair, seeds)[1]
         return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), y[None, :] - x[:, None])
 
     # restart each search where the last one ended until one gains at most 1e-12
@@ -649,15 +655,12 @@ def chord_arc_constant(curve: JordanCurve) -> ScanResult:
     """Supremum of (shorter arc length) / (chord length) over boundary pairs,
     for any regular parametrization: arc lengths are differences of the
     cumulative length (of the base curve, for an arc-length view)."""
-    base, cum = _base_and_length(curve)
-    length = cum.mean * TWO_PI
-    table = _LengthTable(base, cum, tangent=False)
+    table = _base_and_length(curve)[1]
 
     def score(a, b, d):
-        return _shorter_arc(b[1] - a[1], length) / _norms(b[0] - a[0])
+        return _shorter_arc(b[0] - a[0], table.length) / _norms(b[3] - a[3])
 
-    here = (base.position(TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES), cum.values_on_grid(_SCAN_NODES))
-    return _lag_scan(table.sample, score, here, arc=table)
+    return _lag_scan(table.at, score, table.grid(_SCAN_NODES), length=table.length)
 
 
 def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
@@ -913,20 +916,22 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     kappa_max (L / 2 pi)^2 at mu = 1."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    base, cum = _base_and_length(curve)
-    length = cum.mean * TWO_PI
+    base, table = _base_and_length(curve)
+    length = table.length
     scale = length / TWO_PI
     lam = chord_arc_constant(curve)
     kappa = _max_curvature_impl(base)
-    table = _LengthTable(base, cum, tangent=True)
+
+    def tangents(cum, speed, vel, pos):
+        return cum, speed, vel / speed[..., None]
 
     def score(a, b, d):
-        turn = _norms(b[0] - a[0])
-        return scale ** (1.0 + mu) * turn / _shorter_arc(b[1] - a[1], length) ** mu
+        turn = _norms(b[2] - a[2])
+        return scale ** (1.0 + mu) * turn / _shorter_arc(b[0] - a[0], length) ** mu
 
-    vel = base.velocity_grid(_SCAN_NODES)
-    here = (vel / _norms(vel)[:, None], cum.values_on_grid(_SCAN_NODES))
-    hol = _lag_scan(table.sample, score, here, scale**2 * kappa if mu == 1.0 else 0.0, arc=table)
+    here = tangents(*table.grid(_SCAN_NODES))
+    diag = scale**2 * kappa if mu == 1.0 else 0.0
+    hol = _lag_scan(lambda t: tangents(*table.at(t)), score, here, diag, length)
     try:
         _nyquist_check(base)
     except RefinementError:

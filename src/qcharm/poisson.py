@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, TrigPolynomial, _roundoff_floor
-from .errors import DomainError, RefinementError
+from .curves import TWO_PI, JordanCurve, TrigPolynomial, _norms, _resolved_fit
+from .errors import DomainError
 
-# largest FFT fit of composed boundary data (degree cap is half of it)
-_MAX_FIT = 1 << 16
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
 _DISK_SLACK = 1e-12
 
@@ -95,8 +93,8 @@ class BoundaryMap:
         if abs(increase - TWO_PI) > 1e-9:
             raise DomainError("angle map must increase by 2*pi over a period")
         t = TWO_PI * np.arange(512) / 512
-        reach = float(np.max(np.linalg.norm(self.values(t), axis=1)))
-        limit = float(np.max(np.linalg.norm(self.curve.points, axis=1)))
+        reach = float(np.max(_norms(self.values(t))))
+        limit = float(np.max(_norms(self.curve.points)))
         if reach > limit * (1.0 + 1e-4) + 1e-9:
             raise DomainError("boundary values escape the target curve's reach")
 
@@ -133,10 +131,11 @@ class BoundaryMap:
         The curve's own polynomial (identity angle map, no arc-length view)
         with its ``fit_tail``, and the interpolant of ``from_values``, are
         returned as they are.  Other data is fitted by FFT at 64, 128, ...
-        samples until every harmonic in the upper half of the fitted band is
-        below the roundoff floor 1e-15 * max|F| * log2(samples); harmonics
-        below the floor at the top are then dropped.  ``RefinementError`` when the
-        fit is still unresolved at 2^16 samples.
+        samples, by the resolution rule of the curves' speed fits: trailing
+        harmonics below the roundoff floor 1e-15 * max|F| * log2(samples) are
+        dropped, and the count doubles until the kept degree is at most a
+        quarter of it.  ``RefinementError`` when the fit is still unresolved at
+        2^16 samples.
         """
         if self._series is None:
             if self.curve is None:
@@ -144,7 +143,7 @@ class BoundaryMap:
             elif self.angle_map._osc is None and self.curve.view is None:
                 self._series = (self.curve.poly, self.curve.fit_tail)
             else:
-                self._series = self._fit_series()
+                self._series = _resolved_fit(lambda m: self.values(TWO_PI * np.arange(m) / m), 64)
         return self._series[0]
 
     @property
@@ -155,17 +154,6 @@ class BoundaryMap:
         its value error."""
         self.series()
         return self._series[1]
-
-    def _fit_series(self):
-        m = 64
-        while True:
-            samples = self.values(TWO_PI * np.arange(m) / m)
-            fit = TrigPolynomial.from_samples(samples).truncated(_roundoff_floor(samples))
-            if fit[0].degree <= m // 4:
-                return fit
-            if m >= _MAX_FIT:
-                raise RefinementError(f"boundary series not resolved at {_MAX_FIT} samples")
-            m *= 2
 
 
 @dataclass

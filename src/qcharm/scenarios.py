@@ -35,8 +35,8 @@ from .curves import (
     TWO_PI,
     CurveConstants,
     JordanCurve,
-    PeriodicAntiderivative,
-    _invert_length,
+    _LengthTable,
+    _norms,
     build_curve,
     circle,
     compute_curve_constants,
@@ -66,7 +66,6 @@ _BOUNDARY_PAIRS = 10_000  # boundary Hölder pairs, of which
 _NEAR_DIAGONAL_PAIRS = 1_000  # these are near the diagonal
 _INTERIOR_PAIRS = 10_000  # displacement pairs
 _JACOBIAN_TAUS = 32  # angles of the boundary-Jacobian bound
-_WITNESS_NODES = 4096  # arc-length samples of the normalization witness
 
 
 @dataclass
@@ -321,22 +320,15 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     """Preimages of three points cutting the image curve into equal arcs.
 
     Anchored at parameter 0; the other two preimages invert the cumulative
-    length along the boundary data by Newton steps, seeded by interpolation
-    on its sample grid.
+    length of the boundary series through its length table, as the
+    arc-length view does.
     """
-
-    def speed(x):
-        return np.linalg.norm(boundary.derivative(x), axis=-1)
-
-    t = TWO_PI * np.arange(_WITNESS_NODES + 1) / _WITNESS_NODES
-    cum = PeriodicAntiderivative(speed(t[:-1]))
-    total = cum.mean * TWO_PI
-    targets = total * np.array([1.0, 2.0]) / 3.0
-    seeds = np.interp(targets, np.append(cum.values_on_grid(_WITNESS_NODES), total), t)
-    angles = np.concatenate([[0.0], _invert_length(lambda x: (cum(x), speed(x)), total, targets[None], seeds[None])[0][0]])
-    pts = boundary.values(angles)
-    arc = np.diff(np.append(cum(angles), total))
-    return NormalizationWitness(preimage_angles=angles, target_points=pts, arc_lengths=arc)
+    series = boundary.series()
+    table = _LengthTable(series, series.degree)
+    t, (cum, *_) = table.invert(table.length * np.array([[1.0, 2.0]]) / 3.0)
+    angles = np.concatenate([[0.0], t[0]])
+    arc = np.diff(np.concatenate([[0.0], cum[0], [table.length]]))
+    return NormalizationWitness(preimage_angles=angles, target_points=boundary.values(angles), arc_lengths=arc)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +416,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         t1, t2 = _boundary_pair_angles(_BOUNDARY_PAIRS, _NEAR_DIAGONAL_PAIRS)
         f1 = boundary.values(t1)
         f2 = boundary.values(t2)
-        lhs = np.linalg.norm(f1 - f2, axis=1)
+        lhs = _norms(f1 - f2)
         dz = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
         return [_worst_record("boundary_holder", lhs, growth * dz**alpha)]
 
@@ -469,7 +461,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
         u1 = poisson_extend(boundary, z1)
         u2 = poisson_extend(boundary, z2)
-        lhs = np.linalg.norm(u1 - u2, axis=1)
+        lhs = _norms(u1 - u2)
         rhs = k_used * bound.value * np.abs(z1 - z2)
         return [rec, _worst_record("displacement_bound", lhs, rhs)]
 

@@ -30,6 +30,7 @@ from qcharm import (
     ellipse,
     fourier_curve,
     holder_derivative_constant,
+    isoperimetric_check,
     max_curvature,
 )
 
@@ -298,6 +299,30 @@ def test_ellipse_length_oracle(ellipse_curve):
     assert abs(curve_length(ellipse_curve) - ELLIPSE_PERIMETER) < 1e-10
 
 
+@pytest.mark.parametrize("a", [100.0, 1000.0])
+def test_eccentric_ellipse_length(a):
+    from scipy.special import ellipe
+
+    # a trapezoid rule on 1,024 nodes read these 2.8e-10 and 1.3e-6 relative off
+    exact = 4.0 * a * ellipe(1.0 - 1.0 / a**2)
+    assert abs(curve_length(build_curve(ellipse(a, 1.0), 512)) - exact) <= 1e-14 * exact
+
+
+def test_cumulative_length_keeps_no_roundoff_harmonics():
+    # the constant speed of a circle integrates to a linear length; integrating the
+    # unresolved fit kept 1,020 harmonics of noise
+    for generator, degree in ((circle(), 0), (ellipse(1.05, 1.0), 20)):
+        table = curves._base_and_length(build_curve(generator, 512))[1]
+        assert table.cum._osc.degree <= degree
+
+
+def test_unresolved_speed_fit_raises(monkeypatch):
+    # a 100:1 ellipse resolves its speed at 8,192 samples; capped below, nothing is certified
+    monkeypatch.setattr(curves, "_MAX_FIT", 4096)
+    with pytest.raises(RefinementError, match="not resolved"):
+        compute_curve_constants(build_curve(ellipse(100.0, 1.0), 512))
+
+
 # ---------------------------------------------------------------------------
 # arc-length reparametrization
 
@@ -320,7 +345,7 @@ def test_reparametrize_circle_unchanged(circle_curve):
 def test_reparametrize_newton_nonconvergence_raises(ellipse_curve, monkeypatch):
     arc = arc_length_reparametrize(ellipse_curve)
     # a cumulative length that never reaches its target stalls every Newton step
-    monkeypatch.setattr(arc.view, "_cum", lambda t: np.full(np.shape(t), -1.0))
+    monkeypatch.setattr(arc.view.table, "at", lambda t: (np.full(np.shape(t), -1.0), np.ones(np.shape(t))))
     with pytest.raises(RefinementError, match="Newton"):
         arc.position(np.array([0.5, 1.5]))
 
@@ -609,6 +634,23 @@ def _seeded_generators():
 SEEDED = _seeded_generators()
 
 
+def _length_cases():
+    cases = [(name, lambda p, g=g: build_curve(g, 512)) for name, g in SEEDED if name.startswith("ellipse")]
+    cases += [(f"csv R^{dim} seed {seed}", lambda p, s=(seed, dim): _csv_curve(*_degree8_source(*s), p)) for seed, dim in SOURCES]
+    return cases
+
+
+LENGTH_CASES = _length_cases()
+
+
+@pytest.mark.parametrize("make", [m for _, m in LENGTH_CASES], ids=[name for name, _ in LENGTH_CASES])
+def test_one_length_everywhere(make, tmp_path):
+    # three pipelines on three builds of the curve read one length, to the bit
+    length = curve_length(make(tmp_path / "c.csv"))
+    assert compute_curve_constants(make(tmp_path / "c.csv")).length == length
+    assert isoperimetric_check(BoundaryMap(make(tmp_path / "c.csv"))).length == length
+
+
 @pytest.mark.parametrize("mu", [1.0, 0.75, 0.5, 0.25])
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_lag_scans_dominate_brute_force(generator, mu):
@@ -698,6 +740,10 @@ def test_shorter_arc_matches_mod_bits():
         assert not np.any(np.signbit(got[got == 0.0]))
 
 
+def _tangents(cum, speed, vel, pos):
+    return cum, speed, vel / speed[..., None]
+
+
 def _scan_cases():
     """(name, sample, score, here) of the chord-arc, holder and modulus scans."""
     n = curves._SCAN_NODES
@@ -705,23 +751,20 @@ def _scan_cases():
     out = []
     for name, generator in (SEEDED[2], SEEDED[-1]):
         curve = build_curve(generator, 512)
-        base, cum = curves._base_and_length(curve)
-        length = cum.mean * TWO_PI
-        chord = curves._LengthTable(base, cum, tangent=False)
-        turn = curves._LengthTable(base, cum, tangent=True)
-        vel = base.velocity_grid(n)
+        _, table = curves._base_and_length(curve)
+        length = table.length
         out += [
             (
                 f"chord-arc {name}",
-                chord.sample,
-                lambda a, b, d, length=length: curves._shorter_arc(b[1] - a[1], length) / curves._norms(b[0] - a[0]),
-                (base.position(grid), cum.values_on_grid(n)),
+                table.at,
+                lambda a, b, d, length=length: curves._shorter_arc(b[0] - a[0], length) / curves._norms(b[3] - a[3]),
+                table.grid(n),
             ),
             (
                 f"holder {name}",
-                turn.sample,
-                lambda a, b, d, length=length: curves._norms(b[0] - a[0]) / curves._shorter_arc(b[1] - a[1], length) ** 0.5,
-                (vel / curves._norms(vel)[:, None], cum.values_on_grid(n)),
+                lambda t, table=table: _tangents(*table.at(t)),
+                lambda a, b, d, length=length: curves._norms(b[2] - a[2]) / curves._shorter_arc(b[0] - a[0], length) ** 0.5,
+                _tangents(*table.grid(n)),
             ),
             (
                 f"modulus {name}",
@@ -748,17 +791,16 @@ def test_lag_maxima_match_roll_oracle_bits(name, sample, score, here):
 
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_invert_length_rows_converge_separately(generator):
-    base, cum = curves._base_and_length(build_curve(generator, 512))
-    table = curves._LengthTable(base, cum, tangent=False)
+    table = curves._base_and_length(build_curve(generator, 512))[1]
     target = np.stack([np.linspace(0.1, 0.5, 9), np.linspace(2.0, 3.0, 9)]) * table.length / TWO_PI
-    exact = curves._invert_length(table, table.length, target, target / cum.mean)[0]
+    exact = curves._invert_length(table.at, table.length, target, target / table.cum.mean)[0]
     # row 0 starts at its answer, row 1 a tenth of a radian off
     start = exact + np.array([[0.0], [0.1]])
     calls = []
 
     def counted(x):
         calls.append(x.shape[0])
-        return table(x)
+        return table.at(x)
 
     alone = []
     for row in (0, 1):
@@ -779,8 +821,8 @@ def test_invert_length_rows_converge_separately(generator):
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_stacked_polynomial_matches_blocks(generator):
     curve = build_curve(generator, 512)
-    base, cum = curves._base_and_length(curve)
-    blocks = (cum._osc, base._vel, base.poly)
+    base, table = curves._base_and_length(curve)
+    blocks = (table.cum._osc, base._vel, base.poly)
     stacked = TrigPolynomial.stack(*blocks)
     assert stacked.degree == max(p.degree for p in blocks) and stacked.dim == sum(p.dim for p in blocks)
     t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
@@ -799,12 +841,13 @@ def test_stacked_polynomial_matches_blocks(generator):
 @pytest.mark.parametrize("tangent", [False, True], ids=["position", "tangent"])
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_length_table_matches_separate_evaluations(generator, tangent):
-    base, cum = curves._base_and_length(build_curve(generator, 512))
+    base, table = curves._base_and_length(build_curve(generator, 512))
     t = np.random.default_rng(5).uniform(-1.0, TWO_PI + 1.0, 300)
     vel = base.velocity(t)
     speed = np.linalg.norm(vel, axis=-1)
-    want = (cum(t), speed, vel / speed[:, None] if tangent else base.position(t))
-    for got, ref in zip(curves._LengthTable(base, cum, tangent)(t), want):
+    want = (table.cum(t), speed, vel / speed[:, None] if tangent else base.position(t))
+    cum, got_speed, got_vel, position = table.at(t)
+    for got, ref in zip((cum, got_speed, got_vel / got_speed[:, None] if tangent else position), want):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -815,7 +858,7 @@ def test_length_table_matches_separate_evaluations(generator, tangent):
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "vector", "matrix"])
 def test_evaluators_keep_parameter_shape(shape, ellipse_curve, ellipse_arc):
     t = np.linspace(-1.0, 7.0, int(np.prod(shape))).reshape(shape)
-    antiderivative = curves.PeriodicAntiderivative(1.0 + 0.3 * np.cos(TWO_PI * np.arange(64) / 64))
+    antiderivative = curves.PeriodicAntiderivative(TrigPolynomial.from_samples(1.0 + 0.3 * np.cos(TWO_PI * np.arange(64) / 64)[:, None]))
     samples = TWO_PI * np.arange(128) / 128
     amap = AngleMap.from_samples(samples + 0.1 * np.sin(samples))
     for evaluate, tail in ((antiderivative, ()), (amap, ()), (ellipse_arc.position, (2,)), (ellipse_curve.position, (2,))):

@@ -20,7 +20,7 @@ from qcharm import (
     poisson_extend,
     surface_area,
 )
-from qcharm import poisson
+from qcharm import curves
 from qcharm.poisson import _angular_sides, _dilatations
 from qcharm.scenarios import _worst_record
 
@@ -192,7 +192,7 @@ def test_unresolved_series_raises(circle_curve, monkeypatch):
     periodic = TrigPolynomial(np.zeros((21, 1)), np.eye(21)[20][:, None] * 0.05)
     bm = BoundaryMap(circle_curve, AngleMap(periodic))
     assert bm.series().degree > 64
-    monkeypatch.setattr(poisson, "_MAX_FIT", 128)
+    monkeypatch.setattr(curves, "_MAX_FIT", 128)
     capped = BoundaryMap(circle_curve, AngleMap(periodic))  # the fit waits for first use
     with pytest.raises(RefinementError):
         poisson_extend(capped, 0.5)

@@ -99,14 +99,29 @@ def test_affine_witness_corrected(affine_scenario):
     plain = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
     assert np.max(np.abs(w.preimage_angles - plain)) > 1e-3
     # and the cube roots themselves do not split the ellipse evenly
-    from qcharm.curves import PeriodicAntiderivative
+    from qcharm.curves import PeriodicAntiderivative, TrigPolynomial
 
     bm = affine_scenario.boundary
     t = TWO_PI * np.arange(4096) / 4096
     speed = np.linalg.norm(bm.derivative(t), axis=1)
-    cum = PeriodicAntiderivative(speed)
+    cum = PeriodicAntiderivative(TrigPolynomial.from_samples(speed[:, None]))
     arcs = np.diff([cum(a) for a in plain] + [total])
     assert np.max(np.abs(arcs - total / 3.0)) > 1e-3
+
+
+def test_identity_witness_inverts_linear_length(monkeypatch):
+    # the circle's cumulative length is linear: its table holds no oscillating harmonic
+    tables = []
+
+    class Recorded(scenarios._LengthTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(scenarios, "_LengthTable", Recorded)
+    w = scenarios.make_scenario("identity").normalization
+    assert [t.cum._osc.degree for t in tables] == [0]
+    assert np.allclose(w.preimage_angles, [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0], rtol=0.0, atol=1e-15)
 
 
 def test_witness_thirds_match_root_finding(catalog_scenarios):
@@ -122,7 +137,7 @@ def test_witness_thirds_match_root_finding(catalog_scenarios):
         total = w.arc_lengths.sum()
         assert np.max(np.abs(w.arc_lengths - total / 3.0)) <= 1e-12 * total
         t = TWO_PI * np.arange(4096) / 4096
-        cum = PeriodicAntiderivative(np.linalg.norm(bm.derivative(t), axis=1))
+        cum = PeriodicAntiderivative(TrigPolynomial.from_samples(np.linalg.norm(bm.derivative(t), axis=1)[:, None]))
         roots = [brentq(lambda x: cum(x) - f * total, 1e-12, TWO_PI - 1e-12, xtol=1e-14) for f in (1 / 3, 2 / 3)]
         assert w.preimage_angles[0] == 0.0
         assert np.max(np.abs(w.preimage_angles[1:] - roots)) < 1e-12
