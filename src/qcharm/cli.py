@@ -68,12 +68,12 @@ def _curve_from_args(args) -> tuple:
 
 def cmd_constants(args) -> int:
     gen, desc = _curve_from_args(args)
-    curve = build_curve(gen, args.nodes)
+    curve = build_curve(gen)
     constants = compute_curve_constants(curve, mu=args.mu)
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",
-        "curve": desc | {"nodes": args.nodes, "dimension": curve.dim, "degree": curve.poly.degree, "tail": curve.fit_tail},
+        "curve": desc | {"nodes": curve.node_count, "dimension": curve.dim, "degree": curve.poly.degree, "tail": curve.fit_tail},
         "constants": asdict(constants),
     }
     flat = {k: v for k, v in payload["constants"].items() if k != "converged"}
@@ -154,7 +154,7 @@ def _scenario_from_args(args):
             kwargs["sin_coeffs"] = spec["sin_coeffs"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise QcharmError(f"unreadable coefficients {args.coeffs!r}: {type(exc).__name__}: {exc}")
-    return make_scenario(args.scenario, node_count=args.nodes, **kwargs)
+    return make_scenario(args.scenario, **kwargs)
 
 
 def cmd_verify(args) -> int:
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.8)
     p.add_argument("--samples", default=None, help="CSV with columns t, x_1..x_n")
-    p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--mu", type=float, default=1.0)
     common(p)
     p.set_defaults(func=cmd_constants)
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--order", type=int, default=2, help="harmonic order m")
     p.add_argument("--coeffs", default=None, help="JSON file with cos_coeffs/sin_coeffs")
-    p.add_argument("--nodes", type=int, default=512)
     p.add_argument("--mu", type=float, default=1.0)
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -24,6 +24,7 @@ TWO_PI = 2.0 * np.pi
 # Absolute default tolerance for geometric constants.
 CONST_TOL = 1e-6
 
+# points per evaluation chunk, fewer where the power table would pass 2^20 entries
 _EVAL_CHUNK = 2048
 # most uniform samples of a resolved FFT fit, whose kept degree is at most a quarter of them
 _MAX_FIT = 1 << 16
@@ -124,8 +125,9 @@ class TrigPolynomial:
         t = np.asarray(t, dtype=float)
         x = t.ravel()
         out = np.empty((x.size, self.dim))
-        for lo in range(0, x.size, _EVAL_CHUNK):
-            out[lo : lo + _EVAL_CHUNK] = terms(x[lo : lo + _EVAL_CHUNK, None]).view(float) @ self._weights
+        chunk = max(1, min(_EVAL_CHUNK, (1 << 20) // (self._giant.size * self._baby.size)))
+        for lo in range(0, x.size, chunk):
+            out[lo : lo + chunk] = terms(x[lo : lo + chunk, None]).view(float) @ self._weights
         return out.reshape(t.shape + (self.dim,))
 
     def derivative(self):
@@ -248,15 +250,15 @@ def _invert_length(evaluate, length: float, target, t):
 
 class _LengthTable:
     """Cumulative length of the curve with position polynomial ``poly``: the antiderivative
-    of its speed fit, resolved from max(4 nodes, 2 degree, 512) samples on.  ``at(t)`` gives
+    of its speed fit, resolved from max(_SCAN_NODES, 2 degree) samples on.  ``at(t)`` gives
     (cumulative length, speed, velocity, position) from one evaluation of the stacked
     polynomial (oscillating part of the length, velocity, position), and ``invert`` finds
     where the length reaches its targets by Newton steps from seeds interpolated on a
     grid of the length."""
 
-    def __init__(self, poly: TrigPolynomial, nodes: int):
+    def __init__(self, poly: TrigPolynomial):
         vel = poly.derivative()
-        start = max(4 * nodes, 2 * poly.degree, 512)
+        start = max(_SCAN_NODES, 2 * poly.degree)
         self.cum = PeriodicAntiderivative(_resolved_fit(lambda m: _norms(vel.grid(m))[:, None], start)[0])
         self.length = self.cum.mean * TWO_PI
         self._poly = TrigPolynomial.stack(self.cum._osc, vel, poly)
@@ -294,9 +296,9 @@ class _ArcLengthView:
     band-limited refit would alias.
     """
 
-    def __init__(self, base: "JordanCurve", nodes: int):
+    def __init__(self, base: "JordanCurve"):
         self.base = base
-        self.table = _LengthTable(base.poly, nodes)
+        self.table = _LengthTable(base.poly)
         self.scale = self.table.length / TWO_PI
 
     def parameter(self, theta):
@@ -388,7 +390,7 @@ class JordanCurve:
     @functools.cached_property
     def _length(self) -> _LengthTable:
         """The length table of this parametrization, built on first use."""
-        return _LengthTable(self.poly, self.node_count)
+        return _LengthTable(self.poly)
 
     def scaled(self, c: float) -> "JordanCurve":
         if self.view is not None:
@@ -454,7 +456,7 @@ def fourier_curve(cos_coeffs, sin_coeffs) -> TrigPolynomial:
     return TrigPolynomial(cos_coeffs, sin_coeffs)
 
 
-def build_curve(generator, node_count: int = 256) -> JordanCurve:
+def build_curve(generator, node_count: int = 512) -> JordanCurve:
     """Sample a closed curve and validate regularity and sampled injectivity.
 
     Parameters
@@ -465,7 +467,11 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
         FFT at their resolved degree (trailing harmonics below the
         roundoff floor 1e-15 * max|sample| * log2(samples) go to
         ``fit_tail``), and derivatives follow by spectral differentiation.
-    node_count : number of uniform nodes (>= 16)
+        ``RefinementError`` when more than 1e-6 of the fit's acceleration
+        energy lies in the top quarter of the band of the m samples
+        (harmonics 0 .. m // 2): the data do not resolve the curvature.
+    node_count : number of uniform nodes (>= 16) of the stored samples
+        ``points`` and ``derivs``; no constant depends on it
     """
     if node_count < 16:
         raise DomainError("node_count must be at least 16")
@@ -485,6 +491,7 @@ def build_curve(generator, node_count: int = 256) -> JordanCurve:
         else:
             pts_in = np.atleast_2d(np.asarray(generator, dtype=float))
         poly, fit_tail = TrigPolynomial.from_samples(pts_in).truncated(_roundoff_floor(pts_in))
+        _check_resolved(poly, pts_in.shape[0])
         if pts_in.shape[0] == node_count:
             points = pts_in.copy()
         else:
@@ -509,6 +516,21 @@ def _roundoff_floor(samples) -> float:
     """Weight below which a harmonic of the FFT fit through uniform samples
     (m, n) is roundoff: 1e-15 * max|sample| * log2(m)."""
     return 1e-15 * float(np.max(_norms(samples))) * np.log2(samples.shape[0])
+
+
+def _check_resolved(poly: TrigPolynomial, m: int):
+    """``RefinementError`` when more than 1e-6 of the spectral energy of the acceleration of
+    ``poly``, fitted through m samples, lies in the top quarter of harmonics 0 .. m // 2."""
+    band = m // 2 + 1
+    j = np.arange(poly.degree + 1, dtype=float)
+    energy = np.zeros(band)
+    energy[: j.size] = j**4 * np.sum(poly.cos_coeffs**2 + poly.sin_coeffs**2, axis=1)
+    tail, total = float(np.sum(energy[int(np.ceil(0.75 * band)) :])), float(np.sum(energy))
+    if tail > 1e-6 * total:
+        raise RefinementError(
+            f"samples too coarse for the curvature: top-band spectral energy fraction {tail / total:.2e}"
+            f" of the acceleration at {m} samples"
+        )
 
 
 def _check_sampled_injectivity(points):
@@ -555,7 +577,7 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
     """
     m = node_count or curve.node_count
     base = curve.view.base if curve.view is not None else curve
-    view = _ArcLengthView(base, m)
+    view = _ArcLengthView(base)
     nodes = TWO_PI * np.arange(m) / m
     pts = view.position(nodes)
     derivs = view.velocity(nodes)
@@ -677,7 +699,7 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     if mu < 1.0:
         diag = 0.0
     elif curve.view is not None:
-        diag = curve.view.scale**2 * _max_curvature_impl(curve.view.base)
+        diag = curve.view.scale**2 * max_curvature(curve)
     else:
         acc = _norms(curve.acceleration_grid(_SCAN_NODES))
         diag = _polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc)
@@ -724,46 +746,19 @@ def _curvature(v, a):
     return np.sqrt(np.clip(v2 * a2 - va**2, 0.0, None)) / v2**1.5
 
 
-def _max_curvature_impl(curve: JordanCurve) -> float:
-    """Polished grid max of the parametrization-invariant curvature."""
-    m = max(4 * curve.node_count, 2048)
-    return _polished_grid_max(
-        lambda t: _curvature(curve.velocity(t), curve.acceleration(t)),
-        _curvature(curve.velocity_grid(m), curve.acceleration_grid(m)),
-    )
-
-
 def max_curvature(curve: JordanCurve) -> float:
-    """Largest curvature, measured against true arc length.
+    """Largest curvature, measured against true arc length, in any regular parametrization.
 
     Uses kappa = sqrt(|g'|^2 |g''|^2 - <g', g''>^2) / |g'|^3, which is
-    parametrization invariant (on an arc-length curve it reduces to the
-    second derivative rescaled to unit speed); reparametrized curves are
-    scanned through their exact source evaluators.
+    parametrization invariant: a polished grid maximum over max(2048, 4 degree)
+    nodes of the curve's polynomial (of the base curve, for an arc-length view).
     """
-    if not curve.arc_length:
-        raise DomainError("max_curvature requires an arc-length reparametrized curve")
     source = curve.view.base if curve.view is not None else curve
-    _nyquist_check(source)
-    return _max_curvature_impl(source)
-
-
-def _nyquist_check(curve: JordanCurve, tail_fraction: float = 0.25, limit: float = 1e-6):
-    """Reject curves whose derivative spectrum has not decayed within the
-    band representable at the curve's node count."""
-    acc = curve._acc
-    band = curve.node_count // 2 + 1
-    energy = np.zeros(max(band, acc.degree + 1))
-    energy[: acc.degree + 1] = np.sum(acc.cos_coeffs**2 + acc.sin_coeffs**2, axis=1)
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return
-    cut = int(np.ceil((1.0 - tail_fraction) * energy.size))
-    tail = float(np.sum(energy[cut:]))
-    if tail > limit * total:
-        raise RefinementError(
-            f"derivative data too coarse: top-band spectral energy fraction {tail / total:.2e}"
-        )
+    m = max(_SCAN_NODES, 4 * source.poly.degree)
+    return _polished_grid_max(
+        lambda t: _curvature(source.velocity(t), source.acceleration(t)),
+        _curvature(source.velocity_grid(m), source.acceleration_grid(m)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +915,7 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     length = table.length
     scale = length / TWO_PI
     lam = chord_arc_constant(curve)
-    kappa = _max_curvature_impl(base)
+    kappa = max_curvature(base)
 
     def tangents(cum, speed, vel, pos):
         return cum, speed, vel / speed[..., None]
@@ -932,10 +927,6 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     here = tangents(*table.grid(_SCAN_NODES))
     diag = scale**2 * kappa if mu == 1.0 else 0.0
     hol = _lag_scan(lambda t: tangents(*table.at(t)), score, here, diag, length)
-    try:
-        _nyquist_check(base)
-    except RefinementError:
-        kappa = float("nan")
     return CurveConstants(
         length=length,
         chord_arc=lam.value,
@@ -947,6 +938,6 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
             "length": True,
             "chord_arc": lam.converged,
             "holder_constant": hol.converged,
-            "max_curvature": not math.isnan(kappa),
+            "max_curvature": True,
         },
     )

@@ -112,9 +112,13 @@ def kernel_bound_holder(curve: JordanCurve, mu: float, s, t, c_h: float | None =
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    if c_h is None:
-        c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
+    c_h = _holder_coefficient(curve, mu, c_h)
     return _checked_majorant(curve, s, t, lambda chord, circ: c_h * chord * circ**mu, "holder"), c_h
+
+
+def _holder_coefficient(curve: JordanCurve, mu: float, c_h: float | None) -> float:
+    """c_h when supplied, else (1 / (1 + mu)) sup |h'(x) - h'(y)| / dist(x, y)^mu of the curve."""
+    return holder_derivative_constant(curve, mu).value / (1.0 + mu) if c_h is None else c_h
 
 
 def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
@@ -164,9 +168,11 @@ def boundary_jacobian_bound(
     value = |f'(tau)| * integral of |P(x) ^ h'(f(tau))| / (4*pi*sin^2(x/2))
     dx, with the chord P(x) = F(tau + x) - F(tau) of the boundary series
     (``TrigPolynomial.increments``, accurate relative to |P| as x -> 0).
-    The integrand grows like |x|^(mu-1) near 0 for curves whose derivative
-    is mu-Hölder, so the inner piece is computed after the substitution x =
-    sigma^(1/mu) which makes it bounded ("graded").  The "majorant" method
+    The boundary series is a trigonometric polynomial, so the kernel
+    integrand is bounded at x = 0 whatever mu is, and its rule does not
+    read mu.  The Hölder form's integrand grows like |x|^(mu-1) near 0, so
+    its inner piece is computed after the substitution x = sigma^(1/mu)
+    which makes it bounded ("graded").  The "majorant" method
     instead replaces the inner piece by its closed-form Hölder majorant,
     giving a slightly larger, conservative value.
 
@@ -193,11 +199,9 @@ def boundary_jacobian_bound(
     fp_tau = abs(float(fmap.derivative(tau)))
     vel_tau = curve.velocity(f_tau)
     chord = boundary.series().increments(tau)
-    if form == "holder":
-        if c_h is None:
-            c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
-        min_speed = float(np.min(_norms(curve.derivs)))
-        holder_const = c_h / min_speed
+    if form == "holder" or method == "majorant":
+        c_h = _holder_coefficient(curve, mu, c_h)
+        holder_const = c_h / float(np.min(_norms(curve.derivs)))
 
     def integrand(x):
         p = chord(x)
@@ -213,8 +217,6 @@ def boundary_jacobian_bound(
         vals = integrand(t_out)
         h = (TWO_PI - 2.0 * eps) / spec.m
         outer = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
-        if c_h is None:
-            c_h = holder_derivative_constant(curve, mu).value / (1.0 + mu)
         sup_speed = float(np.max(_norms(curve.derivs)))
         t_fine = TWO_PI * np.arange(1024) / 1024
         sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
@@ -226,15 +228,17 @@ def boundary_jacobian_bound(
         return fp_tau * (outer + inner)
 
     eps = 0.25
-    inner_edges = np.linspace(0.0, eps**mu, 5)
+    # only the Hölder form's integrand grows like |x|^(mu-1); the kernel form's is bounded
+    grade = mu if form == "holder" else 1.0
+    inner_edges = np.linspace(0.0, eps**grade, 5)
     # outer panels double in width away from the singular point
     outer_edges = np.append(eps * 2.0 ** np.arange(4), np.pi)
 
     def evaluate(order: int) -> float:
-        # inner piece through the grading substitution x = sigma^(1/mu)
+        # inner piece through the grading substitution x = sigma^(1/grade)
         sigma, w_in = _gauss_panels(inner_edges, order)
-        x_in = sigma ** (1.0 / mu)
-        jac = (1.0 / mu) * sigma ** (1.0 / mu - 1.0)
+        x_in = sigma ** (1.0 / grade)
+        jac = (1.0 / grade) * sigma ** (1.0 / grade - 1.0)
         x_out, w_out = _gauss_panels(outer_edges, order)
         # both sides of both pieces in one call
         pieces = (x_in, -x_in, x_out, -x_out)

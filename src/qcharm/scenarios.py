@@ -139,10 +139,10 @@ def _planar(u_complex):
     return u
 
 
-def make_scenario(name: str, node_count: int = 512, **params) -> Scenario:
+def make_scenario(name: str, **params) -> Scenario:
     """Build a catalog scenario; see the module docstring for the list."""
     if name == "identity":
-        curve = build_curve(circle(), node_count)
+        curve = build_curve(circle())
         sc = Scenario(
             name=name,
             params={},
@@ -165,7 +165,7 @@ def make_scenario(name: str, node_count: int = 512, **params) -> Scenario:
         sin_c = np.zeros((2, 2))
         cos_c[1] = [1.0 + a, b]
         sin_c[1] = [b, 1.0 - a]
-        curve = build_curve(fourier_curve(cos_c, sin_c), node_count)
+        curve = build_curve(fourier_curve(cos_c, sin_c))
         ux = np.array([1.0 + a, b])
         uy = np.array([b, 1.0 - a])
         jac = 1.0 - abs(c) ** 2
@@ -197,7 +197,7 @@ def make_scenario(name: str, node_count: int = 512, **params) -> Scenario:
         cos_c[order][1] += eps.imag / order
         sin_c[order][0] += -eps.imag / order
         sin_c[order][1] += eps.real / order
-        curve = build_curve(fourier_curve(cos_c, sin_c), node_count)
+        curve = build_curve(fourier_curve(cos_c, sin_c))
 
         def du(z):
             return 1.0 + eps * np.asarray(z, dtype=complex) ** (order - 1)
@@ -233,7 +233,7 @@ def make_scenario(name: str, node_count: int = 512, **params) -> Scenario:
         cos_c[1][0] = 1.0
         sin_c[1][1] = 1.0
         cos_c[order][2] = eps
-        curve = build_curve(fourier_curve(cos_c, sin_c), node_count)
+        curve = build_curve(fourier_curve(cos_c, sin_c))
         w_amp = abs(eps) * order
 
         def u_fn(z):
@@ -275,7 +275,7 @@ def make_scenario(name: str, node_count: int = 512, **params) -> Scenario:
     elif name == "fourier":
         cos_c = np.asarray(params["cos_coeffs"], dtype=float)
         sin_c = np.asarray(params["sin_coeffs"], dtype=float)
-        curve = build_curve(fourier_curve(cos_c, sin_c), node_count)
+        curve = build_curve(fourier_curve(cos_c, sin_c))
         sc = Scenario(
             name=name,
             params={"cos_coeffs": cos_c.tolist(), "sin_coeffs": sin_c.tolist()},
@@ -324,7 +324,7 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     arc-length view does.
     """
     series = boundary.series()
-    table = _LengthTable(series, series.degree)
+    table = _LengthTable(series)
     t, (cum, *_) = table.invert(table.length * np.array([[1.0, 2.0]]) / 3.0)
     angles = np.concatenate([[0.0], t[0]])
     arc = np.diff(np.concatenate([[0.0], cum[0], [table.length]]))
@@ -365,9 +365,8 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     bound at sampled angles; (6) isoperimetric ratio; (7) gradient and
     displacement bounds.  Inequality violations are recorded, not raised;
     an inequality check passes down to the margin -1e-9 (``_GATE``).  The
-    curve constants are computed once, at the scenario curve's node
-    count, and ``RefinementError`` is raised when any of them does not
-    converge.
+    curve constants are computed once, and ``RefinementError`` is raised
+    when any of them does not converge.
     """
     checks: list[CheckRecord] = []
     boundary = scenario.boundary
@@ -375,10 +374,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     # (1) curve constants
     constants = compute_curve_constants(scenario.curve, mu=mu)
     if not constants.all_converged():
-        raise RefinementError(
-            f"curve constants did not converge at {scenario.curve.node_count} nodes: {constants.converged};"
-            " a larger node count (--nodes) may resolve them"
-        )
+        raise RefinementError(f"curve constants did not converge: {constants.converged}")
     length = constants.length
 
     # area is shared by stages (4) and (6)

@@ -85,7 +85,7 @@ public = {name for name in q.__all__ if inspect.isfunction(getattr(q, name))}
 assert set(calls) == public, sorted(public ^ set(calls))
 for call in calls.values():
     call()
-assert main(["constants", "--curve", "ellipse", "--nodes", "128", "--out", sys.argv[1]]) == 0
+assert main(["constants", "--curve", "ellipse", "--out", sys.argv[1]]) == 0
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
@@ -152,7 +152,7 @@ def test_constants_from_csv(capsys, tmp_path):
     rows = np.column_stack([t, 1.2 * np.cos(t), 0.8 * np.sin(t)])
     csv_path = tmp_path / "samples.csv"
     np.savetxt(csv_path, rows, delimiter=",")
-    args = ["constants", "--curve", "csv", "--samples", str(csv_path), "--nodes", "128"]
+    args = ["constants", "--curve", "csv", "--samples", str(csv_path)]
     code, out, _ = run_cli(args, capsys)
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -213,13 +213,22 @@ def test_verify_below_lipschitz_exponent_reports(scenario, capsys, tmp_path):
     assert payload["all_passed"] is True
 
 
+@pytest.mark.parametrize("scenario", ["identity", "affine", "conformal_poly --order 3", "harmonic_graph --order 2"])
+def test_verify_near_zero_exponent_reports(scenario, capsys, tmp_path):
+    # the boundary-Jacobian rule graded its kernel integrand by mu and underflowed at mu <= 0.02
+    out_path = tmp_path / "v.json"
+    code, _, _ = run_cli(["verify", "--scenario", *scenario.split(), "--mu", "0.02", "--out", str(out_path)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out_path.read_text())["all_passed"] is True
+
+
 def test_determinism_byte_identical(capsys):
     args = ["bound", "--K", "1.3", "--mu", "0.5", "--upsilon", "1", "--lambda", "2.0", "--c-gamma", "0.7", "--length", "5.5"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
 
-    args = ["constants", "--curve", "ellipse", "--a", "1.1", "--b", "0.9", "--nodes", "128"]
+    args = ["constants", "--curve", "ellipse", "--a", "1.1", "--b", "0.9"]
     _, out3, _ = run_cli(args, capsys)
     _, out4, _ = run_cli(args, capsys)
     assert out3 == out4
@@ -343,7 +352,7 @@ def test_unconverged_constants_exit_three(capsys, tmp_path):
     noisy = np.column_stack([t, np.cos(t) + 1e-3 * np.cos(127 * t), np.sin(t)])
     csv_path = tmp_path / "noisy.csv"
     np.savetxt(csv_path, noisy, delimiter=",")
-    args = ["constants", "--curve", "csv", "--samples", str(csv_path), "--nodes", "256"]
+    args = ["constants", "--curve", "csv", "--samples", str(csv_path)]
     code, _, _ = run_cli(args, capsys)
     assert code == EXIT_NUMERIC
 
@@ -356,6 +365,8 @@ def test_unconverged_constants_exit_three(capsys, tmp_path):
         ["verify", "--scenario", "identity", "--upsilon", "1"],
         ["verify", "--scenario", "identity", "--workers", "1"],
         ["constants", "--curve", "circle", "--refine", "10"],
+        ["verify", "--scenario", "identity", "--nodes", "512"],
+        ["constants", "--curve", "circle", "--nodes", "128"],
     ],
 )
 def test_removed_flags_exit_two(argv, capsys):
@@ -366,7 +377,8 @@ def test_removed_flags_exit_two(argv, capsys):
 
 def test_config_naming_removed_flag_exits_two(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "identity", "tol": 1e-3}))
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--config", str(cfg)])
-    assert exc.value.code == EXIT_CONFIG
+    for removed in ({"tol": 1e-3}, {"nodes": 512}):
+        cfg.write_text(json.dumps({"scenario": "identity"} | removed))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(cfg)])
+        assert exc.value.code == EXIT_CONFIG

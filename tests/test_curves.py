@@ -81,6 +81,23 @@ def test_evaluation_matches_term_by_term(degree, dim):
         assert np.all(np.abs(poly.resample(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
 
 
+def test_evaluation_memory_is_bounded():
+    import tracemalloc
+
+    # the power table of a chunk holds at most 2^20 entries; 2,048-row chunks of this
+    # degree-4096 polynomial peaked at 141 MB under tracemalloc
+    rng = np.random.default_rng(4096)
+    poly = TrigPolynomial(rng.standard_normal((4097, 2)), rng.standard_normal((4097, 2)))
+    t = rng.uniform(0.0, TWO_PI, 2048)
+    tracemalloc.start()
+    try:
+        poly(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2, 15, 16, 40])
 def test_increments_match_term_by_term(degree):
     """x -> p(t0 + x) - p(t0) keeps its relative accuracy as x -> 0: the error
@@ -181,7 +198,7 @@ def test_pinched_curve_names_the_pinch():
     pts = np.stack([np.cos(t), np.sin(t) * np.cos(t) ** 2], axis=1)
     assert oracles.sampled_self_intersection(pts) == (64, 192)
     with pytest.raises(InjectivityError, match="between nodes 64 and 192"):
-        build_curve(pts)
+        build_curve(pts, 256)
 
 
 def test_small_node_count_rejected():
@@ -477,16 +494,27 @@ def test_curvature_ellipse(ellipse_arc):
 
 
 def test_curvature_nyquist_guard():
-    rng = np.random.default_rng(7)
     t = TWO_PI * np.arange(256) / 256
     noise = 1e-3 * np.cos(127 * t)
     pts = np.stack([np.cos(t) + noise, np.sin(t)], axis=1)
-    rough = build_curve(pts)
-    arc_like = arc_length_reparametrize(rough)
-    # the exact-view path dispatches to the sample-backed source, whose
-    # spectrum has not decayed
-    with pytest.raises(RefinementError):
-        max_curvature(arc_like)
+    # the acceleration of the fit has not decayed within the band of its 256 samples,
+    # whatever node count the curve is built at
+    for nodes in (256, 512):
+        with pytest.raises(RefinementError, match="256 samples"):
+            build_curve(pts, nodes)
+
+
+def test_exact_coefficients_are_not_guarded():
+    # a circle plus 1e-6 cos 200t is exact data: its curvature 1 + 0.04 at t = 0 is
+    # certified, though a band of 512 nodes would have called it unresolved
+    cos_c = np.zeros((201, 2))
+    sin_c = np.zeros((201, 2))
+    cos_c[1, 0] = sin_c[1, 1] = 1.0
+    cos_c[200, 0] = 1e-6
+    cc = compute_curve_constants(build_curve(fourier_curve(cos_c, sin_c)))
+    assert cc.all_converged()
+    assert abs(cc.max_curvature - 1.04) <= 1e-9
+    assert max_curvature(build_curve(fourier_curve(cos_c, sin_c))) == cc.max_curvature
 
 
 # ---------------------------------------------------------------------------

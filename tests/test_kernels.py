@@ -313,10 +313,12 @@ def _four_call_graded(boundary, tau, mu, form, c_h):
             num = holder_const * np.linalg.norm(p, axis=1) ** (1.0 + mu)
         return num / (4.0 * np.pi * np.sin(x / 2.0) ** 2)
 
+    grade = mu if form == "holder" else 1.0
+
     def evaluate(order):
-        sigma, w_in = kernels._gauss_panels(np.linspace(0.0, 0.25**mu, 5), order)
-        x_in = sigma ** (1.0 / mu)
-        jac = (1.0 / mu) * sigma ** (1.0 / mu - 1.0)
+        sigma, w_in = kernels._gauss_panels(np.linspace(0.0, 0.25**grade, 5), order)
+        x_in = sigma ** (1.0 / grade)
+        jac = (1.0 / grade) * sigma ** (1.0 / grade - 1.0)
         inner = float(np.sum(w_in * jac * (integrand(x_in) + integrand(-x_in))))
         x_out, w_out = kernels._gauss_panels(np.append(0.25 * 2.0 ** np.arange(4), np.pi), order)
         return inner + float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
@@ -358,3 +360,17 @@ def test_one_call_graded_rule_matches_four_calls(mu, tmp_path):
                     got = boundary_jacobian_bound(boundary, tau, mu=mu, form=form, c_h=0.7)
                     want = _four_call_graded(boundary, tau, mu, form, 0.7)
                     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_kernel_form_does_not_read_mu(catalog_scenarios, tmp_path):
+    # the kernel integrand of trigonometric boundary data is bounded at x = 0, so its rule
+    # takes the mu = 1 panels; grading by mu underflowed to NaN at mu <= 0.02
+    t = TWO_PI * np.arange(256) / 256
+    amap = AngleMap.from_samples(t + 0.1 * np.sin(t))
+    boundaries = [sc.boundary for sc in catalog_scenarios]
+    for curve in _graded_curves(tmp_path):
+        boundaries += [BoundaryMap(curve), BoundaryMap(curve, amap)]
+    for boundary in boundaries:
+        for tau in (0.3, 4.5):
+            values = [boundary_jacobian_bound(boundary, tau, mu=mu) for mu in (1.0, 0.5, 0.02, 0.01)]
+            assert math.isfinite(values[0]) and values == [values[0]] * 4

@@ -265,7 +265,6 @@ def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
     with pytest.raises(RefinementError) as exc:
         verify(identity_scenario)
     assert calls == [512]
-    assert "--nodes" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
