@@ -21,9 +21,6 @@ from .errors import DomainError, InjectivityError, RefinementError, RegularityEr
 
 TWO_PI = 2.0 * np.pi
 
-# Absolute default tolerance for geometric constants.
-CONST_TOL = 1e-6
-
 # points per evaluation chunk, fewer where the power table would pass 2^20 entries
 _EVAL_CHUNK = 2048
 # most uniform samples of a resolved FFT fit, whose kept degree is at most a quarter of them
@@ -70,9 +67,7 @@ class TrigPolynomial:
         block = math.isqrt(self.degree) + 1
         self._baby = np.arange(block)
         self._giant = np.arange(0, self.degree + 1, block)
-        c = np.zeros((self._giant.size * block, self.dim), dtype=complex)
-        c[: self.degree + 1] = self.complex_coeffs
-        self._weights = np.stack([c.real, -c.imag], axis=1).reshape(-1, self.dim)
+        self._weights = self._paired(self.complex_coeffs)
 
     @classmethod
     def stack(cls, *polys):
@@ -103,32 +98,46 @@ class TrigPolynomial:
         return cls(a, b)
 
     def __call__(self, t):
-        return self._sum(t, self._powers)
+        return self._sum(t, self._powers, self._weights)
 
-    def increments(self, t0: float):
-        """x -> p(t0 + x) - p(t0) as Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, from the
-        powers at half angle: nothing cancels as x -> 0, so it keeps its relative accuracy."""
-        p = self.shifted(t0)
+    def increments(self, t0):
+        """x -> p(t0 + x) - p(t0) for every t0 at once, shaped x.shape + t0.shape + (dim,), as
+        Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, from the powers at half angle: nothing
+        cancels as x -> 0, so it keeps its relative accuracy.  The rotated harmonics
+        c_j e^{ij t0} are one outer product, and one power table of x serves every t0."""
+        t0 = np.asarray(t0, dtype=float)
+        j = np.arange(self.degree + 1)
+        rotated = np.exp(1j * np.multiply.outer(j, t0.ravel()))[:, :, None] * self.complex_coeffs[:, None, :]
+        weights = self._paired(rotated)
 
         def terms(x):
-            half = p._powers(x / 2.0)
+            half = self._powers(x / 2.0)
             return 2j * half * half.imag
 
-        return lambda x: p._sum(x, terms)
+        return lambda x: self._sum(x, terms, weights).reshape(np.shape(x) + t0.shape + (self.dim,))
+
+    def _paired(self, c):
+        """Rows pairing (Re, -Im) of the harmonics c (J+1, ...), zero-padded to K*B, with the
+        interleaved (cos, sin) of e^{ijt}: one column per trailing entry of c."""
+        rows = np.zeros((self._giant.size * self._baby.size, 2) + c.shape[1:])
+        rows[: c.shape[0], 0] = c.real
+        rows[: c.shape[0], 1] = -c.imag
+        return rows.reshape(2 * rows.shape[0], -1)
 
     def _powers(self, x):
         """e^{ijx} for j < K*B at a column of points x, as giant step times baby step."""
         return (np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]).reshape(x.size, -1)
 
-    def _sum(self, t, terms):
-        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk; shape t.shape + (dim,)."""
+    def _sum(self, t, terms, weights):
+        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk, for each column of
+        harmonics paired in ``weights``; shape t.shape + (columns,)."""
         t = np.asarray(t, dtype=float)
         x = t.ravel()
-        out = np.empty((x.size, self.dim))
+        out = np.empty((x.size, weights.shape[1]))
         chunk = max(1, min(_EVAL_CHUNK, (1 << 20) // (self._giant.size * self._baby.size)))
         for lo in range(0, x.size, chunk):
-            out[lo : lo + chunk] = terms(x[lo : lo + chunk, None]).view(float) @ self._weights
-        return out.reshape(t.shape + (self.dim,))
+            out[lo : lo + chunk] = terms(x[lo : lo + chunk, None]).view(float) @ weights
+        return out.reshape(t.shape + (weights.shape[1],))
 
     def derivative(self):
         j = np.arange(self.degree + 1)[:, None]
@@ -163,13 +172,6 @@ class TrigPolynomial:
         cut = int(keep[-1]) + 1 if keep.size else 1
         tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
         return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut]), tail
-
-    def shifted(self, lag: float) -> "TrigPolynomial":
-        """The polynomial t -> p(t + lag), via a harmonic-wise rotation."""
-        j = np.arange(self.degree + 1)[:, None]
-        c = np.cos(j * lag)
-        s = np.sin(j * lag)
-        return TrigPolynomial(c * self.cos_coeffs + s * self.sin_coeffs, c * self.sin_coeffs - s * self.cos_coeffs)
 
 
 class PeriodicAntiderivative:
@@ -335,7 +337,6 @@ class JordanCurve:
     points : (m, n) positions at the nodes
     derivs : (m, n) parameter derivatives at the nodes
     poly : TrigPolynomial position evaluator (band-limited fit)
-    arc_length : True when |derivs| is constant within tolerance
     view : composite exact evaluators, set for reparametrized curves
     fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
     """
@@ -344,7 +345,6 @@ class JordanCurve:
     points: np.ndarray
     derivs: np.ndarray
     poly: TrigPolynomial
-    arc_length: bool = False
     view: _ArcLengthView | None = None
     fit_tail: float = 0.0
     _vel: TrigPolynomial = field(init=False, repr=False)
@@ -400,7 +400,6 @@ class JordanCurve:
             points=c * self.points,
             derivs=c * self.derivs,
             poly=self.poly.scaled(c),
-            arc_length=self.arc_length,
             fit_tail=abs(c) * self.fit_tail,
         )
 
@@ -508,8 +507,7 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
 
     _check_sampled_injectivity(points)
 
-    flat = float(np.max(speeds) - np.min(speeds)) <= CONST_TOL * float(np.mean(speeds))
-    return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, arc_length=flat, fit_tail=fit_tail)
+    return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, fit_tail=fit_tail)
 
 
 def _roundoff_floor(samples) -> float:
@@ -582,7 +580,7 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
     pts = view.position(nodes)
     derivs = view.velocity(nodes)
     poly = TrigPolynomial.from_samples(pts)
-    return JordanCurve(nodes=nodes, points=pts, derivs=derivs, poly=poly, arc_length=True, view=view)
+    return JordanCurve(nodes=nodes, points=pts, derivs=derivs, poly=poly, view=view)
 
 
 # ---------------------------------------------------------------------------

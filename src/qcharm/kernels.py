@@ -23,29 +23,36 @@ _MAJORANT_TOL = 1e-9
 # the boundary-Jacobian rule has settled when doubling its order moves it
 # by at most this much relative
 _SETTLE = 1e-11
+# Gauss orders per panel of the graded rule, lowest first
+_ORDERS = (16, 32, 64, 128)
+# graded nodes x = sigma^(1/mu) below this are evaluated at it: x underflows at mu <= 0.02,
+# and here the Hölder form's bounded factors |P(x)|/|x| and |x|/(2 sin(|x|/2)) already
+# equal their limits |F'(tau)| and 1 to double precision
+_TINY = 1e-100
+# angles are taken in chunks whose chord block (points x angles x dim) holds at most this
+# many entries: the 32 angles of verify then peak at the memory of one angle at a time
+_CHORD_BLOCK = 1 << 15
 
 
 def _cross_norm(x, y):
-    """sqrt(|x|^2 |y|^2 - <x, y>^2) rowwise.
+    """sqrt(|x|^2 |y|^2 - <x, y>^2) over the last axis, x and y broadcast together.
 
     The raw radicand is kept for the consistency check (tolerating only a
     relative -1e-14 dip), but the returned value uses the equivalent
     projection form |y| * |x - proj_y x|, which does not suffer from
     cancellation when x is nearly parallel to y.
     """
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    x2 = np.einsum("ij,ij->i", x, x)
-    y2 = np.einsum("ij,ij->i", y, y)
-    xy = np.einsum("ij,ij->i", x, y)
+    x2 = np.einsum("...i,...i->...", x, x)
+    y2 = np.einsum("...i,...i->...", y, y)
+    xy = np.einsum("...i,...i->...", x, y)
     rad = x2 * y2 - xy**2
     floor = RADICAND_FLOOR * np.maximum(1.0, x2 * y2)
     if np.any(rad < floor):
         raise ConsistencyError(f"kernel radicand fell to {float(np.min(rad)):.3e}; inconsistent derivative data")
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(y2 > 0.0, xy / np.where(y2 > 0.0, y2, 1.0), 0.0)
-    p = x - coef[:, None] * y
-    return np.sqrt(y2 * np.einsum("ij,ij->i", p, p))
+    p = x - coef[..., None] * y
+    return np.sqrt(y2 * np.einsum("...i,...i->...", p, p))
 
 
 def chord_tangent_kernel(curve: JordanCurve, s, t):
@@ -156,14 +163,15 @@ def _gauss_panels(edges, order: int):
 
 def boundary_jacobian_bound(
     boundary: BoundaryMap,
-    tau: float,
+    tau,
     spec: QuadratureSpec = QuadratureSpec(),
     mu: float = 1.0,
     method: str = "graded",
     form: str = "kernel",
     c_h: float | None = None,
-) -> float:
-    """Singular integral bounding the boundary Jacobian at angle tau.
+):
+    """Singular integral bounding the boundary Jacobian at angle tau, a float,
+    or at each angle of a 1-D array tau, an array.
 
     value = |f'(tau)| * integral of |P(x) ^ h'(f(tau))| / (4*pi*sin^2(x/2))
     dx, with the chord P(x) = F(tau + x) - F(tau) of the boundary series
@@ -179,10 +187,12 @@ def boundary_jacobian_bound(
     ``form="holder"`` evaluates the companion majorant built from the same
     chord, |P(x)|^(1+mu), instead of the kernel.
 
-    The graded rule runs at Gauss orders 16, 32, 64 and 128 per panel and
-    returns the first value that moved by at most 1e-11 relative from the
-    order before; ``RefinementError`` when none settles.  ``spec.m`` sizes
-    the trapezoid rule of the majorant method only.
+    Every angle shares the quadrature nodes, one power table of them and
+    the curve-wide constants.  The graded rule runs at Gauss orders 16, 32,
+    64 and 128 per panel over the angles not yet settled, and each angle
+    keeps the first value that moved by at most 1e-11 relative from the
+    order before; ``RefinementError`` names the first angle that does not
+    settle.  ``spec.m`` sizes the trapezoid rule of the majorant method only.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
@@ -190,33 +200,54 @@ def boundary_jacobian_bound(
         raise DomainError(f"unknown method {method!r}")
     if form not in ("kernel", "holder"):
         raise DomainError(f"unknown form {form!r}")
-    tau = float(tau)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise DomainError(f"tau must be a scalar or a 1-D array, not of shape {taus.shape}")
     if boundary.curve is None:
         raise DomainError("boundary-Jacobian bound needs a curve-backed boundary map")
     curve = boundary.curve
     fmap = boundary.angle_map
-    f_tau = float(fmap(tau))
-    fp_tau = abs(float(fmap.derivative(tau)))
-    vel_tau = curve.velocity(f_tau)
-    chord = boundary.series().increments(tau)
+    at = np.atleast_1d(taus)
+    fp_tau = np.abs(fmap.derivative(at))
+    vel_tau = curve.velocity(fmap(at))
+    series = boundary.series()
     if form == "holder" or method == "majorant":
         c_h = _holder_coefficient(curve, mu, c_h)
         holder_const = c_h / float(np.min(_norms(curve.derivs)))
 
-    def integrand(x):
-        p = chord(x)
-        if form == "kernel":
-            num = _cross_norm(p, np.broadcast_to(vel_tau, p.shape))
+    def integrand(x, rows, graded: int):
+        """Integrand at the points x for the angles at[rows], one contiguous row per angle; at
+        the first ``graded`` points, times dx/dsigma of the grading substitution."""
+        p = series.increments(at[rows])(x)
+        if form == "kernel":  # graded by 1: dx/dsigma = 1
+            vals = _cross_norm(p, vel_tau[rows]) / (4.0 * np.pi * np.sin(x / 2.0) ** 2)[:, None]
         else:
-            num = holder_const * _norms(p) ** (1.0 + mu)
-        return num / (4.0 * np.pi * np.sin(x / 2.0) ** 2)
+            norm = _norms(p)
+            # on graded points the integrand times dx/dsigma = |x|^(1-mu) / mu is
+            # (|P|/|x|)^(1+mu) (|x| / (2 sin(|x|/2)))^2 / (pi mu), whose factors stay bounded
+            ax = np.abs(x[:graded])
+            folded = (holder_const / (np.pi * mu)) * (ax / (2.0 * np.sin(ax / 2.0))) ** 2
+            scale = np.concatenate((folded, holder_const / (4.0 * np.pi * np.sin(x[graded:] / 2.0) ** 2)))
+            norm[:graded] /= ax[:, None]
+            vals = norm ** (1.0 + mu) * scale[:, None]
+        return np.ascontiguousarray(vals.T)
+
+    def in_chunks(points: int, rule):
+        """rule(rows) over chunks of angles whose chord block (points x angles x dim) holds at
+        most _CHORD_BLOCK entries; one value per angle."""
+        step = max(1, _CHORD_BLOCK // (points * curve.dim))
+        return np.concatenate([rule(np.arange(lo, min(lo + step, at.size))) for lo in range(0, at.size, step)])
 
     if method == "majorant":
         eps = TWO_PI / spec.m
         t_out = np.linspace(eps, TWO_PI - eps, spec.m + 1)
-        vals = integrand(t_out)
         h = (TWO_PI - 2.0 * eps) / spec.m
-        outer = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+
+        def trapezoid(rows):
+            vals = integrand(t_out, rows, 0)
+            return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+
+        outer = in_chunks(t_out.size, trapezoid)
         sup_speed = float(np.max(_norms(curve.derivs)))
         t_fine = TWO_PI * np.arange(1024) / 1024
         sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
@@ -225,7 +256,7 @@ def boundary_jacobian_bound(
         else:
             coef = (np.pi / 4.0) * holder_const * (sup_speed * sup_fp) ** (1.0 + mu)
         inner = coef * (2.0 / mu) * eps**mu
-        return fp_tau * (outer + inner)
+        return _shaped(taus, fp_tau * (outer + inner))
 
     eps = 0.25
     # only the Hölder form's integrand grows like |x|^(mu-1); the kernel form's is bounded
@@ -234,23 +265,40 @@ def boundary_jacobian_bound(
     # outer panels double in width away from the singular point
     outer_edges = np.append(eps * 2.0 ** np.arange(4), np.pi)
 
-    def evaluate(order: int) -> float:
+    def evaluate(order: int, rows):
         # inner piece through the grading substitution x = sigma^(1/grade)
         sigma, w_in = _gauss_panels(inner_edges, order)
-        x_in = sigma ** (1.0 / grade)
-        jac = (1.0 / grade) * sigma ** (1.0 / grade - 1.0)
+        x_in = np.maximum(sigma ** (1.0 / grade), _TINY)
         x_out, w_out = _gauss_panels(outer_edges, order)
-        # both sides of both pieces in one call
-        pieces = (x_in, -x_in, x_out, -x_out)
-        right_in, left_in, right_out, left_out = np.split(integrand(np.concatenate(pieces)), np.cumsum([x.size for x in pieces[:3]]))
-        inner = float(np.sum(w_in * jac * (right_in + left_in)))
-        outer = float(np.sum(w_out * (right_out + left_out)))
+        # both sides of both pieces in one call, each angle one contiguous row, so that
+        # each sum runs as it does in one dimension
+        n = x_in.size
+        x = np.concatenate((x_in, -x_in, x_out, -x_out))
+        vals = integrand(x, rows, 2 * n)
+        inner = np.sum(w_in * (vals[:, :n] + vals[:, n : 2 * n]), axis=1)
+        outer = np.sum(w_out * (vals[:, 2 * n : 3 * n] + vals[:, 3 * n :]), axis=1)
         return inner + outer
 
-    prev = evaluate(16)
-    for order in (32, 64, 128):
-        cur = evaluate(order)
-        if abs(cur - prev) <= _SETTLE * (1.0 + abs(cur)):
-            return fp_tau * cur
-        prev, last = cur, prev
-    raise RefinementError(f"boundary integral at tau={tau!r}, mu={mu!r} did not settle: Gauss orders 64 and 128 gave {last!r} and {prev!r}")
+    def ladder(rows):
+        values = np.empty(rows.size)
+        live = np.arange(rows.size)
+        prev = evaluate(_ORDERS[0], rows)
+        for order in _ORDERS[1:]:
+            cur = evaluate(order, rows[live])
+            settled = np.abs(cur - prev) <= _SETTLE * (1.0 + np.abs(cur))
+            values[live[settled]] = cur[settled]
+            live, prev, last = live[~settled], cur[~settled], prev[~settled]
+            if not live.size:
+                return values
+        raise RefinementError(
+            f"boundary integral at tau={float(at[rows[live[0]]])!r}, mu={mu!r} did not settle:"
+            f" Gauss orders {_ORDERS[-2]} and {_ORDERS[-1]} gave {float(last[0])!r} and {float(prev[0])!r}"
+        )
+
+    points = 2 * (inner_edges.size + outer_edges.size - 2) * _ORDERS[-1]
+    return _shaped(taus, fp_tau * in_chunks(points, ladder))
+
+
+def _shaped(taus, values):
+    """A float for a scalar tau, else the array of values."""
+    return float(values[0]) if taus.ndim == 0 else values

@@ -418,7 +418,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
 
     def stage_boundary_jacobian():
         taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
-        rhs = np.array([boundary_jacobian_bound(boundary, tau, mu=mu) for tau in taus])
+        rhs = boundary_jacobian_bound(boundary, taus, mu=mu)
         lhs = _boundary_jacobians(scenario, boundary, taus)
         return [_worst_record("boundary_jacobian", lhs, rhs)]
 

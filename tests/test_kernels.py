@@ -277,6 +277,19 @@ def test_boundary_jacobian_holder_form(affine_scenario):
     assert val >= AFFINE_BOUNDARY_JACOBIAN - 1e-9
 
 
+def test_boundary_jacobian_holder_form_small_exponents(poly_scenario):
+    # the graded nodes x = sigma^(1/mu) underflow at mu <= 0.02; the grading factor folded into
+    # the integrand keeps it bounded, and it takes its limits where x underflows
+    bm = poly_scenario.boundary
+    pinned = {1.0: 3.043659306828987, 0.5: 4.748133994291255, 0.03: 87.79760599057627}
+    for mu, want in pinned.items():
+        assert abs(boundary_jacobian_bound(bm, 0.3, mu=mu, form="holder") - want) <= 1e-13 * want
+    small = [boundary_jacobian_bound(bm, 0.3, mu=mu, form="holder") for mu in (0.02, 0.01)]
+    assert all(math.isfinite(v) for v in small)
+    # the inner piece carries the factor 1/mu
+    assert pinned[0.03] < small[0] < small[1]
+
+
 def test_boundary_jacobian_requires_curve():
     bm = BoundaryMap.from_values(np.tile([1.0, 0.0], (64, 1)))
     with pytest.raises(DomainError):
@@ -349,6 +362,16 @@ def _graded_curves(tmp_path):
     return out
 
 
+def _angle_mapped_boundaries(catalog_scenarios, tmp_path):
+    """The catalog boundaries, then each of ``_graded_curves`` plain and under t + 0.1 sin t."""
+    t = TWO_PI * np.arange(256) / 256
+    amap = AngleMap.from_samples(t + 0.1 * np.sin(t))
+    boundaries = [sc.boundary for sc in catalog_scenarios]
+    for curve in _graded_curves(tmp_path):
+        boundaries += [BoundaryMap(curve), BoundaryMap(curve, amap)]
+    return boundaries
+
+
 @pytest.mark.parametrize("mu", [1.0, 0.5])
 def test_one_call_graded_rule_matches_four_calls(mu, tmp_path):
     t = TWO_PI * np.arange(256) / 256
@@ -365,12 +388,79 @@ def test_one_call_graded_rule_matches_four_calls(mu, tmp_path):
 def test_kernel_form_does_not_read_mu(catalog_scenarios, tmp_path):
     # the kernel integrand of trigonometric boundary data is bounded at x = 0, so its rule
     # takes the mu = 1 panels; grading by mu underflowed to NaN at mu <= 0.02
-    t = TWO_PI * np.arange(256) / 256
-    amap = AngleMap.from_samples(t + 0.1 * np.sin(t))
-    boundaries = [sc.boundary for sc in catalog_scenarios]
-    for curve in _graded_curves(tmp_path):
-        boundaries += [BoundaryMap(curve), BoundaryMap(curve, amap)]
-    for boundary in boundaries:
+    for boundary in _angle_mapped_boundaries(catalog_scenarios, tmp_path):
         for tau in (0.3, 4.5):
             values = [boundary_jacobian_bound(boundary, tau, mu=mu) for mu in (1.0, 0.5, 0.02, 0.01)]
             assert math.isfinite(values[0]) and values == [values[0]] * 4
+
+
+# ---------------------------------------------------------------------------
+# every angle in one call
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("form", ["kernel", "holder"])
+@pytest.mark.parametrize("method", ["graded", "majorant"])
+def test_array_tau_matches_scalar_calls(method, form, mu, catalog_scenarios, tmp_path):
+    taus = TWO_PI * np.arange(32) / 32
+    for boundary in _angle_mapped_boundaries(catalog_scenarios, tmp_path):
+        want, unsettled = {}, []
+        for tau in taus:
+            try:
+                want[tau] = boundary_jacobian_bound(boundary, tau, mu=mu, method=method, form=form, c_h=0.7)
+            except RefinementError:
+                unsettled.append(tau)
+        if unsettled:
+            # the array call stops where the first scalar call does
+            with pytest.raises(RefinementError, match=f"tau={float(unsettled[0])!r},"):
+                boundary_jacobian_bound(boundary, taus, mu=mu, method=method, form=form, c_h=0.7)
+        kept = np.array(sorted(want))
+        got = boundary_jacobian_bound(boundary, kept, mu=mu, method=method, form=form, c_h=0.7)
+        ref = np.array([want[tau] for tau in kept])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        if method == "graded":
+            four = np.array([_four_call_graded(boundary, tau, mu, form, 0.7) for tau in kept])
+            assert np.all(np.abs(got - four) <= 1e-14 * np.abs(four))
+
+
+def test_array_tau_shapes(poly_scenario):
+    bm = poly_scenario.boundary
+    assert isinstance(boundary_jacobian_bound(bm, 0.3), float)
+    assert isinstance(boundary_jacobian_bound(bm, np.float64(0.3)), float)
+    for k in (1, 5):
+        got = boundary_jacobian_bound(bm, np.linspace(0.0, 3.0, k))
+        assert isinstance(got, np.ndarray) and got.shape == (k,)
+    with pytest.raises(DomainError):
+        boundary_jacobian_bound(bm, np.zeros((2, 2)))
+
+
+def test_array_tau_error_names_first_angle(poly_scenario, monkeypatch):
+    # a negative tolerance settles no angle (at 0 an angle settles when two orders agree to
+    # the bit, which rests on roundoff that varies with the number of angles evaluated together)
+    monkeypatch.setattr("qcharm.kernels._SETTLE", -1.0)
+    with pytest.raises(RefinementError) as err:
+        boundary_jacobian_bound(poly_scenario.boundary, np.array([1.7, 0.3, 4.0]), mu=0.5)
+    assert "tau=1.7," in str(err.value) and "mu=0.5" in str(err.value)
+
+
+def test_array_tau_chunks_agree(graph_scenario, monkeypatch):
+    # a cap of one order-128 point set per chunk runs the angles one at a time
+    taus = TWO_PI * np.arange(7) / 7
+    whole = {form: boundary_jacobian_bound(graph_scenario.boundary, taus, form=form, c_h=0.7) for form in ("kernel", "holder")}
+    monkeypatch.setattr("qcharm.kernels._CHORD_BLOCK", 2048 * 2)
+    for form, want in whole.items():
+        got = boundary_jacobian_bound(graph_scenario.boundary, taus, form=form, c_h=0.7)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_array_tau_scans_holder_constant_once(poly_scenario, monkeypatch):
+    calls = []
+
+    def counted(curve, mu):
+        calls.append(mu)
+        return holder_derivative_constant(curve, mu)
+
+    monkeypatch.setattr("qcharm.kernels.holder_derivative_constant", counted)
+    taus = TWO_PI * np.arange(32) / 32
+    values = boundary_jacobian_bound(poly_scenario.boundary, taus, mu=0.5, form="holder")
+    assert calls == [0.5] and np.all(np.isfinite(values))
