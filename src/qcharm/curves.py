@@ -6,7 +6,8 @@ parameters with spectral accuracy.  Raw periodic samples are converted to
 the same representation by FFT.  All constants (length, chord-arc,
 derivative Hölder constant, curvature, modulus of continuity) are
 estimated by dense scans plus local refinement and carry convergence
-metadata.
+metadata; at mu = 1 the Hölder constants are their diagonal limits,
+from the maximum of |g''| or of the curvature.
 """
 
 from __future__ import annotations
@@ -632,16 +633,15 @@ def _lag_maxima(sample, score, here, lags):
     return peaks, nodes
 
 
-def _lag_scan(sample, score, here, diagonal: float = 0.0, length: float | None = None) -> ScanResult:
+def _lag_scan(sample, score, here, length: float | None = None) -> ScanResult:
     """Supremum of a pair objective over (t, t + d), d != 0: the per-lag maxima, then a
     shrinking search in both ends of the best pair, spanning its neighbouring lags but under
     a quarter of the ends' separation.  With the curve's ``length`` (``sample`` then gives
     the cumulative length and the speed first) the search runs in cumulative length, where
     the shorter arc's kink at half the length is a grid diagonal (in the parameter it is a
     curve the grid cannot follow); one Newton solve finds both ends, and its last
-    evaluation is their sample.
-    ``diagonal`` is the limit as d -> 0: the result is at least that, and a search ending
-    below it has converged to it; after _SEARCHES searches it has not."""
+    evaluation is their sample.  Converged when a search gains at most 1e-12 relative;
+    after _SEARCHES searches that have not, it has not."""
     lags = _node_lags()
     peaks, nodes = _lag_maxima(sample, score, here, lags)
     j = int(np.argmax(peaks))
@@ -666,9 +666,9 @@ def _lag_scan(sample, score, here, diagonal: float = 0.0, length: float | None =
     for _ in range(_SEARCHES):
         found, point, steps = _polished_max(objective, point, (width, width), value)
         settled, value, depth = found - value <= 1e-12 * abs(found), found, depth + steps
-        if settled or value < diagonal:
+        if settled:
             break
-    return ScanResult(float(max(value, diagonal)), depth, bool(np.isfinite(value) and settled or value < diagonal))
+    return ScanResult(float(value), depth, bool(np.isfinite(value) and settled))
 
 
 def chord_arc_constant(curve: JordanCurve) -> ScanResult:
@@ -680,27 +680,27 @@ def chord_arc_constant(curve: JordanCurve) -> ScanResult:
     def score(a, b, d):
         return _shorter_arc(b[0] - a[0], table.length) / _norms(b[3] - a[3])
 
-    return _lag_scan(table.at, score, table.grid(_SCAN_NODES), length=table.length)
+    return _lag_scan(table.at, score, table.grid(_SCAN_NODES), table.length)
 
 
 def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs,
     for the given parametrization of the curve.
 
-    dist is circle distance of the parameters.  Near-coincident pairs are
-    scored by the second-derivative limit: for mu = 1 the limit equals the
-    largest |g''| (on arc-length views, the exact curvature maximum times
-    the squared speed), for mu < 1 it vanishes.
+    dist is circle distance of the parameters.  At mu = 1 the supremum is
+    max |g''|, with no scan: |g'(t) - g'(s)| <= max |g''| dist(t, s) by the
+    mean-value inequality along the shorter arc, with equality as s -> t.
+    On arc-length views that is the curvature maximum times the squared
+    speed, else a polished grid maximum of |g''|; both are sampled maxima,
+    not certified upper ends.  For mu < 1 a lag scan finds the supremum.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    if mu < 1.0:
-        diag = 0.0
-    elif curve.view is not None:
-        diag = curve.view.scale**2 * max_curvature(curve)
-    else:
+    if mu == 1.0:
+        if curve.view is not None:
+            return ScanResult(curve.view.scale**2 * max_curvature(curve), 0, True)
         acc = _norms(curve.acceleration_grid(_SCAN_NODES))
-        diag = _polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc)
+        return ScanResult(_polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc), 0, True)
 
     def sample(t):
         return (curve.velocity(t),)
@@ -708,7 +708,7 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     def score(a, b, d):
         return _norms(b[0] - a[0]) / circle_distance(0.0, d) ** mu
 
-    return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),), diag)
+    return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),))
 
 
 def _polished_max(f, center, width, best: float):
@@ -905,8 +905,11 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     """Length, chord-arc constant, Hölder constant and curvature of a curve
     in any regular parametrization.  ``holder_constant`` is that of the
     arc-length parametrization over [0, 2 pi): (L / 2 pi)^(1 + mu) sup
-    |T(s) - T(s')| / arc(s, s')^mu for the unit tangent T, and
-    kappa_max (L / 2 pi)^2 at mu = 1."""
+    |T(s) - T(s')| / arc(s, s')^mu for the unit tangent T.  At mu = 1 it is
+    kappa_max (L / 2 pi)^2, computed as such: |T(s) - T(s')| <= kappa_max
+    arc(s, s') by the mean-value inequality, with equality as s' -> s, so
+    no pair scan can exceed it.  kappa_max is a polished sampled maximum,
+    not a certified upper end."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     base, table = _base_and_length(curve)
@@ -922,9 +925,10 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
         turn = _norms(b[2] - a[2])
         return scale ** (1.0 + mu) * turn / _shorter_arc(b[0] - a[0], length) ** mu
 
-    here = tangents(*table.grid(_SCAN_NODES))
-    diag = scale**2 * kappa if mu == 1.0 else 0.0
-    hol = _lag_scan(lambda t: tangents(*table.at(t)), score, here, diag, length)
+    if mu == 1.0:
+        hol = ScanResult(scale**2 * kappa, 0, True)
+    else:
+        hol = _lag_scan(lambda t: tangents(*table.at(t)), score, tangents(*table.grid(_SCAN_NODES)), length)
     return CurveConstants(
         length=length,
         chord_arc=lam.value,

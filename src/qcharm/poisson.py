@@ -4,11 +4,12 @@ Boundary data is a trigonometric polynomial F(t) = sum_j a_j cos(jt) +
 b_j sin(jt) per coordinate, so its harmonic extension is exactly
 u = Re f with f(z) = sum_j c_j z^j, c_j = a_j - i b_j, and the gradient is
 u_x = Re f', u_y = -Im f' (Duren, Harmonic Mappings in the Plane, 2004,
-ch. 1).  Both are evaluated by Horner's rule anywhere on the closed disk,
-the circle included.  Data that is not itself a polynomial (a curve
-composed with an angle map, or an arc-length view) is fitted once by FFT
-until the coefficient tail sits at roundoff; ``BoundaryMap.series_tail``
-carries the discarded part.
+ch. 1).  Scattered points anywhere on the closed disk, the circle
+included, are evaluated by Horner's rule; whole circles of uniform angles
+(the area rule's) by one inverse FFT each.  Data that is not itself a
+polynomial (a curve composed with an angle map, or an arc-length view) is
+fitted once by FFT until the coefficient tail sits at roundoff;
+``BoundaryMap.series_tail`` carries the discarded part.
 """
 
 from __future__ import annotations
@@ -205,6 +206,26 @@ def gradient_frames(boundary: BoundaryMap, z):
     c = _coefficients(boundary)
     j = np.arange(1, c.shape[0])[:, None]
     df = _horner(j * c[1:], _closed_disk(z))
+    return df.real, -df.imag
+
+
+def _circle_frames(boundary: BoundaryMap, radii, n: int):
+    """Gradient frames (ux, uy) at the n uniform angles 2 pi k / n of each circle
+    |z| = r, r in ``radii``, circle after circle: arrays of shape (radii * n, dim).
+
+    On a circle f'(r e^{2 pi i k/n}) = sum_{j < J} (j + 1) c_{j+1} r^j e^{2 pi i jk/n}
+    is the unnormalized inverse FFT of the array holding (j + 1) c_{j+1} r^j at
+    frequency j, so each circle costs one FFT of n points, not J Horner steps per
+    point; no frequency aliases while n >= J."""
+    c = _coefficients(boundary)
+    degree = c.shape[0] - 1
+    if n < degree:
+        raise DomainError(f"{n} angles per circle would alias the degree-{degree} series")
+    r = np.asarray(radii, dtype=float).ravel()
+    j = np.arange(degree)
+    spectrum = np.zeros((r.size, n, c.shape[1]), dtype=complex)
+    spectrum[:, :degree] = (r[:, None] ** j)[:, :, None] * ((j + 1)[:, None] * c[1:])
+    df = np.fft.ifft(spectrum, axis=1, norm="forward").reshape(-1, c.shape[1])
     return df.real, -df.imag
 
 

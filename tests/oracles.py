@@ -285,6 +285,24 @@ def trapezoid_extension(values, z, m: int = 1 << 14):
     return u, ux, uy
 
 
+def polar_area_horner(coeffs, n_r: int, n_t: int) -> float:
+    """Area rule of the harmonic extension u = Re sum_j c_j z^j, coeffs (J+1, n): n_r
+    Gauss-Legendre radii on [0, 1] times n_t uniform angles, with f'(z) evaluated by
+    Horner's rule at every node, ux = Re f', uy = -Im f', and the Jacobian
+    sqrt(|ux|^2 |uy|^2 - <ux, uy>^2) (the Gram determinant of the frame)."""
+    c = np.asarray(coeffs, dtype=complex)
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * (x + 1.0)
+    z = (r[:, None] * np.exp(TWO_PI * 1j * np.arange(n_t) / n_t)[None, :]).ravel()
+    df = np.zeros((z.size, c.shape[1]), dtype=complex)
+    for j in range(c.shape[0] - 1, 0, -1):
+        df = df * z[:, None] + j * c[j]
+    ux, uy = df.real, -df.imag
+    gram = np.sum(ux * ux, axis=1) * np.sum(uy * uy, axis=1) - np.sum(ux * uy, axis=1) ** 2
+    jac = np.sqrt(np.clip(gram, 0.0, None)).reshape(n_r, n_t)
+    return math.pi * float(np.sum(w * r * jac.mean(axis=1)))
+
+
 # ---------------------------------------------------------------------------
 # explicit bound arithmetic (direct transcription of the closed forms)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,39 @@ def test_unconverged_constants_exit_three(capsys, tmp_path):
     args = ["constants", "--curve", "csv", "--samples", str(csv_path)]
     code, _, _ = run_cli(args, capsys)
     assert code == EXIT_NUMERIC
+
+
+def _degree_1000_draws(count: int):
+    """Seeded high-degree planar curves: the unit circle plus, at four degrees j in
+    [600, 1000), cosine and sine harmonics of size about 1e-4 (600 / j)^2."""
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(count):
+        a, b = np.zeros((1001, 2)), np.zeros((1001, 2))
+        a[1, 0] = b[1, 1] = 1.0
+        for j in rng.integers(600, 1000, 4):
+            a[j] += rng.normal(size=2) * 1e-4 * (600 / j) ** 2
+            b[j] += rng.normal(size=2) * 1e-4 * (600 / j) ** 2
+        draws.append((a, b))
+    return draws
+
+
+def test_high_degree_csv_constants_at_mu_one(capsys, tmp_path):
+    # a degree-922 fit: a Hölder pair scan polishes into coincident pair ends here and
+    # reads 0/0; at mu = 1 the constant is kappa_max (L / 2 pi)^2 and no pair is scored
+    a, b = _degree_1000_draws(4)[3]
+    t = 2 * math.pi * np.arange(4096) / 4096
+    j = np.arange(a.shape[0])
+    pts = np.cos(np.outer(t, j)) @ a + np.sin(np.outer(t, j)) @ b
+    csv_path = tmp_path / "degree-1000.csv"
+    np.savetxt(csv_path, np.column_stack([t, pts]), delimiter=",", fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["constants", "--curve", "csv", "--samples", str(csv_path)], capsys)
+    assert code == EXIT_OK
+    consts = json.loads(out)["constants"]
+    assert consts["holder_constant"] == (consts["length"] / (2 * math.pi)) ** 2 * consts["max_curvature"]
+    assert all(consts["converged"].values())
 
 
 @pytest.mark.parametrize(

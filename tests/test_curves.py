@@ -693,6 +693,31 @@ def test_lag_scans_dominate_brute_force(generator, mu):
     assert own.value >= ref["velocity_holder"] * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["own", "arc-length view"])
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_mu_one_holder_constants_are_diagonal_limits(generator, view, monkeypatch):
+    # at mu = 1 every pair quotient is at most its d -> 0 limit (mean-value inequality),
+    # so both constants are that limit, and no lag scan runs for them
+    curve = build_curve(generator, 512)
+    if view:
+        curve = arc_length_reparametrize(curve)
+    calls = []
+    scan = curves._lag_scan
+    monkeypatch.setattr(curves, "_lag_scan", lambda *args: calls.append(args) or scan(*args))
+    cc = compute_curve_constants(curve, 1.0)
+    assert len(calls) == 1  # the chord-arc scan
+    assert cc.converged["holder_constant"]
+    assert cc.holder_constant == (cc.length / TWO_PI) ** 2 * cc.max_curvature
+    own = holder_derivative_constant(curve, 1.0)
+    assert len(calls) == 1 and own.converged and own.depth == 0
+    if view:
+        diagonal = curve.view.scale**2 * max_curvature(curve)
+    else:
+        acc = curves._norms(curve.acceleration_grid(curves._SCAN_NODES))
+        diagonal = curves._polished_grid_max(lambda t: curves._norms(curve.acceleration(t)), acc)
+    assert own.value == diagonal
+
+
 @pytest.mark.parametrize("a, floor", [(8.0, 31.82), (16.0, 124.02)])
 def test_holder_constant_of_eccentric_ellipse_at_half(a, floor):
     # pairs inside ten coarse spacings of the diagonal used to be skipped,

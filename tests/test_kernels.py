@@ -250,15 +250,15 @@ def test_boundary_jacobian_majorant_is_conservative(identity_scenario):
 
 
 def test_boundary_jacobian_unsettled_ladder_raises(poly_scenario, monkeypatch):
-    # with a zero settle tolerance no pair of successive orders agrees (the
-    # affine integrand is constant, so its orders agree to the bit)
-    monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
+    # a negative settle tolerance settles no pair of successive orders (at 0 a pair
+    # settles when it agrees to the bit, which rests on roundoff)
+    monkeypatch.setattr("qcharm.kernels._SETTLE", -1.0)
     with pytest.raises(RefinementError):
         boundary_jacobian_bound(poly_scenario.boundary, 0.3)
 
 
 def test_boundary_jacobian_unsettled_message_names_inputs(poly_scenario, monkeypatch):
-    monkeypatch.setattr("qcharm.kernels._SETTLE", 0.0)
+    monkeypatch.setattr("qcharm.kernels._SETTLE", -1.0)
     with pytest.raises(RefinementError) as err:
         boundary_jacobian_bound(poly_scenario.boundary, 0.3, mu=0.5)
     message = str(err.value)

@@ -14,14 +14,17 @@ from qcharm import (
     QuadratureSpec,
     RefinementError,
     TrigPolynomial,
+    arc_length_reparametrize,
     build_curve,
+    ellipse,
     fourier_curve,
     gradient_frames,
     poisson_extend,
     surface_area,
 )
 from qcharm import curves
-from qcharm.poisson import _angular_sides, _dilatations
+from qcharm.bounds import _polar_area
+from qcharm.poisson import _angular_sides, _circle_frames, _dilatations
 from qcharm.scenarios import _worst_record
 
 TWO_PI = 2.0 * math.pi
@@ -184,6 +187,52 @@ def test_surface_area_matches_lusin_series(seed):
     area, rule = surface_area(_sampled_fit(a, b))
     assert abs(area - lusin) <= 1e-12 * lusin
     assert rule["correction"] <= 1e-12 * lusin
+
+
+def _sampled_fit_r3(seed: int, n: int = 64) -> BoundaryMap:
+    """R^3 data (Re w, Im w, Re v) at n samples, w and v two seeded mild series."""
+    (a, b), (c, d) = _mild_fourier(seed), _mild_fourier(seed + 1000)
+    t = TWO_PI * np.arange(n) / n
+    e = np.exp(1j * np.outer(t, np.arange(a.size)))
+    w, v = e @ a + np.conj(e @ b), e @ c + np.conj(e @ d)
+    return BoundaryMap.from_values(np.stack([w.real, w.imag, v.real], axis=1))
+
+
+def _assert_area_rule_matches_horner(bm):
+    # both sizes of surface_area's rule: one inverse FFT per circle against Horner at every node
+    degree = bm.series().degree
+    for n_r, n_t in ((degree + 8, 4 * degree + 16), (2 * degree + 16, 8 * degree + 32)):
+        want = oracles.polar_area_horner(bm.series().complex_coeffs, n_r, n_t)
+        assert abs(_polar_area(bm, n_r, n_t) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", [_sampled_fit_r3, lambda s: _sampled_fit(*_mild_fourier(s))], ids=["R^3", "R^2"])
+def test_area_rule_matches_horner_on_fits(make, seed):
+    _assert_area_rule_matches_horner(make(seed))
+
+
+def test_area_rule_matches_horner_on_catalog(catalog_scenarios):
+    for sc in catalog_scenarios:
+        _assert_area_rule_matches_horner(sc.boundary)
+
+
+def test_area_of_eccentric_arc_length_view():
+    # the view's series has degree 297, so the doubled rule has 1.5e6 nodes
+    bm = BoundaryMap(arc_length_reparametrize(build_curve(ellipse(4.0, 1.0), 512)))
+    area, _ = surface_area(bm)
+    assert abs(area - 4.0 * math.pi) <= 1e-12 * 4.0 * math.pi
+
+
+def test_circle_frames_match_scattered_frames(sampled_fit):
+    radii = np.array([0.0, 0.3, 0.9, 1.0])
+    n = 40
+    z = (radii[:, None] * np.exp(TWO_PI * 1j * np.arange(n) / n)[None, :]).ravel()
+    for got, want in zip(_circle_frames(sampled_fit, radii, n), gradient_frames(sampled_fit, z)):
+        assert np.max(np.abs(got - want)) <= 1e-14
+    degree = sampled_fit.series().degree
+    with pytest.raises(DomainError):
+        _circle_frames(sampled_fit, radii, degree - 1)
 
 
 def test_unresolved_series_raises(circle_curve, monkeypatch):
