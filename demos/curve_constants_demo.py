@@ -33,7 +33,7 @@ def describe(name, descriptor, nodes=512):
     print(f"  chord-arc         = {lam.value:.12f}  (depth {lam.depth}, converged {lam.converged})")
     print(f"  holder constant   = {hol.value:.12f}  (mu = 1)")
     print(f"  max curvature     = {max_curvature(arc):.12f}")
-    speeds = np.linalg.norm(arc.derivs, axis=1)
+    speeds = np.linalg.norm(arc.velocity(2 * math.pi * np.arange(nodes) / nodes), axis=1)
     print(f"  |g'| spread after reparametrization: {speeds.max() - speeds.min():.2e}")
     return curve
 

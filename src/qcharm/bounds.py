@@ -16,6 +16,7 @@ import numpy as np
 
 from .curves import curve_length
 from .errors import DegenerateSurfaceError, DomainError, RefinementError
+from .kernels import _gauss_rule
 from .poisson import BoundaryMap, _circle_frames, _dilatations
 
 LOG2 = math.log(2.0)
@@ -222,7 +223,7 @@ def surface_area(boundary: BoundaryMap) -> tuple[float, dict]:
 
 
 def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(n_r)
+    x, w = _gauss_rule(n_r)
     r = 0.5 * (x + 1.0)
     # whole circles at a time, at most _AREA_BLOCK points per evaluation:
     # the grid grows like the squared series degree
@@ -237,13 +238,15 @@ def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:
 
 def isoperimetric_check(boundary: BoundaryMap, upsilon: float = 1.0, area: float | None = None) -> IsoperimetricReport:
     """Ratio area / length^2 against the ceiling 1 / (4*upsilon); the check
-    passes down to the margin -1e-9 (``_GATE``)."""
+    passes down to the margin -1e-9 (``_GATE``).  ``DegenerateSurfaceError`` when
+    the curve's polynomial is zero or its length is below 1e-12 of its scale
+    max(1, max_k sum_j |c_jk|), the largest coordinate bound."""
     if not 0.0 < upsilon <= math.pi:
         raise DomainError("isoperimetric coefficient must lie in (0, pi]")
     if boundary.curve is None:
         raise DegenerateSurfaceError("boundary data has no curve; the length ratio is undefined")
     length = curve_length(boundary.curve)
-    scale = float(np.max(np.abs(boundary.curve.points)))
+    scale = float(np.max(np.sum(np.abs(boundary.curve.poly.complex_coeffs), axis=0)))
     if length < 1e-12 * max(scale, 1.0) or scale == 0.0:
         raise DegenerateSurfaceError("boundary curve has no length; ratio undefined")
     if area is None:

@@ -73,7 +73,7 @@ def cmd_constants(args) -> int:
     payload = {
         "schema_version": report_mod.SCHEMA_VERSION,
         "command": "constants",
-        "curve": desc | {"nodes": curve.node_count, "dimension": curve.dim, "degree": curve.poly.degree, "tail": curve.fit_tail},
+        "curve": desc | {"dimension": curve.dim, "degree": curve.poly.degree, "tail": curve.fit_tail},
         "constants": asdict(constants),
     }
     flat = {k: v for k, v in payload["constants"].items() if k != "converged"}

@@ -165,6 +165,12 @@ class TrigPolynomial:
         r = max(-(-2 * self.degree // n), 1)
         return self.resample(n * r)[::r]
 
+    @functools.cached_property
+    def _length(self) -> "_LengthTable":
+        """The length table of the curve with this position polynomial, built on first use:
+        every reader of the curve's length shares it."""
+        return _LengthTable(self)
+
     def truncated(self, floor: float) -> tuple["TrigPolynomial", float]:
         """Without the trailing harmonics of weight at most ``floor``, and
         sum_{j > J} j * weight_j over those."""
@@ -301,7 +307,7 @@ class _ArcLengthView:
 
     def __init__(self, base: "JordanCurve"):
         self.base = base
-        self.table = _LengthTable(base.poly)
+        self.table = base.poly._length
         self.scale = self.table.length / TWO_PI
 
     def parameter(self, theta):
@@ -330,21 +336,15 @@ class _ArcLengthView:
 
 @dataclass(frozen=True, eq=False)
 class JordanCurve:
-    """Sampled closed curve in R^n with spectral evaluators.
+    """Closed curve in R^n given by its position polynomial, with spectral evaluators.
 
     Attributes
     ----------
-    nodes : (m,) uniform parameters in [0, 2*pi)
-    points : (m, n) positions at the nodes
-    derivs : (m, n) parameter derivatives at the nodes
-    poly : TrigPolynomial position evaluator (band-limited fit)
+    poly : TrigPolynomial position evaluator (of the base curve, for an arc-length view)
     view : composite exact evaluators, set for reparametrized curves
     fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
     """
 
-    nodes: np.ndarray
-    points: np.ndarray
-    derivs: np.ndarray
     poly: TrigPolynomial
     view: _ArcLengthView | None = None
     fit_tail: float = 0.0
@@ -360,11 +360,7 @@ class JordanCurve:
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.size
+        return self.poly.dim
 
     def position(self, t):
         return self.view.position(t) if self.view is not None else self.poly(t)
@@ -389,20 +385,18 @@ class JordanCurve:
         return poly.grid(n)
 
     @functools.cached_property
-    def _length(self) -> _LengthTable:
-        """The length table of this parametrization, built on first use."""
-        return _LengthTable(self.poly)
+    def speed_range(self) -> tuple[float, float]:
+        """Least and largest speed |d/dt|: the constant speed of an arc-length view, else
+        sampled extremes over a multiple of _SCAN_NODES uniform nodes, at least 4 degree."""
+        if self.view is not None:
+            return self.view.scale, self.view.scale
+        speeds = _norms(self.velocity_grid(_SCAN_NODES * max(1, -(-4 * self.poly.degree // _SCAN_NODES))))
+        return float(np.min(speeds)), float(np.max(speeds))
 
     def scaled(self, c: float) -> "JordanCurve":
         if self.view is not None:
-            return arc_length_reparametrize(self.view.base.scaled(c), node_count=self.node_count)
-        return JordanCurve(
-            nodes=self.nodes,
-            points=c * self.points,
-            derivs=c * self.derivs,
-            poly=self.poly.scaled(c),
-            fit_tail=abs(c) * self.fit_tail,
-        )
+            return arc_length_reparametrize(self.view.base.scaled(c))
+        return JordanCurve(poly=self.poly.scaled(c), fit_tail=abs(c) * self.fit_tail)
 
 
 @dataclass
@@ -457,7 +451,8 @@ def fourier_curve(cos_coeffs, sin_coeffs) -> TrigPolynomial:
 
 
 def build_curve(generator, node_count: int = 512) -> JordanCurve:
-    """Sample a closed curve and validate regularity and sampled injectivity.
+    """The closed curve of a descriptor or of raw samples, checked for regularity and
+    sampled injectivity.
 
     Parameters
     ----------
@@ -470,16 +465,17 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         ``RefinementError`` when more than 1e-6 of the fit's acceleration
         energy lies in the top quarter of the band of the m samples
         (harmonics 0 .. m // 2): the data do not resolve the curvature.
-    node_count : number of uniform nodes (>= 16) of the stored samples
-        ``points`` and ``derivs``; no constant depends on it
+    node_count : number of uniform nodes (>= 16) of the regularity and
+        injectivity checks, which read the raw rows when there are that many;
+        nothing is stored at them, and no constant depends on it
     """
     if node_count < 16:
         raise DomainError("node_count must be at least 16")
     nodes = TWO_PI * np.arange(node_count) / node_count
 
+    points = None
     if isinstance(generator, TrigPolynomial):
         poly, fit_tail = generator, 0.0
-        points = poly(nodes)
     else:
         if isinstance(generator, tuple):
             t_in, pts_in = generator
@@ -493,22 +489,19 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         poly, fit_tail = TrigPolynomial.from_samples(pts_in).truncated(_roundoff_floor(pts_in))
         _check_resolved(poly, pts_in.shape[0])
         if pts_in.shape[0] == node_count:
-            points = pts_in.copy()
-        else:
-            points = poly(nodes)
+            points = pts_in
 
-    if points.shape[1] < 2:
+    if poly.dim < 2:
         raise DomainError("curves must live in R^n with n >= 2")
 
-    derivs = poly.derivative()(nodes)
-    speeds = _norms(derivs)
+    speeds = _norms(poly.derivative()(nodes))
     scale = max(float(np.max(speeds)), 1.0)
     if np.min(speeds) < 1e-9 * scale:
         raise RegularityError(f"degenerate parametrization: min |d/dt| = {np.min(speeds):.3e}")
 
-    _check_sampled_injectivity(points)
+    _check_sampled_injectivity(poly(nodes) if points is None else points)
 
-    return JordanCurve(nodes=nodes, points=points, derivs=derivs, poly=poly, fit_tail=fit_tail)
+    return JordanCurve(poly=poly, fit_tail=fit_tail)
 
 
 def _roundoff_floor(samples) -> float:
@@ -565,23 +558,16 @@ def curve_length(curve: JordanCurve) -> float:
     return _base_and_length(curve)[1].length
 
 
-def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) -> JordanCurve:
+def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
     """Reparametrize so the parameter is proportional to arc length.
 
     The output runs over [0, 2*pi) with |d/dt| = length / (2*pi)
     everywhere.  Its evaluators compose the original curve with the
     Newton-inverted cumulative length, so they stay exact however uneven
-    the original speed is; the band-limited fit through the new nodes is
-    kept alongside for spectral resampling of well-resolved curves.
+    the original speed is; its polynomial is the original one.
     """
-    m = node_count or curve.node_count
     base = curve.view.base if curve.view is not None else curve
-    view = _ArcLengthView(base)
-    nodes = TWO_PI * np.arange(m) / m
-    pts = view.position(nodes)
-    derivs = view.velocity(nodes)
-    poly = TrigPolynomial.from_samples(pts)
-    return JordanCurve(nodes=nodes, points=pts, derivs=derivs, poly=poly, view=view)
+    return JordanCurve(poly=base.poly, view=_ArcLengthView(base))
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +576,7 @@ def arc_length_reparametrize(curve: JordanCurve, node_count: int | None = None) 
 
 def _base_and_length(curve: JordanCurve):
     """The curve under an arc-length view (else the curve) and its length table."""
-    if curve.view is not None:
-        return curve.view.base, curve.view.table
-    return curve, curve._length
+    return (curve.view.base if curve.view is not None else curve), curve.poly._length
 
 
 def _shorter_arc(forward, length: float):

@@ -146,9 +146,11 @@ def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
 # boundary Jacobian bound
 
 
-# Gauss-Legendre nodes and weights, computed once per order; every caller
-# gets the same arrays, so they are only read
-_gauss_rule = functools.cache(np.polynomial.legendre.leggauss)
+@functools.cache
+def _gauss_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order for every
+    caller (the graded rule here, the area rule of ``bounds``): the arrays are only read."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _gauss_panels(edges, order: int):
@@ -213,7 +215,7 @@ def boundary_jacobian_bound(
     series = boundary.series()
     if form == "holder" or method == "majorant":
         c_h = _holder_coefficient(curve, mu, c_h)
-        holder_const = c_h / float(np.min(_norms(curve.derivs)))
+        holder_const = c_h / curve.speed_range[0]
 
     def integrand(x, rows, graded: int):
         """Integrand at the points x for the angles at[rows], one contiguous row per angle; at
@@ -248,13 +250,13 @@ def boundary_jacobian_bound(
             return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
 
         outer = in_chunks(t_out.size, trapezoid)
-        sup_speed = float(np.max(_norms(curve.derivs)))
+        max_speed = curve.speed_range[1]
         t_fine = TWO_PI * np.arange(1024) / 1024
         sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
         if form == "kernel":
-            coef = (np.pi / 4.0) * c_h * sup_speed * sup_fp ** (1.0 + mu)
+            coef = (np.pi / 4.0) * c_h * max_speed * sup_fp ** (1.0 + mu)
         else:
-            coef = (np.pi / 4.0) * holder_const * (sup_speed * sup_fp) ** (1.0 + mu)
+            coef = (np.pi / 4.0) * holder_const * (max_speed * sup_fp) ** (1.0 + mu)
         inner = coef * (2.0 / mu) * eps**mu
         return _shaped(taus, fp_tau * (outer + inner))
 

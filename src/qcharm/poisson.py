@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, TrigPolynomial, _norms, _resolved_fit
+from .curves import TWO_PI, JordanCurve, TrigPolynomial, _resolved_fit
 from .errors import DomainError
 
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
@@ -38,17 +38,19 @@ class QuadratureSpec:
 
 
 class AngleMap:
-    """Weak homeomorphism of the circle: t -> t + periodic part, nondecreasing."""
+    """Weak homeomorphism of the circle: t -> t + periodic part, nondecreasing.
+
+    ``DomainError`` when f' < -1e-9 at one of max(512, 4 degree) uniform nodes."""
 
     def __init__(self, periodic: TrigPolynomial | None = None):
         if periodic is not None and periodic.dim != 1:
             raise DomainError("periodic part of an angle map must be scalar-valued")
         self._osc = periodic
         self._osc_d = periodic.derivative() if periodic is not None else None
-        t = TWO_PI * np.arange(512) / 512
-        fp = self.derivative(t)
-        if np.min(fp) < -1e-9:
-            raise DomainError("angle map must be nondecreasing")
+        if periodic is not None:
+            n = max(512, 4 * periodic.degree)
+            if np.min(self.derivative(TWO_PI * np.arange(n) / n)) < -1e-9:
+                raise DomainError("angle map must be nondecreasing")
 
     @classmethod
     def identity(cls) -> "AngleMap":
@@ -93,11 +95,6 @@ class BoundaryMap:
         increase = float(self.angle_map(TWO_PI)) - float(self.angle_map(0.0))
         if abs(increase - TWO_PI) > 1e-9:
             raise DomainError("angle map must increase by 2*pi over a period")
-        t = TWO_PI * np.arange(512) / 512
-        reach = float(np.max(_norms(self.values(t))))
-        limit = float(np.max(_norms(self.curve.points)))
-        if reach > limit * (1.0 + 1e-4) + 1e-9:
-            raise DomainError("boundary values escape the target curve's reach")
 
     @classmethod
     def from_values(cls, samples) -> "BoundaryMap":

@@ -104,7 +104,7 @@ SCHEMAS = {
             "command": {"type": "string"},
             "curve": {
                 "type": "object",
-                "required": ["kind", "nodes", "dimension", "degree", "tail"],
+                "required": ["kind", "dimension", "degree", "tail"],
                 "properties": {"degree": {"type": "number"}, "tail": {"type": "number"}},
             },
             "constants": {

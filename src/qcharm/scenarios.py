@@ -35,7 +35,6 @@ from .curves import (
     TWO_PI,
     CurveConstants,
     JordanCurve,
-    _LengthTable,
     _norms,
     build_curve,
     circle,
@@ -320,11 +319,10 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     """Preimages of three points cutting the image curve into equal arcs.
 
     Anchored at parameter 0; the other two preimages invert the cumulative
-    length of the boundary series through its length table, as the
-    arc-length view does.
+    length of the boundary series through its length table, the one the
+    curve constants read when the series is the curve's own polynomial.
     """
-    series = boundary.series()
-    table = _LengthTable(series)
+    table = boundary.series()._length
     t, (cum, *_) = table.invert(table.length * np.array([[1.0, 2.0]]) / 3.0)
     angles = np.concatenate([[0.0], t[0]])
     arc = np.diff(np.concatenate([[0.0], cum[0], [table.length]]))

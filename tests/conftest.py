@@ -27,7 +27,7 @@ def circle_arc(circle_curve):
 
 @pytest.fixture(scope="session")
 def ellipse_arc(ellipse_curve):
-    return arc_length_reparametrize(ellipse_curve, node_count=512)
+    return arc_length_reparametrize(ellipse_curve)
 
 
 @pytest.fixture(scope="session")

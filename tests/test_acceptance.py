@@ -229,7 +229,7 @@ def test_c7_numerical_analysis_checks(ellipse_curve):
     assert worst_lap < 1e-5
 
     assert abs(curve_length(ellipse_curve) - oracles.ellipse_perimeter(1.2, 0.8)) < 1e-4
-    arc = arc_length_reparametrize(ellipse_curve, node_count=512)
+    arc = arc_length_reparametrize(ellipse_curve)
     assert abs(max_curvature(arc) - 1.875) < 1e-4
     print(
         f"\nACCEPTANCE 7 PASS: gradient-vs-FD rel {rel:.2e}, laplacian {worst_lap:.2e}, "

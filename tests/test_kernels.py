@@ -316,7 +316,7 @@ def _four_call_graded(boundary, tau, mu, form, c_h):
     fp_tau = abs(float(fmap.derivative(tau)))
     vel_tau = curve.velocity(float(fmap(tau)))
     chord = boundary.series().increments(tau)
-    holder_const = c_h / float(np.min(np.linalg.norm(curve.derivs, axis=1)))
+    holder_const = c_h / curve.speed_range[0]
 
     def integrand(x):
         p = chord(x)
@@ -370,6 +370,20 @@ def _angle_mapped_boundaries(catalog_scenarios, tmp_path):
     for curve in _graded_curves(tmp_path):
         boundaries += [BoundaryMap(curve), BoundaryMap(curve, amap)]
     return boundaries
+
+
+def test_speed_extremes_bracket_the_nodes(tmp_path, ellipse_arc):
+    """The least and largest speed of the Hölder form and the majorant method are at most
+    and at least those at 512 uniform nodes, on catalog and seeded CSV curves; an
+    arc-length view has its constant speed."""
+    t = TWO_PI * np.arange(512) / 512
+    for curve in _graded_curves(tmp_path):
+        speeds = np.linalg.norm(curve.velocity(t), axis=1)
+        low, high = curve.speed_range
+        assert low <= np.min(speeds) * (1.0 + 1e-12)
+        assert high >= np.max(speeds) * (1.0 - 1e-12)
+    scale = ellipse_arc.view.scale
+    assert ellipse_arc.speed_range == (scale, scale)
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5])

@@ -435,6 +435,28 @@ def test_angle_map_must_be_monotone():
         AngleMap.from_samples(t + 1.2 * np.sin(t))
 
 
+def test_angle_map_checks_every_harmonic():
+    # f' = 1 + 1.5 cos 512t is 2.5 at every multiple of 2 pi / 512 and -0.5 between them
+    sin_c = np.zeros((513, 1))
+    sin_c[512, 0] = 1.5 / 512
+    with pytest.raises(DomainError, match="nondecreasing"):
+        AngleMap(TrigPolynomial(np.zeros((513, 1)), sin_c))
+
+
+def test_rotated_boundary_map_reaches_between_nodes():
+    # r(t) = 1 - 0.01 sin 256t in polar form: max|h| = 1.01 lies between the nodes
+    # 2 pi k / 512, where r = 1, and the rotation by pi / 512 lands on it
+    cos_c, sin_c = np.zeros((258, 2)), np.zeros((258, 2))
+    cos_c[1, 0] = sin_c[1, 1] = 1.0
+    sin_c[255, 0] = sin_c[257, 0] = -0.005
+    cos_c[255, 1], cos_c[257, 1] = -0.005, 0.005
+    curve = build_curve(fourier_curve(cos_c, sin_c))
+    bm = BoundaryMap(curve, AngleMap(TrigPolynomial([[math.pi / 512]], [[0.0]])))
+    t = TWO_PI * np.arange(512) / 512
+    assert np.max(np.abs(np.linalg.norm(curve.position(t), axis=1) - 1.0)) < 1e-14
+    assert abs(np.max(np.linalg.norm(bm.values(t), axis=1)) - 1.01) < 1e-14
+
+
 def test_angle_map_smooth_ok(circle_curve):
     t = TWO_PI * np.arange(128) / 128
     amap = AngleMap.from_samples(t + 0.1 * np.sin(t))

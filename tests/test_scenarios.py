@@ -15,7 +15,7 @@ from qcharm import (
     scenario_catalog,
     verify,
 )
-from qcharm import scenarios
+from qcharm import curves, scenarios
 from qcharm.poisson import _dilatations
 from qcharm.scenarios import worker_count
 
@@ -113,15 +113,30 @@ def test_identity_witness_inverts_linear_length(monkeypatch):
     # the circle's cumulative length is linear: its table holds no oscillating harmonic
     tables = []
 
-    class Recorded(scenarios._LengthTable):
+    class Recorded(curves._LengthTable):
         def __init__(self, *args):
             super().__init__(*args)
             tables.append(self)
 
-    monkeypatch.setattr(scenarios, "_LengthTable", Recorded)
+    monkeypatch.setattr(curves, "_LengthTable", Recorded)
     w = scenarios.make_scenario("identity").normalization
     assert [t.cum._osc.degree for t in tables] == [0]
     assert np.allclose(w.preimage_angles, [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0], rtol=0.0, atol=1e-15)
+
+
+def test_catalog_verify_builds_one_length_table(monkeypatch):
+    # the witness and the curve constants read the length table of the same polynomial
+    built = []
+    real = curves._LengthTable.__init__
+
+    def counted(self, poly):
+        built.append(poly)
+        real(self, poly)
+
+    monkeypatch.setattr(curves._LengthTable, "__init__", counted)
+    sc = scenarios.make_scenario("conformal_poly", m=3)
+    verify(sc)
+    assert built == [sc.curve.poly]
 
 
 def test_witness_thirds_match_root_finding(catalog_scenarios):
@@ -243,18 +258,18 @@ def test_verify_sequential_matches_parallel(identity_scenario, monkeypatch):
 
 
 def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
-    """One report, one computation of the curve constants, at the scenario
-    curve's node count; unconverged constants raise at once."""
+    """One report, one computation of the curve constants, on the scenario's
+    curve; unconverged constants raise at once."""
     real = scenarios.compute_curve_constants
     calls = []
 
     def counted(curve, mu=1.0, **kwargs):
-        calls.append(curve.node_count)
+        calls.append(curve)
         return real(curve, mu=mu, **kwargs)
 
     monkeypatch.setattr(scenarios, "compute_curve_constants", counted)
     assert verify(identity_scenario).all_passed
-    assert calls == [512]
+    assert calls == [identity_scenario.curve]
 
     def unconverged(curve, mu=1.0, **kwargs):
         cc = counted(curve, mu=mu, **kwargs)
@@ -264,7 +279,7 @@ def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
     monkeypatch.setattr(scenarios, "compute_curve_constants", unconverged)
     with pytest.raises(RefinementError) as exc:
         verify(identity_scenario)
-    assert calls == [512]
+    assert calls == [identity_scenario.curve]
 
 
 # ---------------------------------------------------------------------------
