@@ -34,6 +34,12 @@ _LAGS_PER_OCTAVE = 16
 _SEARCHES = 20
 
 
+def _extreme_nodes(degree: int) -> int:
+    """Uniform nodes that sample an extreme over the circle of a degree-``degree`` expression: the
+    least multiple of _SCAN_NODES that is at least 4 degree; it holds every grid of 2^k <= _SCAN_NODES nodes."""
+    return _SCAN_NODES * max(1, -(-4 * degree // _SCAN_NODES))
+
+
 def circle_distance(s, t):
     """Distance between angles s and t measured along the unit circle."""
     d = np.abs(np.asarray(s, dtype=float) - np.asarray(t, dtype=float)) % TWO_PI
@@ -147,23 +153,18 @@ class TrigPolynomial:
     def scaled(self, c):
         return TrigPolynomial(c * self.cos_coeffs, c * self.sin_coeffs)
 
-    def resample(self, n: int) -> np.ndarray:
-        """Values at n uniform nodes via the inverse FFT; needs n >= 2*degree."""
-        if n < 2 * self.degree:
-            raise DomainError(f"resampling {n} nodes would alias degree {self.degree}")
-        coeffs = np.zeros((n // 2 + 1, self.dim), dtype=complex)
-        coeffs[: self.degree + 1] = self.complex_coeffs
-        coeffs[1:] *= 0.5
-        if n % 2 == 0 and self.degree == n // 2:
-            # the sine Nyquist harmonic vanishes at every aligned node
-            coeffs[self.degree] = self.cos_coeffs[-1]
-        return np.fft.irfft(coeffs * n, n=n, axis=0)
-
     def grid(self, n: int) -> np.ndarray:
         """Values at n uniform nodes in [0, 2*pi), by the inverse FFT on the
-        smallest multiple of n that does not alias."""
+        smallest multiple m of n that does not alias (m >= 2 degree)."""
         r = max(-(-2 * self.degree // n), 1)
-        return self.resample(n * r)[::r]
+        m = n * r
+        coeffs = np.zeros((m // 2 + 1, self.dim), dtype=complex)
+        coeffs[: self.degree + 1] = self.complex_coeffs
+        coeffs[1:] *= 0.5
+        if m == 2 * self.degree:
+            # the sine Nyquist harmonic vanishes at every aligned node
+            coeffs[self.degree] = self.cos_coeffs[-1]
+        return np.fft.irfft(coeffs * m, n=m, axis=0)[::r]
 
     @functools.cached_property
     def _length(self) -> "_LengthTable":
@@ -387,10 +388,10 @@ class JordanCurve:
     @functools.cached_property
     def speed_range(self) -> tuple[float, float]:
         """Least and largest speed |d/dt|: the constant speed of an arc-length view, else
-        sampled extremes over a multiple of _SCAN_NODES uniform nodes, at least 4 degree."""
+        extremes sampled once per curve on the ``_extreme_nodes`` grid of the degree."""
         if self.view is not None:
             return self.view.scale, self.view.scale
-        speeds = _norms(self.velocity_grid(_SCAN_NODES * max(1, -(-4 * self.poly.degree // _SCAN_NODES))))
+        speeds = _norms(self.velocity_grid(_extreme_nodes(self.poly.degree)))
         return float(np.min(speeds)), float(np.max(speeds))
 
     def scaled(self, c: float) -> "JordanCurve":
@@ -451,8 +452,8 @@ def fourier_curve(cos_coeffs, sin_coeffs) -> TrigPolynomial:
 
 
 def build_curve(generator, node_count: int = 512) -> JordanCurve:
-    """The closed curve of a descriptor or of raw samples, checked for regularity and
-    sampled injectivity.
+    """The closed curve of a descriptor or of raw samples, checked for regularity on its
+    ``speed_range``, which it computes, and for sampled injectivity.
 
     Parameters
     ----------
@@ -465,13 +466,12 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         ``RefinementError`` when more than 1e-6 of the fit's acceleration
         energy lies in the top quarter of the band of the m samples
         (harmonics 0 .. m // 2): the data do not resolve the curvature.
-    node_count : number of uniform nodes (>= 16) of the regularity and
-        injectivity checks, which read the raw rows when there are that many;
-        nothing is stored at them, and no constant depends on it
+    node_count : number of uniform nodes (>= 16) of the sampled-injectivity
+        check, which reads the raw rows when there are that many; nothing is
+        stored at them, and no constant depends on it
     """
     if node_count < 16:
         raise DomainError("node_count must be at least 16")
-    nodes = TWO_PI * np.arange(node_count) / node_count
 
     points = None
     if isinstance(generator, TrigPolynomial):
@@ -494,14 +494,11 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
     if poly.dim < 2:
         raise DomainError("curves must live in R^n with n >= 2")
 
-    speeds = _norms(poly.derivative()(nodes))
-    scale = max(float(np.max(speeds)), 1.0)
-    if np.min(speeds) < 1e-9 * scale:
-        raise RegularityError(f"degenerate parametrization: min |d/dt| = {np.min(speeds):.3e}")
-
-    _check_sampled_injectivity(poly(nodes) if points is None else points)
-
-    return JordanCurve(poly=poly, fit_tail=fit_tail)
+    curve = JordanCurve(poly=poly, fit_tail=fit_tail)
+    if curve.speed_range[0] < 1e-9 * max(curve.speed_range[1], 1.0):
+        raise RegularityError(f"degenerate parametrization: min |d/dt| = {curve.speed_range[0]:.3e}")
+    _check_sampled_injectivity(poly(TWO_PI * np.arange(node_count) / node_count) if points is None else points)
+    return curve
 
 
 def _roundoff_floor(samples) -> float:
@@ -675,15 +672,15 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     max |g''|, with no scan: |g'(t) - g'(s)| <= max |g''| dist(t, s) by the
     mean-value inequality along the shorter arc, with equality as s -> t.
     On arc-length views that is the curvature maximum times the squared
-    speed, else a polished grid maximum of |g''|; both are sampled maxima,
-    not certified upper ends.  For mu < 1 a lag scan finds the supremum.
+    speed, else a polished maximum of |g''| on the ``_extreme_nodes`` grid; both
+    are sampled maxima, not certified upper ends.  For mu < 1 a lag scan does.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     if mu == 1.0:
         if curve.view is not None:
             return ScanResult(curve.view.scale**2 * max_curvature(curve), 0, True)
-        acc = _norms(curve.acceleration_grid(_SCAN_NODES))
+        acc = _norms(curve.acceleration_grid(_extreme_nodes(curve.poly.degree)))
         return ScanResult(_polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc), 0, True)
 
     def sample(t):
@@ -734,6 +731,9 @@ def max_curvature(curve: JordanCurve) -> float:
     Uses kappa = sqrt(|g'|^2 |g''|^2 - <g', g''>^2) / |g'|^3, which is
     parametrization invariant: a polished grid maximum over max(2048, 4 degree)
     nodes of the curve's polynomial (of the base curve, for an arc-length view).
+    That is ``_extreme_nodes`` up to degree 512, not above: on draw 2 of
+    ``tests/test_cli.py::_degree_1000_draws`` 4,000 nodes give 264.72 and 4,096 give
+    238.74 (2^17-node grid maximum 264.71), so a grid is no fix; a certified upper end is.
     """
     source = curve.view.base if curve.view is not None else curve
     m = max(_SCAN_NODES, 4 * source.poly.degree)

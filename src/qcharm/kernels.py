@@ -184,7 +184,8 @@ def boundary_jacobian_bound(
     its inner piece is computed after the substitution x = sigma^(1/mu)
     which makes it bounded ("graded").  The "majorant" method
     instead replaces the inner piece by its closed-form Hölder majorant,
-    giving a slightly larger, conservative value.
+    giving a slightly larger, conservative value from the sampled extremes
+    ``JordanCurve.speed_range`` and ``AngleMap.derivative_range``.
 
     ``form="holder"`` evaluates the companion majorant built from the same
     chord, |P(x)|^(1+mu), instead of the kernel.
@@ -251,8 +252,7 @@ def boundary_jacobian_bound(
 
         outer = in_chunks(t_out.size, trapezoid)
         max_speed = curve.speed_range[1]
-        t_fine = TWO_PI * np.arange(1024) / 1024
-        sup_fp = float(np.max(np.abs(fmap.derivative(t_fine))))
+        sup_fp = fmap.derivative_range[1]
         if form == "kernel":
             coef = (np.pi / 4.0) * c_h * max_speed * sup_fp ** (1.0 + mu)
         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, TrigPolynomial, _resolved_fit
+from .curves import TWO_PI, JordanCurve, TrigPolynomial, _extreme_nodes, _resolved_fit
 from .errors import DomainError
 
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
@@ -40,17 +40,18 @@ class QuadratureSpec:
 class AngleMap:
     """Weak homeomorphism of the circle: t -> t + periodic part, nondecreasing.
 
-    ``DomainError`` when f' < -1e-9 at one of max(512, 4 degree) uniform nodes."""
+    ``derivative_range`` is the least and largest f', sampled once on the ``_extreme_nodes``
+    grid of the degree, (1, 1) for the identity; ``DomainError`` when the least is below -1e-9."""
 
     def __init__(self, periodic: TrigPolynomial | None = None):
         if periodic is not None and periodic.dim != 1:
             raise DomainError("periodic part of an angle map must be scalar-valued")
         self._osc = periodic
         self._osc_d = periodic.derivative() if periodic is not None else None
-        if periodic is not None:
-            n = max(512, 4 * periodic.degree)
-            if np.min(self.derivative(TWO_PI * np.arange(n) / n)) < -1e-9:
-                raise DomainError("angle map must be nondecreasing")
+        fp = 1.0 + self._osc_d.grid(_extreme_nodes(periodic.degree)) if periodic is not None else 1.0
+        self.derivative_range = (float(np.min(fp)), float(np.max(fp)))
+        if self.derivative_range[0] < -1e-9:
+            raise DomainError("angle map must be nondecreasing")
 
     @classmethod
     def identity(cls) -> "AngleMap":

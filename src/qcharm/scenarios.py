@@ -35,6 +35,7 @@ from .curves import (
     TWO_PI,
     CurveConstants,
     JordanCurve,
+    _extreme_nodes,
     _norms,
     build_curve,
     circle,
@@ -47,6 +48,7 @@ from .poisson import (
     BoundaryMap,
     CheckRecord,
     _angular_sides,
+    _circle_frames,
     _dilatations,
     gradient_frames,
     poisson_extend,
@@ -57,7 +59,6 @@ _LD_A1 = 0.7548776662466927
 _LD_A2 = 0.5698402909980532
 
 # fixed sample sizes of the verification stages
-_SUP_ANGLES = 128  # unit-circle angles of the gradient and dilatation sups
 _GRID_RADII = 32  # polar grid of the angular and quasiconformality checks
 _GRID_ANGLES = 32
 _GRID_RMAX = 0.9  # outer radius of that grid and of the interior pairs
@@ -514,13 +515,13 @@ def _worst_record(name: str, lhs, rhs) -> CheckRecord:
 
 
 def _gradient_sups(boundary: BoundaryMap):
-    """Sups of |grad u| and of the dilatation over 128 angles of the unit circle.
+    """Sups of |grad u| and of the dilatation over the unit circle: maxima of the series
+    frames on the ``curves._extreme_nodes`` grid of the series degree, by one inverse FFT.
 
     The operator norm of a harmonic gradient is subharmonic, so its disk
     supremum lies on the circle; the dilatation is taken there as well.
     """
-    z = np.exp(1j * TWO_PI * np.arange(_SUP_ANGLES) / _SUP_ANGLES)
-    op, mn, _, _ = _dilatations(*gradient_frames(boundary, z))
+    op, mn, _, _ = _dilatations(*_circle_frames(boundary, [1.0], _extreme_nodes(boundary.series().degree)))
     with np.errstate(divide="ignore", invalid="ignore"):
         dil = np.where(mn > 0, op / mn, np.inf)
     return float(np.max(op)), float(np.max(dil))

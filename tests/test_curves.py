@@ -78,7 +78,7 @@ def test_evaluation_matches_term_by_term(degree, dim):
         assert np.array_equal(got, TrigPolynomial(a, np.vstack([np.zeros((1, dim)), b[1:]]))(t))
     for n in {max(2 * degree, 1), 2 * degree + 3}:
         t = TWO_PI * np.arange(n) / n
-        assert np.all(np.abs(poly.resample(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
+        assert np.all(np.abs(poly.grid(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
 
 
 def test_evaluation_memory_is_bounded():
@@ -202,6 +202,12 @@ def test_pinched_curve_names_the_pinch():
     assert oracles.sampled_self_intersection(pts) == (64, 192)
     with pytest.raises(InjectivityError, match="between nodes 64 and 192"):
         build_curve(pts, 256)
+
+
+def test_build_curve_computes_speed_range(circle_curve, tmp_path):
+    # the regularity check reads the speed extremes, so no later reader samples the speed again
+    for curve in [circle_curve, build_curve(ellipse(2.0, 1.0)), _csv_curve(*_degree8_source(1, 3), tmp_path / "c.csv")]:
+        assert "speed_range" in vars(curve)
 
 
 def test_small_node_count_rejected():

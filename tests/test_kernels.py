@@ -14,6 +14,7 @@ from qcharm import (
     QuadratureSpec,
     RefinementError,
     TabulatedModulus,
+    TrigPolynomial,
     boundary_jacobian_bound,
     build_curve,
     chord_tangent_kernel,
@@ -238,6 +239,24 @@ def test_boundary_jacobian_flat_angle_map(circle_curve):
     amap = AngleMap.from_samples(t + np.sin(t))
     bm = BoundaryMap(circle_curve, amap)
     assert abs(boundary_jacobian_bound(bm, math.pi)) < 1e-12
+
+
+def test_majorant_reads_the_angle_map_range(circle_curve, monkeypatch):
+    # f' = 1 + 0.5 sin 1024t peaks at 1.5 between the nodes 2 pi k / 1024, where f' = 1;
+    # the majorant takes sup f' from the map's derivative_range, not from a sample of its own
+    cos_c = np.zeros((1025, 1))
+    cos_c[1024, 0] = -0.5 / 1024
+    bm = BoundaryMap(circle_curve, AngleMap(TrigPolynomial(cos_c, np.zeros((1025, 1)))))
+    calls = []
+    derivative = AngleMap.derivative
+
+    def counted(self, t):
+        calls.append(np.array(t))
+        return derivative(self, t)
+
+    monkeypatch.setattr(AngleMap, "derivative", counted)
+    boundary_jacobian_bound(bm, 0.1, method="majorant")
+    assert len(calls) == 1 and np.array_equal(calls[0], [0.1])
 
 
 def test_boundary_jacobian_majorant_is_conservative(identity_scenario):

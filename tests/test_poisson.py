@@ -25,7 +25,7 @@ from qcharm import (
 from qcharm import curves
 from qcharm.bounds import _polar_area
 from qcharm.poisson import _angular_sides, _circle_frames, _dilatations
-from qcharm.scenarios import _worst_record
+from qcharm.scenarios import _gradient_sups, _worst_record
 
 TWO_PI = 2.0 * math.pi
 
@@ -441,6 +441,37 @@ def test_angle_map_checks_every_harmonic():
     sin_c[512, 0] = 1.5 / 512
     with pytest.raises(DomainError, match="nondecreasing"):
         AngleMap(TrigPolynomial(np.zeros((513, 1)), sin_c))
+
+
+def test_angle_map_derivative_range():
+    # f = t - (0.5 / 1024) cos 1024t: f' = 1 + 0.5 sin 1024t, whose extremes lie between
+    # the 1,024 nodes 2 pi k / 1024, where f' = 1
+    cos_c = np.zeros((1025, 1))
+    cos_c[1024, 0] = -0.5 / 1024
+    low, high = AngleMap(TrigPolynomial(cos_c, np.zeros((1025, 1)))).derivative_range
+    assert abs(low - 0.5) <= 1e-12 and abs(high - 1.5) <= 1e-12
+    assert AngleMap.identity().derivative_range == (1.0, 1.0)
+
+
+def _frame_maxima(bm: BoundaryMap, n: int = 65_536):
+    """max |grad u| and max K over n angles of the unit circle: f' = sum_j j c_j z^(j-1)
+    on the circle by an inverse FFT, and the singular values of each (ux, uy) frame."""
+    c = bm.series().complex_coeffs
+    spectrum = np.zeros((n, c.shape[1]), dtype=complex)
+    spectrum[: c.shape[0] - 1] = np.arange(1, c.shape[0])[:, None] * c[1:]
+    df = np.fft.ifft(spectrum, axis=0, norm="forward")
+    sv = np.linalg.svd(np.stack([df.real, -df.imag], axis=2), compute_uv=False)
+    return float(np.max(sv[:, 0])), float(np.max(sv[:, 0] / sv[:, 1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gradient_sups_match_dense_maxima(seed, dim):
+    # degree-8 data at 64 samples: the fit has degree 32, and 128 angles read up to 7.9e-5 low
+    bm = _sampled_fit(*_mild_fourier(seed)) if dim == 2 else _sampled_fit_r3(seed)
+    want = _frame_maxima(bm)
+    for got, exact in zip(_gradient_sups(bm), want):
+        assert abs(got - exact) <= 1e-6 * exact
 
 
 def test_rotated_boundary_map_reaches_between_nodes():
