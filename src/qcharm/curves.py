@@ -30,8 +30,11 @@ _MAX_FIT = 1 << 16
 # spaced geometrically at this many per octave
 _SCAN_NODES = 2048
 _LAGS_PER_OCTAVE = 16
-# at most this many restarted shrinking searches polish the best pair
+# at most this many restarted shrinking searches polish the best pair (along the
+# half-length crease, or in both ends)
 _SEARCHES = 20
+# a shrinking search whose best node is interior stops once its values agree to this, relative
+_FLAT = 1e-13
 
 
 def _extreme_nodes(degree: int) -> int:
@@ -614,15 +617,32 @@ def _lag_maxima(sample, score, here, lags):
     return peaks, nodes
 
 
+def _restarted_max(f, point, width, value: float):
+    """``_polished_max`` restarted where the last search ended until one gains at most 1e-12
+    relative (roundoff), at most _SEARCHES times: a ridge runs further than one search reaches.
+    Returns the running max, the last centre, the total steps and whether it settled."""
+    depth = 0
+    for _ in range(_SEARCHES):
+        found, point, steps = _polished_max(f, point, width, value)
+        settled, value, depth = found - value <= 1e-12 * abs(found), found, depth + steps
+        if settled:
+            break
+    return value, point, depth, settled
+
+
 def _lag_scan(sample, score, here, length: float | None = None) -> ScanResult:
-    """Supremum of a pair objective over (t, t + d), d != 0: the per-lag maxima, then a
-    shrinking search in both ends of the best pair, spanning its neighbouring lags but under
-    a quarter of the ends' separation.  With the curve's ``length`` (``sample`` then gives
-    the cumulative length and the speed first) the search runs in cumulative length, where
-    the shorter arc's kink at half the length is a grid diagonal (in the parameter it is a
-    curve the grid cannot follow); one Newton solve finds both ends, and its last
-    evaluation is their sample.  Converged when a search gains at most 1e-12 relative;
-    after _SEARCHES searches that have not, it has not."""
+    """Supremum of a symmetric pair objective over (t, t + d), d != 0: the per-lag maxima,
+    then restarted shrinking searches from the best pair, spanning its neighbouring lags but
+    under a quarter of the ends' separation.  With the curve's ``length`` (``sample`` then
+    gives the cumulative length and the speed first) they run in cumulative length, where the
+    shorter arc's kink at half the length is the crease y = x + length / 2 (in the parameter
+    it is a curve no grid follows); one Newton solve finds both ends, and its last evaluation
+    is their sample.  A best pair within two half-widths of the crease (half the period
+    apart) is searched along it first: at a kink a search in both ends gains only linearly,
+    so the crease maximum is the supremum unless a pair of the box around it (a half-width
+    from each end) beats it by more than 1e-12 relative.  Otherwise the search runs in both
+    ends.  Converged when a search gains at most 1e-12 relative; after _SEARCHES searches
+    that have not, it has not."""
     lags = _node_lags()
     peaks, nodes = _lag_maxima(sample, score, here, lags)
     j = int(np.argmax(peaks))
@@ -641,15 +661,18 @@ def _lag_scan(sample, score, here, length: float | None = None) -> ScanResult:
             both = _invert_length(sample, length, pair, seeds)[1]
         return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), y[None, :] - x[:, None])
 
-    # restart each search where the last one ended until one gains at most 1e-12
-    # relative (roundoff): a ridge such as the kink runs further than one reaches
-    value, depth, point = float(peaks[j]), 0, center
-    for _ in range(_SEARCHES):
-        found, point, steps = _polished_max(objective, point, (width, width), value)
-        settled, value, depth = found - value <= 1e-12 * abs(found), found, depth + steps
-        if settled:
-            break
-    return ScanResult(float(value), depth, bool(np.isfinite(value) and settled))
+    value = crease = float(peaks[j])
+    depth, half = 0, 0.5 * (TWO_PI if length is None else length)
+    if abs((center[1] - center[0]) % (2.0 * half) - half) <= 2.0 * width:
+        crease, x, depth, settled = _restarted_max(lambda xs: np.diagonal(objective(xs, xs + half)), center[0], (width,), value)
+        offsets = np.linspace(-width, width, 9)
+        probe = objective(x[0] + offsets, x[0] + half + offsets)  # both sides of the crease
+        depth += 1
+        if not np.max(probe) - crease > 1e-12 * abs(crease):
+            return ScanResult(float(crease), depth, bool(np.isfinite(crease) and settled))
+    found, _, steps, settled = _restarted_max(objective, center, (width, width), value)
+    value = max(found, crease)
+    return ScanResult(float(value), depth + steps, bool(np.isfinite(value) and settled))
 
 
 def chord_arc_constant(curve: JordanCurve) -> ScanResult:
@@ -693,10 +716,14 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
 
 
 def _polished_max(f, center, width, best: float):
-    """Maximum of a smooth f near ``center`` by shrinking searches on 9 values per coordinate
-    (half-widths ``width``, times 0.45 per step, until the first is below 1e-12 or for 30
-    steps) around the best point so far; f maps the coordinate values to its grid of values.
-    Returns the running max with ``best``, the last search centre and the step count."""
+    """Maximum of f near ``center`` by shrinking searches on 9 values per coordinate
+    (half-widths ``width``, times 0.45 per step) around the best point so far; f maps the
+    coordinate values to its grid of values.  A step stops the search when its best node is
+    interior on every axis and its values agree to _FLAT relative (near a smooth maximum
+    about 1/64 of their spread is left to gain; at a kink the spread stays linear in the
+    width, so this never fires there), else when the first half-width is below 1e-12 or
+    after 30 steps.  Returns the running max with ``best``, the last search centre and the
+    step count."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     width = np.atleast_1d(np.asarray(width, dtype=float))
     for step in range(1, 31):
@@ -706,7 +733,7 @@ def _polished_max(f, center, width, best: float):
         best = max(best, float(vals[k]))
         center = np.array([axis[i] for axis, i in zip(axes, k)])
         width = width * 0.45
-        if width[0] < 1e-12:
+        if width[0] < 1e-12 or (0 < min(k) and max(k) < 8 and np.ptp(vals) <= _FLAT * abs(best)):
             break
     return best, center, step
 
@@ -729,8 +756,9 @@ def max_curvature(curve: JordanCurve) -> float:
     """Largest curvature, measured against true arc length, in any regular parametrization.
 
     Uses kappa = sqrt(|g'|^2 |g''|^2 - <g', g''>^2) / |g'|^3, which is
-    parametrization invariant: a polished grid maximum over max(2048, 4 degree)
-    nodes of the curve's polynomial (of the base curve, for an arc-length view).
+    parametrization invariant: a grid maximum over max(2048, 4 degree) nodes of
+    the curve's polynomial (of the base curve, for an arc-length view), polished
+    by a shrinking search until its values agree to roundoff (``_polished_max``).
     That is ``_extreme_nodes`` up to degree 512, not above: on draw 2 of
     ``tests/test_cli.py::_degree_1000_draws`` 4,000 nodes give 264.72 and 4,096 give
     238.74 (2^17-node grid maximum 264.71), so a grid is no fix; a certified upper end is.
@@ -892,8 +920,10 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     |T(s) - T(s')| / arc(s, s')^mu for the unit tangent T.  At mu = 1 it is
     kappa_max (L / 2 pi)^2, computed as such: |T(s) - T(s')| <= kappa_max
     arc(s, s') by the mean-value inequality, with equality as s' -> s, so
-    no pair scan can exceed it.  kappa_max is a polished sampled maximum,
-    not a certified upper end."""
+    no pair scan can exceed it.  kappa_max is a sampled maximum polished
+    until its search is flat to roundoff, not a certified upper end.  The
+    chord-arc supremum is typically a kink maximum on the half-length crease,
+    searched there first; ``refinement_depth`` is the larger step count of the scans."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     base, table = _base_and_length(curve)

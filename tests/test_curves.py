@@ -433,6 +433,94 @@ def test_chord_arc_parametrization_invariant(ellipse_curve, ellipse_arc):
     assert abs(chord_arc_constant(refit).value - plain) <= 1e-9 * plain
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["own", "arc-length view"])
+@pytest.mark.parametrize("aspect", [1.5, 4.0, 16.0, 100.0])
+def test_chord_arc_of_ellipse_is_closed_form(aspect, view):
+    # the supremum is at the ends of the minor axis: half the length over 2b
+    from scipy.special import ellipe
+
+    a, b = 0.7 * aspect, 0.7
+    exact = 4.0 * a * ellipe(1.0 - (b / a) ** 2) / (4.0 * b)
+    curve = build_curve(ellipse(a, b), 512)
+    if view:
+        curve = arc_length_reparametrize(curve)
+    res = chord_arc_constant(curve)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-14 * exact
+
+
+def _counting_polish(monkeypatch):
+    """Patch ``curves._polished_max`` to record the dimension of each search; returns the record."""
+    dims = []
+    polish = curves._polished_max
+    monkeypatch.setattr(curves, "_polished_max", lambda f, c, w, best: dims.append(len(w)) or polish(f, c, w, best))
+    return dims
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chord_arc_maximum_on_the_crease(dim, tmp_path, monkeypatch):
+    # the chord-arc maximum of these fits lies where the shorter arc switches sides, so
+    # only searches along the crease run, and they reach the brute force of every node
+    # pair and of 2^14 pairs exactly half the length apart
+    dims = _counting_polish(monkeypatch)
+    for seed in range(1, 11):
+        source = _degree8_source(seed, dim)
+        dims.clear()
+        res = chord_arc_constant(_csv_curve(*source, tmp_path / "c.csv"))
+        assert res.converged
+        assert dims and set(dims) == {1}, dims
+        assert res.value >= oracles.lag_scan_lower_bound(*source, 1.0)["chord_arc"]
+        assert res.value >= oracles.crease_chord_arc(*source) * (1.0 - 1e-14)
+
+
+def test_lag_scan_leaves_the_crease_for_a_higher_pair_beside_it(monkeypatch):
+    # a score that peaks at arcs of 0.45 L: the best grid pair is near the crease, but a
+    # pair beside the crease maximum beats it, so the search runs in both ends and
+    # reaches a dense brute force of the score
+    from scipy.optimize import minimize
+
+    table = curves._base_and_length(build_curve(ellipse(4.0, 1.0), 512))[1]
+    length = table.length
+
+    def score(a, b, d):
+        arc = curves._shorter_arc(b[0] - a[0], length)
+        return arc / curves._norms(b[3] - a[3]) * (1.0 + 0.5 * np.exp(-(((arc - 0.45 * length) / (0.05 * length)) ** 2)))
+
+    dims = _counting_polish(monkeypatch)
+    res = curves._lag_scan(table.at, score, table.grid(curves._SCAN_NODES), length)
+    assert res.converged
+    assert dims[0] == 1 and dims[-1] == 2, dims
+    # every pair of 4,096 length-uniform nodes, then Nelder-Mead from the best of them
+    n = 4096
+    here = tuple(v[0] for v in table.invert(length * np.arange(n)[None, :] / n)[1])
+    best, start = -np.inf, None
+    for k in range(1, n // 2 + 1):
+        vals = score(here, tuple(np.roll(v, -k, axis=0) for v in here), None)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, start = vals[i], length * np.array([i, i + k]) / n
+
+    def minus_score(pair):
+        ends = table.invert(np.mod(pair, length)[None, :])[1]
+        return -float(score(tuple(v[0, 0] for v in ends), tuple(v[0, 1] for v in ends), None))
+
+    step = length / n
+    simplex = start + np.array([[0.0, 0.0], [step, 0.0], [0.0, step]])
+    opt = minimize(minus_score, start, method="Nelder-Mead", options={"initial_simplex": simplex, "xatol": 1e-11, "fatol": 1e-16})
+    brute = max(best, -opt.fun)
+    assert abs(res.value - brute) <= 1e-12 * brute
+
+
+def test_polish_stops_once_flat_but_not_at_a_kink():
+    # near a smooth maximum the 9 values agree to roundoff well before the width does;
+    # at a kink their spread stays linear in the width, so only the width stop ends it
+    value, _, steps = curves._polished_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.25, 0.1, -np.inf)
+    assert steps < 30 and value >= 1.0 - 1e-15
+    value, _, steps = curves._polished_max(lambda x: 1.0 - np.abs(x - 0.3), 0.3004, 1e-3, -np.inf)
+    assert steps == math.ceil(math.log(1e-12 / 1e-3) / math.log(0.45))  # the first width below 1e-12
+    assert value >= 1.0 - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Hölder constant of the derivative
 
