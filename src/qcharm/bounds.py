@@ -148,11 +148,16 @@ def lipschitz_bound(inputs: BoundInputs) -> LipschitzBound:
         raise DomainError("the gradient bound needs an isoperimetric coefficient >= 1")
     alpha = mori_exponent(inputs.K, inputs.lam, inputs.upsilon)
     if inputs.c_gamma == 0.0:
-        return LipschitzBound(alpha=alpha, log_value=float("-inf"), value=0.0, inputs=inputs)
+        return _exponentiated(alpha, float("-inf"), inputs)
     e1 = (2.0 - alpha) / (inputs.mu * alpha)
     b1 = inputs.K * inputs.c_gamma * math.pi * (2.0 - alpha) / (2.0 * inputs.mu * alpha)
     b2 = 4.0 * (1.0 + 2.0 * inputs.lam) * math.sqrt(4.0 * inputs.effective_area * math.pi * inputs.K / LOG4)
     log_l = math.log(8.0) + e1 * math.log(b1) + (2.0 / alpha) * math.log(b2)
+    return _exponentiated(alpha, log_l, inputs)
+
+
+def _exponentiated(alpha: float, log_l: float, inputs: BoundInputs) -> LipschitzBound:
+    """The bound of log value ``log_l``: exp(log_l), inf where that overflows, 0 at -inf."""
     try:
         value = math.exp(log_l)
     except OverflowError:
@@ -166,31 +171,21 @@ def minimal_surface_bound(lam: float, mu: float, c_slot: float, length: float) -
 
     ``c_slot`` is the derivative Hölder constant for exponent mu; at mu = 1
     the caller passes the largest curvature instead.  Matches the general
-    bound at K = 1, upsilon = pi, area = length^2/(4*pi).
+    bound at K = 1, upsilon = pi, area = length^2/(4*pi).  The inputs are
+    validated as ``BoundInputs`` (``DomainError`` for lambda < 1, mu outside
+    (0, 1], a negative c_slot or a nonpositive length).
     """
-    if lam < 1.0:
-        raise DomainError("chord-arc constant must be at least 1")
-    if not 0.0 < mu <= 1.0:
-        raise DomainError("mu must lie in (0, 1]")
-    if c_slot < 0.0:
-        raise DomainError("the Hölder/curvature constant must be nonnegative")
-    if length <= 0.0:
-        raise DomainError("length must be positive")
-    p = lam * (1.0 + lam) - 0.75
-    alpha = 8.0 / (1.0 + 2.0 * lam) ** 2
     inputs = BoundInputs(
         K=1.0, mu=mu, upsilon=math.pi, lam=lam, c_gamma=c_slot, length=length, area=length**2 / (4.0 * math.pi)
     )
+    p = lam * (1.0 + lam) - 0.75
+    alpha = 8.0 / (1.0 + 2.0 * lam) ** 2
     if c_slot == 0.0:
-        return LipschitzBound(alpha=alpha, log_value=float("-inf"), value=0.0, inputs=inputs)
+        return _exponentiated(alpha, float("-inf"), inputs)
     b1 = c_slot * p * math.pi / (2.0 * mu)
     b2 = 4.0 * (1.0 + 2.0 * lam) * length / math.sqrt(LOG4)
     log_l = math.log(8.0) + (p / mu) * math.log(b1) + (0.5 + lam) ** 2 * math.log(b2)
-    try:
-        value = math.exp(log_l)
-    except OverflowError:
-        value = float("inf")
-    return LipschitzBound(alpha=alpha, log_value=log_l, value=value, inputs=inputs)
+    return _exponentiated(alpha, log_l, inputs)
 
 
 # ---------------------------------------------------------------------------

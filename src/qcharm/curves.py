@@ -185,31 +185,6 @@ class TrigPolynomial:
         return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut]), tail
 
 
-class PeriodicAntiderivative:
-    """Antiderivative t -> integral_0^t g of a periodic function g given by its
-    fit, a scalar trigonometric polynomial: the mean is the linear part, and
-    each harmonic is integrated exactly.
-    """
-
-    def __init__(self, fit: TrigPolynomial):
-        a, b = fit.cos_coeffs[:, 0], fit.sin_coeffs[:, 0]
-        self.mean = a[0]
-        j = np.arange(a.size, dtype=float)
-        j[0] = np.inf  # the mean is the linear part, not a harmonic
-        # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
-        self._osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None])
-        self._osc0 = float(self._osc(0.0)[0])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        osc = self._osc(t)[..., 0] if t.ndim else float(self._osc(t)[0])
-        return self.mean * t + osc - self._osc0
-
-    def values_on_grid(self, n: int) -> np.ndarray:
-        """Values at n uniform nodes in [0, 2*pi)."""
-        return self.mean * (TWO_PI * np.arange(n) / n) + self._osc.grid(n)[:, 0] - self._osc0
-
-
 def _resolved_fit(sample, start: int) -> tuple[TrigPolynomial, float]:
     """FFT fit through ``sample(m)``, the (m, n) samples at m uniform nodes, without its
     trailing harmonics below the roundoff floor, and the tail they leave
@@ -262,29 +237,37 @@ def _invert_length(evaluate, length: float, target, t):
 
 
 class _LengthTable:
-    """Cumulative length of the curve with position polynomial ``poly``: the antiderivative
-    of its speed fit, resolved from max(_SCAN_NODES, 2 degree) samples on.  ``at(t)`` gives
-    (cumulative length, speed, velocity, position) from one evaluation of the stacked
-    polynomial (oscillating part of the length, velocity, position), and ``invert`` finds
-    where the length reaches its targets by Newton steps from seeds interpolated on a
-    grid of the length."""
+    """Cumulative length t -> mean t + osc(t) - osc0 of the curve with position polynomial
+    ``poly``: the exact antiderivative of its speed fit, resolved from max(_SCAN_NODES,
+    2 degree) samples on, whose mean is the linear part and whose harmonics ``osc`` are
+    integrated term by term.  ``at(t)`` gives (cumulative length, speed, velocity, position)
+    from one evaluation of the stacked polynomial (``osc``, velocity, position), and
+    ``invert`` finds where the length reaches its targets by Newton steps from seeds
+    interpolated on a grid of the length."""
 
     def __init__(self, poly: TrigPolynomial):
         vel = poly.derivative()
         start = max(_SCAN_NODES, 2 * poly.degree)
-        self.cum = PeriodicAntiderivative(_resolved_fit(lambda m: _norms(vel.grid(m))[:, None], start)[0])
-        self.length = self.cum.mean * TWO_PI
-        self._poly = TrigPolynomial.stack(self.cum._osc, vel, poly)
+        fit = _resolved_fit(lambda m: _norms(vel.grid(m))[:, None], start)[0]
+        a, b = fit.cos_coeffs[:, 0], fit.sin_coeffs[:, 0]
+        self.mean = a[0]
+        self.length = self.mean * TWO_PI
+        j = np.arange(a.size, dtype=float)
+        j[0] = np.inf  # the mean is the linear part, not a harmonic
+        # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
+        self.osc = TrigPolynomial((-b / j)[:, None], (a / j)[:, None])
+        self.osc0 = float(self.osc(0.0)[0])
+        self._poly = TrigPolynomial.stack(self.osc, vel, poly)
         self._dim = poly.dim
-        n = max(start, 4 * self.cum._osc.degree)
+        n = max(start, 4 * self.osc.degree)
         self._seed_t = TWO_PI * np.arange(n + 1) / n
-        self._seed_cum = np.append(self.cum.values_on_grid(n), self.length)
+        self._seed_cum = np.append(self.mean * self._seed_t[:-1] + self.osc.grid(n)[:, 0] - self.osc0, self.length)
         if not np.all(np.diff(self._seed_cum) > 0):
             raise RefinementError("cumulative arc length non-monotone; refine the curve first")
 
     def _split(self, t, v):
         vel = v[..., 1 : 1 + self._dim]
-        return self.cum.mean * t + v[..., 0] - self.cum._osc0, _norms(vel), vel, v[..., 1 + self._dim :]
+        return self.mean * t + v[..., 0] - self.osc0, _norms(vel), vel, v[..., 1 + self._dim :]
 
     def at(self, t):
         t = np.asarray(t, dtype=float)
@@ -322,12 +305,10 @@ class _ArcLengthView:
         t, vals = self.table.invert(((theta - wraps * TWO_PI) * self.scale).reshape(1, -1))
         return t.reshape(theta.shape) + wraps * TWO_PI, [v.reshape(theta.shape + v.shape[2:]) for v in vals]
 
-    def position(self, theta):
-        return self.parameter(theta)[1][3]
-
-    def velocity(self, theta):
-        _, (_, speed, v, _) = self.parameter(theta)
-        return v * (self.scale / speed[..., None])
+    def frame(self, theta):
+        """Position and velocity at theta from one inversion of the length."""
+        _, (_, speed, v, pos) = self.parameter(theta)
+        return pos, v * (self.scale / speed[..., None])
 
     def acceleration(self, theta):
         t, (_, _, v, _) = self.parameter(theta)
@@ -340,11 +321,13 @@ class _ArcLengthView:
 
 @dataclass(frozen=True, eq=False)
 class JordanCurve:
-    """Closed curve in R^n given by its position polynomial, with spectral evaluators.
+    """Closed curve in R^n given by its position polynomial, with spectral evaluators;
+    ``frame(t)`` gives position and velocity from one evaluation.
 
     Attributes
     ----------
-    poly : TrigPolynomial position evaluator (of the base curve, for an arc-length view)
+    poly : TrigPolynomial position evaluator (of the base curve, for an arc-length view,
+        whose length table ``poly._length`` is then the base's)
     view : composite exact evaluators, set for reparametrized curves
     fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
     """
@@ -367,13 +350,21 @@ class JordanCurve:
         return self.poly.dim
 
     def position(self, t):
-        return self.view.position(t) if self.view is not None else self.poly(t)
+        return self.view.frame(t)[0] if self.view is not None else self.poly(t)
 
     def velocity(self, t):
-        return self.view.velocity(t) if self.view is not None else self._vel(t)
+        return self.view.frame(t)[1] if self.view is not None else self._vel(t)
 
     def acceleration(self, t):
         return self.view.acceleration(t) if self.view is not None else self._acc(t)
+
+    def frame(self, t):
+        """Position and velocity at t, each shaped like ``position(t)``: one evaluation of the
+        stacked ``_frame`` polynomial, or one inversion of the length on an arc-length view."""
+        if self.view is not None:
+            return self.view.frame(t)
+        both = self._frame(t)
+        return both[..., : self.dim], both[..., self.dim :]
 
     def velocity_grid(self, n: int) -> np.ndarray:
         """Velocity at n uniform nodes, the fast way."""
@@ -383,9 +374,9 @@ class JordanCurve:
         return self._on_grid(n, "acceleration", self._acc)
 
     def _on_grid(self, n: int, name: str, poly: TrigPolynomial) -> np.ndarray:
-        """The view's evaluator ``name`` at n uniform nodes, else ``poly`` there."""
+        """The evaluator ``name`` at n uniform nodes on a view, else ``poly`` there."""
         if self.view is not None:
-            return getattr(self.view, name)(TWO_PI * np.arange(n) / n)
+            return getattr(self, name)(TWO_PI * np.arange(n) / n)
         return poly.grid(n)
 
     @functools.cached_property
@@ -555,7 +546,7 @@ def _check_sampled_injectivity(points):
 def curve_length(curve: JordanCurve) -> float:
     """Total length: 2 pi times the mean of the resolved speed fit (of the
     base curve, for an arc-length view)."""
-    return _base_and_length(curve)[1].length
+    return curve.poly._length.length
 
 
 def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
@@ -572,11 +563,6 @@ def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
 
 # ---------------------------------------------------------------------------
 # lag scans over parameter pairs (t, t + d)
-
-
-def _base_and_length(curve: JordanCurve):
-    """The curve under an arc-length view (else the curve) and its length table."""
-    return (curve.view.base if curve.view is not None else curve), curve.poly._length
 
 
 def _shorter_arc(forward, length: float):
@@ -679,7 +665,7 @@ def chord_arc_constant(curve: JordanCurve) -> ScanResult:
     """Supremum of (shorter arc length) / (chord length) over boundary pairs,
     for any regular parametrization: arc lengths are differences of the
     cumulative length (of the base curve, for an arc-length view)."""
-    table = _base_and_length(curve)[1]
+    table = curve.poly._length
 
     def score(a, b, d):
         return _shorter_arc(b[0] - a[0], table.length) / _norms(b[3] - a[3])
@@ -926,11 +912,11 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     searched there first; ``refinement_depth`` is the larger step count of the scans."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
-    base, table = _base_and_length(curve)
+    table = curve.poly._length
     length = table.length
     scale = length / TWO_PI
     lam = chord_arc_constant(curve)
-    kappa = max_curvature(base)
+    kappa = max_curvature(curve)
 
     def tangents(cum, speed, vel, pos):
         return cum, speed, vel / speed[..., None]

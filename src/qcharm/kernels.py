@@ -58,11 +58,19 @@ def _cross_norm(x, y):
 def chord_tangent_kernel(curve: JordanCurve, s, t):
     """Kernel value(s) at angle pair(s): area of (h(t) - h(s)) against h'(s), shaped like
     the broadcast pairs; a scalar pair gives a float."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    shape = s.shape
-    s, t = s.ravel(), t.ravel()
-    out = _cross_norm(curve.position(t) - curve.position(s), curve.velocity(s))
+    shape, _, _, chord, vel = _pairs(curve, s, t)
+    out = _cross_norm(chord, vel)
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _pairs(curve: JordanCurve, s, t):
+    """The shape of the broadcast angle pairs, s and t flattened, and the chords h(t) - h(s)
+    and velocities h'(s) there, from one ``JordanCurve.frame`` evaluation of both ends."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    shape, n = s.shape, s.size
+    s, t = s.ravel(), t.ravel()
+    pos, vel = curve.frame(np.concatenate([s, t]))
+    return shape, s, t, pos[n:] - pos[:n], vel[:n]
 
 
 def _chordal(s, t):
@@ -71,22 +79,14 @@ def _chordal(s, t):
 
 def _checked_majorant(curve: JordanCurve, s, t, majorant, what: str):
     """majorant(|h(s) - h(t)|, |e^{is} - e^{it}|) at broadcast angle pairs,
-    0 on the diagonal; the kernel is recomputed at every pair and a pair
+    0 on the diagonal; the kernel is recomputed at every pair, from one
+    ``JordanCurve.frame`` evaluation of both ends (``_pairs``), and a pair
     where it exceeds the majorant by more than 1e-9 raises ConsistencyError
     naming the worst one.  Scalar pairs give a float."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    shape = s.shape
-    s, t = s.ravel(), t.ravel()
-    n = s.size
-    if curve.view is None:
-        frame = curve._frame(np.concatenate([s, t]))
-        chord, vel = frame[n:, : curve.dim] - frame[:n, : curve.dim], frame[:n, curve.dim :]
-    else:
-        pos = curve.position(np.concatenate([s, t]))
-        chord, vel = pos[n:] - pos[:n], curve.velocity(s)
+    shape, s, t, chord, vel = _pairs(curve, s, t)
     chord_circle = _chordal(s, t)
     off = chord_circle > 0.0
-    bound = np.zeros(n)
+    bound = np.zeros(s.size)
     bound[off] = majorant(_norms(chord[off]), chord_circle[off])
     value = _cross_norm(chord, vel)
     k = int(np.argmax(value - bound))

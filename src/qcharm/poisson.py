@@ -177,11 +177,6 @@ def _closed_disk(z) -> np.ndarray:
     return zz
 
 
-def _coefficients(boundary: BoundaryMap) -> np.ndarray:
-    """c_j = a_j - i b_j, shape (J+1, n); u = Re sum_j c_j z^j."""
-    return boundary.series().complex_coeffs
-
-
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] z^j at every point: (J+1, n) and (k,) -> (k, n)."""
     out = np.zeros((z.size, coeffs.shape[1]), dtype=complex)
@@ -194,14 +189,14 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def poisson_extend(boundary: BoundaryMap, z):
     """Harmonic extension of the boundary data at point(s) z of the closed disk."""
-    vals = _horner(_coefficients(boundary), _closed_disk(z)).real
+    vals = _horner(boundary.series().complex_coeffs, _closed_disk(z)).real
     return vals[0] if np.ndim(z) == 0 else vals
 
 
 def gradient_frames(boundary: BoundaryMap, z):
     """Gradient frames (ux, uy) at an array of points of the closed disk;
     returns (ux, uy) arrays of shape (k, n)."""
-    c = _coefficients(boundary)
+    c = boundary.series().complex_coeffs
     j = np.arange(1, c.shape[0])[:, None]
     df = _horner(j * c[1:], _closed_disk(z))
     return df.real, -df.imag
@@ -215,7 +210,7 @@ def _circle_frames(boundary: BoundaryMap, radii, n: int):
     is the unnormalized inverse FFT of the array holding (j + 1) c_{j+1} r^j at
     frequency j, so each circle costs one FFT of n points, not J Horner steps per
     point; no frequency aliases while n >= J."""
-    c = _coefficients(boundary)
+    c = boundary.series().complex_coeffs
     degree = c.shape[0] - 1
     if n < degree:
         raise DomainError(f"{n} angles per circle would alias the degree-{degree} series")

@@ -423,15 +423,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
 
     def stage_isoperimetric():
         rep = isoperimetric_check(boundary, upsilon=upsilon, area=area)
-        return [
-            CheckRecord(
-                name="isoperimetric",
-                lhs=rep.ratio,
-                rhs=rep.bound,
-                margin=rep.margin,
-                passed=rep.passed,
-            )
-        ]
+        return [_worst_record("isoperimetric", np.array([rep.ratio]), np.array([rep.bound]))]
 
     bound = lipschitz_bound(
         BoundInputs(
@@ -445,13 +437,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     )
 
     def stage_main_bound():
-        rec = CheckRecord(
-            name="gradient_bound",
-            lhs=sup_grad,
-            rhs=bound.value,
-            margin=bound.value - sup_grad,
-            passed=sup_grad <= bound.value + _GATE,
-        )
+        rec = _worst_record("gradient_bound", np.array([sup_grad]), np.array([bound.value]))
         z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
         z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
         u1 = poisson_extend(boundary, z1)

@@ -97,6 +97,24 @@ def trig_increment(cos_coeffs, sin_coeffs, t0: float, x):
     return (2j * np.sin(half) * np.exp(1j * half) @ c).real
 
 
+def periodic_antiderivative(samples):
+    """t -> integral_0^t g of the periodic g through uniform samples, from its FFT
+    interpolant integrated harmonic by harmonic and summed term by term at each t."""
+    g = np.asarray(samples, dtype=float)
+    m = g.size
+    c = np.fft.rfft(g) / m
+    a, b = 2.0 * c.real, -2.0 * c.imag
+    if m % 2 == 0:
+        a[-1], b[-1] = c[-1].real, 0.0  # the Nyquist term carries weight 1
+    j = np.arange(1, c.size)
+
+    def integral(t):
+        jt = np.multiply.outer(np.asarray(t, dtype=float), j)
+        return c[0].real * np.asarray(t) + (np.sin(jt) @ (a[1:] / j) + (1.0 - np.cos(jt)) @ (b[1:] / j))
+
+    return integral
+
+
 def lag_scan_lower_bound(cos_coeffs, sin_coeffs, mu: float, n: int = 512) -> dict:
     """Brute-force lower bounds for the constants of a trigonometric curve.
 

@@ -211,6 +211,22 @@ def test_minimal_surface_rejects_small_lambda():
         minimal_surface_bound(0.9, 1.0, 1.0, 2 * PI)
 
 
+@pytest.mark.parametrize(
+    "lam, mu, c_slot, length, message",
+    [
+        (1.2, 0.0, 1.0, 2 * PI, "mu must lie in"),
+        (1.2, 1.5, 1.0, 2 * PI, "mu must lie in"),
+        (1.2, 1.0, -1.0, 2 * PI, "constant must be nonnegative"),
+        (1.2, 1.0, 1.0, 0.0, "length must be positive"),
+    ],
+    ids=["mu=0", "mu=1.5", "c=-1", "L=0"],
+)
+def test_minimal_surface_rejects_invalid_inputs(lam, mu, c_slot, length, message):
+    # the inputs are validated once, as the general bound's inputs
+    with pytest.raises(DomainError, match=message):
+        minimal_surface_bound(lam, mu, c_slot, length)
+
+
 # ---------------------------------------------------------------------------
 # area and the isoperimetric ratio
 

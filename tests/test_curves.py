@@ -338,8 +338,7 @@ def test_cumulative_length_keeps_no_roundoff_harmonics():
     # the constant speed of a circle integrates to a linear length; integrating the
     # unresolved fit kept 1,020 harmonics of noise
     for generator, degree in ((circle(), 0), (ellipse(1.05, 1.0), 20)):
-        table = curves._base_and_length(build_curve(generator, 512))[1]
-        assert table.cum._osc.degree <= degree
+        assert build_curve(generator, 512).poly._length.osc.degree <= degree
 
 
 def test_unresolved_speed_fit_raises(monkeypatch):
@@ -479,7 +478,7 @@ def test_lag_scan_leaves_the_crease_for_a_higher_pair_beside_it(monkeypatch):
     # reaches a dense brute force of the score
     from scipy.optimize import minimize
 
-    table = curves._base_and_length(build_curve(ellipse(4.0, 1.0), 512))[1]
+    table = build_curve(ellipse(4.0, 1.0), 512).poly._length
     length = table.length
 
     def score(a, b, d):
@@ -903,7 +902,7 @@ def _scan_cases():
     out = []
     for name, generator in (SEEDED[2], SEEDED[-1]):
         curve = build_curve(generator, 512)
-        _, table = curves._base_and_length(curve)
+        table = curve.poly._length
         length = table.length
         out += [
             (
@@ -943,9 +942,9 @@ def test_lag_maxima_match_roll_oracle_bits(name, sample, score, here):
 
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_invert_length_rows_converge_separately(generator):
-    table = curves._base_and_length(build_curve(generator, 512))[1]
+    table = build_curve(generator, 512).poly._length
     target = np.stack([np.linspace(0.1, 0.5, 9), np.linspace(2.0, 3.0, 9)]) * table.length / TWO_PI
-    exact = curves._invert_length(table.at, table.length, target, target / table.cum.mean)[0]
+    exact = curves._invert_length(table.at, table.length, target, target / table.mean)[0]
     # row 0 starts at its answer, row 1 a tenth of a radian off
     start = exact + np.array([[0.0], [0.1]])
     calls = []
@@ -973,8 +972,8 @@ def test_invert_length_rows_converge_separately(generator):
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_stacked_polynomial_matches_blocks(generator):
     curve = build_curve(generator, 512)
-    base, table = curves._base_and_length(curve)
-    blocks = (table.cum._osc, base._vel, base.poly)
+    table = curve.poly._length
+    blocks = (table.osc, curve._vel, curve.poly)
     stacked = TrigPolynomial.stack(*blocks)
     assert stacked.degree == max(p.degree for p in blocks) and stacked.dim == sum(p.dim for p in blocks)
     t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
@@ -986,18 +985,35 @@ def test_stacked_polynomial_matches_blocks(generator):
         tol = 1e-15 * np.sum(np.abs(p.complex_coeffs)) * (1.0 + np.abs(t))[..., None]
         assert np.all(np.abs(got[..., lo : lo + p.dim] - p(t)) <= tol)
         lo += p.dim
-    # position and velocity share their degree: the frame is the blocks to the bit
-    assert np.array_equal(curve._frame(t), np.concatenate([curve.position(t), curve.velocity(t)], axis=-1))
+
+
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_frame_is_position_and_velocity(generator):
+    # position and velocity share their degree: the stacked frame is the blocks to the bit
+    curve = build_curve(generator, 512)
+    t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
+    pos, vel = curve.frame(t)
+    assert np.array_equal(pos, curve.position(t)) and np.array_equal(vel, curve.velocity(t))
+
+
+def test_frame_of_arc_length_view(ellipse_arc):
+    t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
+    pos, vel = ellipse_arc.frame(t)
+    for got, want in ((pos, ellipse_arc.position(t)), (vel, ellipse_arc.velocity(t))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("tangent", [False, True], ids=["position", "tangent"])
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
 def test_length_table_matches_separate_evaluations(generator, tangent):
-    base, table = curves._base_and_length(build_curve(generator, 512))
+    base = build_curve(generator, 512)
+    table = base.poly._length
     t = np.random.default_rng(5).uniform(-1.0, TWO_PI + 1.0, 300)
     vel = base.velocity(t)
     speed = np.linalg.norm(vel, axis=-1)
-    want = (table.cum(t), speed, vel / speed[:, None] if tangent else base.position(t))
+    # the cumulative length from its oscillating polynomial alone, not the stacked one
+    want = (table.mean * t + table.osc(t)[:, 0] - table.osc0, speed, vel / speed[:, None] if tangent else base.position(t))
     cum, got_speed, got_vel, position = table.at(t)
     for got, ref in zip((cum, got_speed, got_vel / got_speed[:, None] if tangent else position), want):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -1010,10 +1026,11 @@ def test_length_table_matches_separate_evaluations(generator, tangent):
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)], ids=["scalar", "vector", "matrix"])
 def test_evaluators_keep_parameter_shape(shape, ellipse_curve, ellipse_arc):
     t = np.linspace(-1.0, 7.0, int(np.prod(shape))).reshape(shape)
-    antiderivative = curves.PeriodicAntiderivative(TrigPolynomial.from_samples(1.0 + 0.3 * np.cos(TWO_PI * np.arange(64) / 64)[:, None]))
+    table = ellipse_curve.poly._length
     samples = TWO_PI * np.arange(128) / 128
     amap = AngleMap.from_samples(samples + 0.1 * np.sin(samples))
-    for evaluate, tail in ((antiderivative, ()), (amap, ()), (ellipse_arc.position, (2,)), (ellipse_curve.position, (2,))):
+    evaluators = ((lambda x: table.at(x)[0], ()), (amap, ()), (ellipse_arc.position, (2,)), (ellipse_curve.position, (2,)))
+    for evaluate, tail in evaluators:
         got = evaluate(t)
         assert np.shape(got) == shape + tail
         flat = np.array([evaluate(x) for x in t.ravel()]).reshape(shape + tail)

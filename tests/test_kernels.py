@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qcharm import kernels
+from qcharm import curves, kernels
 from qcharm import (
     AngleMap,
     BoundaryMap,
@@ -497,3 +497,22 @@ def test_array_tau_scans_holder_constant_once(poly_scenario, monkeypatch):
     taus = TWO_PI * np.arange(32) / 32
     values = boundary_jacobian_bound(poly_scenario.boundary, taus, mu=0.5, form="holder")
     assert calls == [0.5] and np.all(np.isfinite(values))
+
+
+def test_view_majorant_and_kernel_invert_the_length_once(ellipse_arc, monkeypatch):
+    # position and velocity at both ends of every pair come from one length inversion
+    s, t = np.linspace(0.1, 6.0, 7), np.linspace(0.5, 3.0, 7)
+    c_h = kernel_bound_holder(ellipse_arc, 0.5, s, t)[1]
+    calls = []
+    real = curves._LengthTable.invert
+
+    def counted(self, target):
+        calls.append(target.shape)
+        return real(self, target)
+
+    monkeypatch.setattr(curves._LengthTable, "invert", counted)
+    kernel_bound_holder(ellipse_arc, 0.5, s, t, c_h=c_h)
+    assert len(calls) == 1
+    calls.clear()
+    chord_tangent_kernel(ellipse_arc, s, t)
+    assert len(calls) == 1

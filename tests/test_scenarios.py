@@ -99,12 +99,9 @@ def test_affine_witness_corrected(affine_scenario):
     plain = np.array([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0])
     assert np.max(np.abs(w.preimage_angles - plain)) > 1e-3
     # and the cube roots themselves do not split the ellipse evenly
-    from qcharm.curves import PeriodicAntiderivative, TrigPolynomial
-
     bm = affine_scenario.boundary
     t = TWO_PI * np.arange(4096) / 4096
-    speed = np.linalg.norm(bm.derivative(t), axis=1)
-    cum = PeriodicAntiderivative(TrigPolynomial.from_samples(speed[:, None]))
+    cum = oracles.periodic_antiderivative(np.linalg.norm(bm.derivative(t), axis=1))
     arcs = np.diff([cum(a) for a in plain] + [total])
     assert np.max(np.abs(arcs - total / 3.0)) > 1e-3
 
@@ -120,7 +117,7 @@ def test_identity_witness_inverts_linear_length(monkeypatch):
 
     monkeypatch.setattr(curves, "_LengthTable", Recorded)
     w = scenarios.make_scenario("identity").normalization
-    assert [t.cum._osc.degree for t in tables] == [0]
+    assert [t.osc.degree for t in tables] == [0]
     assert np.allclose(w.preimage_angles, [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0], rtol=0.0, atol=1e-15)
 
 
@@ -142,7 +139,7 @@ def test_catalog_verify_builds_one_length_table(monkeypatch):
 def test_witness_thirds_match_root_finding(catalog_scenarios):
     from scipy.optimize import brentq
 
-    from qcharm.curves import PeriodicAntiderivative, TrigPolynomial, build_curve, ellipse
+    from qcharm.curves import TrigPolynomial, build_curve, ellipse
     from qcharm.poisson import AngleMap, BoundaryMap
 
     # t -> t + 0.3 sin t is increasing, so the boundary data traverses the ellipse unevenly
@@ -152,7 +149,7 @@ def test_witness_thirds_match_root_finding(catalog_scenarios):
         total = w.arc_lengths.sum()
         assert np.max(np.abs(w.arc_lengths - total / 3.0)) <= 1e-12 * total
         t = TWO_PI * np.arange(4096) / 4096
-        cum = PeriodicAntiderivative(TrigPolynomial.from_samples(np.linalg.norm(bm.derivative(t), axis=1)[:, None]))
+        cum = oracles.periodic_antiderivative(np.linalg.norm(bm.derivative(t), axis=1))
         roots = [brentq(lambda x: cum(x) - f * total, 1e-12, TWO_PI - 1e-12, xtol=1e-14) for f in (1 / 3, 2 / 3)]
         assert w.preimage_angles[0] == 0.0
         assert np.max(np.abs(w.preimage_angles[1:] - roots)) < 1e-12
@@ -161,6 +158,19 @@ def test_witness_thirds_match_root_finding(catalog_scenarios):
 
 # ---------------------------------------------------------------------------
 # the verification pipeline
+
+
+@pytest.mark.parametrize("below, passed", [(5e-10, True), (2e-9, False)], ids=["within-gate", "past-gate"])
+def test_gradient_bound_record_gate(monkeypatch, below, passed):
+    # a bound just under sup |grad u| passes down to the margin -1e-9, as every record does
+    sc = scenarios.make_scenario("identity")
+    sup_grad = scenarios._gradient_sups(sc.boundary)[0]
+    real = scenarios.lipschitz_bound
+    monkeypatch.setattr(scenarios, "lipschitz_bound", lambda inputs: dataclasses.replace(real(inputs), value=sup_grad - below))
+    rec = next(r for r in verify(sc).checks if r.name == "gradient_bound")
+    assert (rec.lhs, rec.rhs) == (sup_grad, sup_grad - below)
+    assert abs(rec.margin + below) <= 1e-15
+    assert rec.passed is passed
 
 
 def test_all_catalog_scenarios_pass(catalog_reports):
