@@ -43,12 +43,6 @@ def _extreme_nodes(degree: int) -> int:
     return _SCAN_NODES * max(1, -(-4 * degree // _SCAN_NODES))
 
 
-def circle_distance(s, t):
-    """Distance between angles s and t measured along the unit circle."""
-    d = np.abs(np.asarray(s, dtype=float) - np.asarray(t, dtype=float)) % TWO_PI
-    return np.where(d > np.pi, TWO_PI - d, d)
-
-
 class TrigPolynomial:
     """R^n-valued trigonometric polynomial sum_j A[j] cos(jt) + B[j] sin(jt).
 
@@ -211,39 +205,15 @@ def _norms(v):
     return np.sqrt(squares)
 
 
-def _invert_length(evaluate, length: float, target, t):
-    """Parameters where the cumulative length reaches ``target``, by at most 8 Newton steps
-    from nearby parameters t, to a residual below 1e-13 max(length, 1).  t and target are
-    (rows, n); each row stops when its own residual is below the tolerance, so it takes the
-    steps it would take alone.  ``evaluate(x)`` returns a tuple of arrays whose leading axes
-    are those of x, the cumulative length and the speed first.  Returns the parameters and
-    ``evaluate`` at them."""
-    tol = 1e-13 * max(length, 1.0)
-    t = np.array(t, dtype=float)
-    vals = list(evaluate(t))
-    resid = vals[0] - target
-    for _ in range(8):
-        rows = np.nonzero(~(np.max(np.abs(resid), axis=1) < tol))[0]
-        if not rows.size:
-            break
-        t[rows] -= resid[rows] / vals[1][rows]
-        step = evaluate(t[rows])
-        for v, new in zip(vals, step):
-            v[rows] = new
-        resid[rows] = step[0] - target[rows]
-    if not np.max(np.abs(resid)) < tol:
-        raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
-    return t, vals
-
-
 class _LengthTable:
     """Cumulative length t -> mean t + osc(t) - osc0 of the curve with position polynomial
     ``poly``: the exact antiderivative of its speed fit, resolved from max(_SCAN_NODES,
     2 degree) samples on, whose mean is the linear part and whose harmonics ``osc`` are
     integrated term by term.  ``at(t)`` gives (cumulative length, speed, velocity, position)
     from one evaluation of the stacked polynomial (``osc``, velocity, position), and
-    ``invert`` finds where the length reaches its targets by Newton steps from seeds
-    interpolated on a grid of the length."""
+    ``invert`` finds where the length reaches its targets by Newton steps, point by point,
+    from seeds interpolated on a grid of the length; ``scan_nodes`` holds ``tangent_frame``
+    at the equal-length nodes of the lag scans, inverted once per table."""
 
     def __init__(self, poly: TrigPolynomial):
         vel = poly.derivative()
@@ -265,31 +235,58 @@ class _LengthTable:
         if not np.all(np.diff(self._seed_cum) > 0):
             raise RefinementError("cumulative arc length non-monotone; refine the curve first")
 
-    def _split(self, t, v):
+    def at(self, t):
+        t = np.asarray(t, dtype=float)
+        v = self._poly(t)
         vel = v[..., 1 : 1 + self._dim]
         return self.mean * t + v[..., 0] - self.osc0, _norms(vel), vel, v[..., 1 + self._dim :]
 
-    def at(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._split(t, self._poly(t))
-
-    def grid(self, n: int):
-        """``at`` the n uniform nodes of [0, 2*pi), by one inverse FFT."""
-        return self._split(TWO_PI * np.arange(n) / n, self._poly.grid(n))
-
     def invert(self, target):
-        """Parameters where the cumulative length reaches ``target`` (rows, n), within
-        [0, length], and ``at`` them."""
-        return _invert_length(self.at, self.length, target, np.interp(target, self._seed_cum, self._seed_t))
+        """Parameters where the cumulative length reaches ``target`` (any shape, within
+        [0, length]), and ``at`` them: at most 8 Newton steps from the interpolated seeds, to
+        a residual below 1e-13 max(length, 1).  Each point stops on its own residual, so it
+        takes the steps it would take alone, whatever else shares the call."""
+        target = np.asarray(target, dtype=float)
+        s = target.ravel()
+        tol = 1e-13 * max(self.length, 1.0)
+        t = np.interp(s, self._seed_cum, self._seed_t)
+        vals = list(self.at(t))
+        resid = vals[0] - s
+        for _ in range(8):
+            moving = np.nonzero(~(np.abs(resid) < tol))[0]
+            if not moving.size:
+                break
+            t[moving] -= resid[moving] / vals[1][moving]
+            step = self.at(t[moving])
+            for v, new in zip(vals, step):
+                v[moving] = new
+            resid[moving] = step[0] - s[moving]
+        if not np.all(np.abs(resid) < tol):
+            raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
+        return t.reshape(target.shape), [v.reshape(target.shape + v.shape[1:]) for v in vals]
+
+    def tangent_frame(self, s):
+        """Position and unit tangent at cumulative lengths s (mod length)."""
+        _, (_, speed, vel, pos) = self.invert(np.mod(s, self.length))
+        return pos, vel / speed[..., None]
+
+    @functools.cached_property
+    def scan_nodes(self):
+        """``tangent_frame`` at the _SCAN_NODES equal-length nodes length i / _SCAN_NODES,
+        256 at a time: one call's power tables would cost tens of MB on eccentric curves."""
+        s = self.length * np.arange(_SCAN_NODES) / _SCAN_NODES
+        slices = [self.tangent_frame(s[lo : lo + 256]) for lo in range(0, s.size, 256)]
+        return tuple(np.concatenate(v) for v in zip(*slices))
 
 
 class _ArcLengthView:
     """Exact evaluators of the arc-length reparametrization of a curve.
 
     Composes the original curve with the inverse of its cumulative length
-    (the length table's Newton inversion), so positions and chain-rule
-    derivatives stay accurate for arbitrarily eccentric curves where a
-    band-limited refit would alias.
+    (the length table's Newton inversion, point by point), so positions and
+    chain-rule derivatives stay accurate for arbitrarily eccentric curves
+    where a band-limited refit would alias, and a point's value does not
+    depend on the other points of the call.
     """
 
     def __init__(self, base: "JordanCurve"):
@@ -302,8 +299,8 @@ class _ArcLengthView:
         table's (cumulative length, speed, velocity, position) at t."""
         theta = np.asarray(theta, dtype=float)
         wraps = np.floor(theta / TWO_PI)
-        t, vals = self.table.invert(((theta - wraps * TWO_PI) * self.scale).reshape(1, -1))
-        return t.reshape(theta.shape) + wraps * TWO_PI, [v.reshape(theta.shape + v.shape[2:]) for v in vals]
+        t, vals = self.table.invert((theta - wraps * TWO_PI) * self.scale)
+        return t + wraps * TWO_PI, vals
 
     def frame(self, theta):
         """Position and velocity at theta from one inversion of the length."""
@@ -562,7 +559,7 @@ def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
 
 
 # ---------------------------------------------------------------------------
-# lag scans over parameter pairs (t, t + d)
+# lag scans over coordinate pairs (x, x + d) of one period
 
 
 def _shorter_arc(forward, length: float):
@@ -577,27 +574,27 @@ def _shorter_arc(forward, length: float):
     return np.minimum(forward, length - forward)
 
 
-def _node_lags() -> np.ndarray:
-    """Lags k h of the scan grid for geometric node shifts k = 1 .. _SCAN_NODES / 2."""
+def _node_lags(period: float) -> np.ndarray:
+    """Lags k period / _SCAN_NODES of the scan grid for geometric node shifts k = 1 .. _SCAN_NODES / 2."""
     half = _SCAN_NODES // 2
     k = np.unique(np.rint(np.geomspace(1, half, _LAGS_PER_OCTAVE * int(np.log2(half)) + 1)))
-    return TWO_PI * k / _SCAN_NODES
+    return period * k / _SCAN_NODES
 
 
-def _lag_maxima(sample, score, here, lags):
-    """Per lag d, the maximum over the scan nodes t_i of score(sample(t_i), sample(t_i + d), d)
-    and its node.  ``here`` is ``sample`` (a tuple of arrays, one row per parameter) at the
-    nodes; whole node lags k slice rows k .. k + nodes of ``here`` repeated twice, others
-    sample the shifted nodes."""
-    t = TWO_PI * np.arange(_SCAN_NODES) / _SCAN_NODES
+def _lag_maxima(sample, score, here, lags, period: float):
+    """Per lag d, the maximum over the nodes x_i = period i / _SCAN_NODES of score(sample(x_i),
+    sample(x_i + d), _shorter_arc(d, period)) and its node.  ``here`` is ``sample`` (a tuple of
+    arrays, one row per coordinate) at the nodes; whole node lags k slice rows k .. k + nodes
+    of ``here`` repeated twice, others sample the shifted nodes."""
+    x = period * np.arange(_SCAN_NODES) / _SCAN_NODES
     doubled = tuple(np.concatenate([v, v]) for v in here)
     here = tuple(v[:_SCAN_NODES] for v in doubled)  # contiguous, whatever ``here`` was
     peaks = np.empty(len(lags))
     nodes = np.empty(len(lags), dtype=int)
     for j, d in enumerate(lags):
-        k = int(round(d / t[1]))
-        there = tuple(v[k : k + _SCAN_NODES] for v in doubled) if d == TWO_PI * k / _SCAN_NODES else sample(t + d)
-        vals = score(here, there, d)
+        k = int(round(d / x[1]))
+        there = tuple(v[k : k + _SCAN_NODES] for v in doubled) if d == period * k / _SCAN_NODES else sample(x + d)
+        vals = score(here, there, _shorter_arc(d, period))
         nodes[j] = int(np.argmax(vals))
         peaks[j] = vals[nodes[j]]
     return peaks, nodes
@@ -616,40 +613,33 @@ def _restarted_max(f, point, width, value: float):
     return value, point, depth, settled
 
 
-def _lag_scan(sample, score, here, length: float | None = None) -> ScanResult:
-    """Supremum of a symmetric pair objective over (t, t + d), d != 0: the per-lag maxima,
-    then restarted shrinking searches from the best pair, spanning its neighbouring lags but
-    under a quarter of the ends' separation.  With the curve's ``length`` (``sample`` then
-    gives the cumulative length and the speed first) they run in cumulative length, where the
-    shorter arc's kink at half the length is the crease y = x + length / 2 (in the parameter
-    it is a curve no grid follows); one Newton solve finds both ends, and its last evaluation
-    is their sample.  A best pair within two half-widths of the crease (half the period
-    apart) is searched along it first: at a kink a search in both ends gains only linearly,
-    so the crease maximum is the supremum unless a pair of the box around it (a half-width
-    from each end) beats it by more than 1e-12 relative.  Otherwise the search runs in both
-    ends.  Converged when a search gains at most 1e-12 relative; after _SEARCHES searches
-    that have not, it has not."""
-    lags = _node_lags()
-    peaks, nodes = _lag_maxima(sample, score, here, lags)
+def _lag_scan(sample, score, here, period: float) -> ScanResult:
+    """Supremum of a symmetric objective score(sample(x), sample(y), arc) over pairs of
+    coordinates x != y of one period, arc = _shorter_arc(y - x, period): the per-lag maxima
+    on the _SCAN_NODES uniform nodes (``here`` is ``sample`` there), then restarted shrinking
+    searches from the best pair, spanning its neighbouring lags but under a quarter of its
+    lag.  Each scan runs in the coordinate its distance is measured in: the parameter
+    (period 2 pi), or cumulative length (period L), where the shorter arc's kink at half the
+    length is the crease y = x + L / 2, grid lag _SCAN_NODES / 2.  A best pair whose lag is
+    within two half-widths of half the period is searched along the crease first: at a kink a
+    search in both ends gains only linearly, so the crease maximum is the supremum unless a
+    pair of the box around it (a half-width from each end) beats it by more than 1e-12
+    relative.  Otherwise the search runs in both ends.  Converged when a search gains at most
+    1e-12 relative; after _SEARCHES searches that have not, it has not."""
+    lags = _node_lags(period)
+    peaks, nodes = _lag_maxima(sample, score, here, lags, period)
     j = int(np.argmax(peaks))
     width = min(0.5 * (lags[min(j + 1, lags.size - 1)] - (lags[j - 1] if j else 0.0)), 0.25 * lags[j])
-    center = ends = TWO_PI * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
-    if length is not None:
-        center, speed = sample(ends)[:2]
-        width = min(width * length / TWO_PI, 0.25 * _shorter_arc(center[1] - center[0], length))
+    center = period * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
 
     def objective(x, y):
-        pair = np.stack([x, y])
-        if length is None:
-            both = sample(pair)
-        else:
-            seeds = ends[:, None] + (pair - center[:, None]) / speed[:, None]
-            both = _invert_length(sample, length, pair, seeds)[1]
-        return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), y[None, :] - x[:, None])
+        both = sample(np.stack([x, y]))
+        arc = _shorter_arc(y[None, :] - x[:, None], period)
+        return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), arc)
 
     value = crease = float(peaks[j])
-    depth, half = 0, 0.5 * (TWO_PI if length is None else length)
-    if abs((center[1] - center[0]) % (2.0 * half) - half) <= 2.0 * width:
+    depth, half = 0, 0.5 * period
+    if abs(lags[j] - half) <= 2.0 * width:
         crease, x, depth, settled = _restarted_max(lambda xs: np.diagonal(objective(xs, xs + half)), center[0], (width,), value)
         offsets = np.linspace(-width, width, 9)
         probe = objective(x[0] + offsets, x[0] + half + offsets)  # both sides of the crease
@@ -663,14 +653,10 @@ def _lag_scan(sample, score, here, length: float | None = None) -> ScanResult:
 
 def chord_arc_constant(curve: JordanCurve) -> ScanResult:
     """Supremum of (shorter arc length) / (chord length) over boundary pairs,
-    for any regular parametrization: arc lengths are differences of the
-    cumulative length (of the base curve, for an arc-length view)."""
+    for any regular parametrization: a lag scan in cumulative length (of the
+    base curve, for an arc-length view) over the table's equal-length nodes."""
     table = curve.poly._length
-
-    def score(a, b, d):
-        return _shorter_arc(b[0] - a[0], table.length) / _norms(b[3] - a[3])
-
-    return _lag_scan(table.at, score, table.grid(_SCAN_NODES), table.length)
+    return _lag_scan(table.tangent_frame, lambda a, b, arc: arc / _norms(b[0] - a[0]), table.scan_nodes, table.length)
 
 
 def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
@@ -695,10 +681,10 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     def sample(t):
         return (curve.velocity(t),)
 
-    def score(a, b, d):
-        return _norms(b[0] - a[0]) / circle_distance(0.0, d) ** mu
+    def score(a, b, arc):
+        return _norms(b[0] - a[0]) / arc**mu
 
-    return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),))
+    return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),), TWO_PI)
 
 
 def _polished_max(f, center, width, best: float):
@@ -824,9 +810,9 @@ def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     if np.any(deltas <= 0):
         raise DomainError("modulus steps must be positive")
     capped = np.minimum(deltas, np.pi)
-    lags = np.union1d(_node_lags(), capped)
+    lags = np.union1d(_node_lags(TWO_PI), capped)
     here = (curve.velocity_grid(_SCAN_NODES),)
-    peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, d: _norms(b[0] - a[0]), here, lags)
+    peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, arc: _norms(b[0] - a[0]), here, lags, TWO_PI)
     values = np.maximum.accumulate(peaks)[np.searchsorted(lags, capped)]
     return TabulatedModulus(deltas, values)
 
@@ -907,9 +893,10 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     kappa_max (L / 2 pi)^2, computed as such: |T(s) - T(s')| <= kappa_max
     arc(s, s') by the mean-value inequality, with equality as s' -> s, so
     no pair scan can exceed it.  kappa_max is a sampled maximum polished
-    until its search is flat to roundoff, not a certified upper end.  The
-    chord-arc supremum is typically a kink maximum on the half-length crease,
-    searched there first; ``refinement_depth`` is the larger step count of the scans."""
+    until its search is flat to roundoff, not a certified upper end.  For
+    mu < 1 the tangent scan, like the chord-arc scan, runs in cumulative length
+    over the length table's equal-length nodes (``_lag_scan``, which searches
+    the half-length crease first); ``refinement_depth`` is the larger step count of the scans."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     table = curve.poly._length
@@ -918,17 +905,13 @@ def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstan
     lam = chord_arc_constant(curve)
     kappa = max_curvature(curve)
 
-    def tangents(cum, speed, vel, pos):
-        return cum, speed, vel / speed[..., None]
-
-    def score(a, b, d):
-        turn = _norms(b[2] - a[2])
-        return scale ** (1.0 + mu) * turn / _shorter_arc(b[0] - a[0], length) ** mu
+    def score(a, b, arc):
+        return scale ** (1.0 + mu) * _norms(b[1] - a[1]) / arc**mu
 
     if mu == 1.0:
         hol = ScanResult(scale**2 * kappa, 0, True)
     else:
-        hol = _lag_scan(lambda t: tangents(*table.at(t)), score, tangents(*table.grid(_SCAN_NODES)), length)
+        hol = _lag_scan(table.tangent_frame, score, table.scan_nodes, length)
     return CurveConstants(
         length=length,
         chord_arc=lam.value,

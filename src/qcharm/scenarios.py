@@ -324,9 +324,9 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
     curve constants read when the series is the curve's own polynomial.
     """
     table = boundary.series()._length
-    t, (cum, *_) = table.invert(table.length * np.array([[1.0, 2.0]]) / 3.0)
-    angles = np.concatenate([[0.0], t[0]])
-    arc = np.diff(np.concatenate([[0.0], cum[0], [table.length]]))
+    t, (cum, *_) = table.invert(table.length * np.array([1.0, 2.0]) / 3.0)
+    angles = np.concatenate([[0.0], t])
+    arc = np.diff(np.concatenate([[0.0], cum, [table.length]]))
     return NormalizationWitness(preimage_angles=angles, target_points=boundary.values(angles), arc_lengths=arc)
 
 

@@ -201,18 +201,20 @@ def crease_chord_arc(cos_coeffs, sin_coeffs, n: int = 1 << 14) -> float:
     return float(np.max(0.5 * length / chord))
 
 
-def lag_maxima_roll(sample, score, here, lags, n: int = 2048):
-    """Per lag d, the maximum over n uniform nodes t_i of score(sample(t_i), sample(t_i + d), d)
-    and its node, as the lag scan first took them: ``here`` is ``sample`` at the nodes (a
-    tuple of arrays, one row per node), shifted with ``np.roll`` for whole node lags; other
-    lags sample the shifted nodes."""
-    t = TWO_PI * np.arange(n) / n
+def lag_maxima_roll(sample, score, here, lags, period: float, n: int = 2048):
+    """Per lag d, the maximum over n uniform nodes x_i = period i / n of
+    score(sample(x_i), sample(x_i + d), arc) and its node, as the lag scan first took them,
+    with arc = min(d mod period, period - d mod period): ``here`` is ``sample`` at the nodes
+    (a tuple of arrays, one row per node), shifted with ``np.roll`` for whole node lags;
+    other lags sample the shifted nodes."""
+    x = period * np.arange(n) / n
     peaks = np.empty(len(lags))
     nodes = np.empty(len(lags), dtype=int)
     for j, d in enumerate(lags):
-        k = int(round(d / t[1]))
-        there = tuple(np.roll(v, -k, axis=0) for v in here) if d == TWO_PI * k / n else sample(t + d)
-        vals = score(here, there, d)
+        k = int(round(d / x[1]))
+        there = tuple(np.roll(v, -k, axis=0) for v in here) if d == period * k / n else sample(x + d)
+        forward = d % period
+        vals = score(here, there, min(forward, period - forward))
         nodes[j] = int(np.argmax(vals))
         peaks[j] = vals[nodes[j]]
     return peaks, nodes

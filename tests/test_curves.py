@@ -472,36 +472,56 @@ def test_chord_arc_maximum_on_the_crease(dim, tmp_path, monkeypatch):
         assert res.value >= oracles.crease_chord_arc(*source) * (1.0 - 1e-14)
 
 
+def test_length_scans_reach_the_crease_of_the_r3_samples(tmp_path):
+    # the 256-row R^3 CSV of the CI determinism step, written as it writes it: its chord-arc
+    # crease has two local maxima (s/L = 0.149 and 0.349), and a scan on a uniform parameter
+    # grid started the crease search in the lower one, 1.6407947784380281, with the mu = 0.5
+    # tangent constant at 1.2771490076793341
+    def row(t):
+        return t, math.cos(t) + 0.05 * math.cos(3 * t), math.sin(t) - 0.03 * math.sin(2 * t), 0.1 * math.sin(2 * t) + 0.02 * math.cos(5 * t)
+
+    path = tmp_path / "samples-r3.csv"
+    path.write_text("".join(",".join(map(repr, row(TWO_PI * k / 256))) + "\n" for k in range(256)))
+    data = np.loadtxt(path, delimiter=",")
+    curve = build_curve((data[:, 0], data[:, 1:]), 512)
+    cos_c, sin_c = np.zeros((6, 3)), np.zeros((6, 3))
+    cos_c[1, 0], cos_c[3, 0] = 1.0, 0.05  # x
+    sin_c[1, 1], sin_c[2, 1] = 1.0, -0.03  # y
+    sin_c[2, 2], cos_c[5, 2] = 0.1, 0.02  # z
+    assert chord_arc_constant(curve).value >= oracles.crease_chord_arc(cos_c, sin_c) * (1.0 - 1e-15)
+    cc = compute_curve_constants(curve, 0.5)
+    assert cc.holder_constant >= oracles.lag_scan_lower_bound(cos_c, sin_c, 0.5, 1024)["holder_constant"]
+
+
 def test_lag_scan_leaves_the_crease_for_a_higher_pair_beside_it(monkeypatch):
-    # a score that peaks at arcs of 0.45 L: the best grid pair is near the crease, but a
-    # pair beside the crease maximum beats it, so the search runs in both ends and
-    # reaches a dense brute force of the score
+    # a score that peaks at arcs of 0.48 L: the best grid pair, at lag row 981 of 2,048, is
+    # within two widths of the crease, but a pair beside the crease maximum beats it, so
+    # the search runs in both ends and reaches a dense brute force of the score
     from scipy.optimize import minimize
 
     table = build_curve(ellipse(4.0, 1.0), 512).poly._length
     length = table.length
 
-    def score(a, b, d):
-        arc = curves._shorter_arc(b[0] - a[0], length)
-        return arc / curves._norms(b[3] - a[3]) * (1.0 + 0.5 * np.exp(-(((arc - 0.45 * length) / (0.05 * length)) ** 2)))
+    def score(a, b, arc):
+        return arc / curves._norms(b[0] - a[0]) * (1.0 + 0.5 * np.exp(-(((arc - 0.48 * length) / (0.01 * length)) ** 2)))
 
     dims = _counting_polish(monkeypatch)
-    res = curves._lag_scan(table.at, score, table.grid(curves._SCAN_NODES), length)
+    res = curves._lag_scan(table.tangent_frame, score, table.scan_nodes, length)
     assert res.converged
     assert dims[0] == 1 and dims[-1] == 2, dims
     # every pair of 4,096 length-uniform nodes, then Nelder-Mead from the best of them
     n = 4096
-    here = tuple(v[0] for v in table.invert(length * np.arange(n)[None, :] / n)[1])
+    here = (table.invert(length * np.arange(n) / n)[1][3],)  # positions
     best, start = -np.inf, None
     for k in range(1, n // 2 + 1):
-        vals = score(here, tuple(np.roll(v, -k, axis=0) for v in here), None)
+        vals = score(here, tuple(np.roll(v, -k, axis=0) for v in here), length * k / n)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, start = vals[i], length * np.array([i, i + k]) / n
 
     def minus_score(pair):
-        ends = table.invert(np.mod(pair, length)[None, :])[1]
-        return -float(score(tuple(v[0, 0] for v in ends), tuple(v[0, 1] for v in ends), None))
+        pos = table.invert(np.mod(pair, length))[1][3]
+        return -float(score((pos[0],), (pos[1],), curves._shorter_arc(pair[1] - pair[0], length)))
 
     step = length / n
     simplex = start + np.array([[0.0, 0.0], [step, 0.0], [0.0, step]])
@@ -889,39 +909,39 @@ def test_shorter_arc_matches_mod_bits():
         got = curves._shorter_arc(f, length)
         assert np.array_equal(got, want)
         assert not np.any(np.signbit(got[got == 0.0]))
-
-
-def _tangents(cum, speed, vel, pos):
-    return cum, speed, vel / speed[..., None]
+    # on [0, 2 pi), the forward lags of the parameter scans, it is the circle distance to the bit
+    d = np.append(rng.uniform(0.0, TWO_PI, 4000), [0.0, math.pi, np.nextafter(math.pi, 4.0), np.nextafter(TWO_PI, 0.0)])
+    assert np.array_equal(curves._shorter_arc(d, TWO_PI), np.where(d > math.pi, TWO_PI - d, d))
 
 
 def _scan_cases():
-    """(name, sample, score, here) of the chord-arc, holder and modulus scans."""
-    n = curves._SCAN_NODES
-    grid = TWO_PI * np.arange(n) / n
+    """(name, sample, score, here, period) of the chord-arc, holder and modulus scans: the
+    first two on the equal-length nodes in cumulative length, the last in the parameter."""
     out = []
     for name, generator in (SEEDED[2], SEEDED[-1]):
         curve = build_curve(generator, 512)
         table = curve.poly._length
-        length = table.length
         out += [
             (
                 f"chord-arc {name}",
-                table.at,
-                lambda a, b, d, length=length: curves._shorter_arc(b[0] - a[0], length) / curves._norms(b[3] - a[3]),
-                table.grid(n),
+                table.tangent_frame,
+                lambda a, b, arc: arc / curves._norms(b[0] - a[0]),
+                table.scan_nodes,
+                table.length,
             ),
             (
                 f"holder {name}",
-                lambda t, table=table: _tangents(*table.at(t)),
-                lambda a, b, d, length=length: curves._norms(b[2] - a[2]) / curves._shorter_arc(b[0] - a[0], length) ** 0.5,
-                _tangents(*table.grid(n)),
+                table.tangent_frame,
+                lambda a, b, arc: curves._norms(b[1] - a[1]) / arc**0.5,
+                table.scan_nodes,
+                table.length,
             ),
             (
                 f"modulus {name}",
                 lambda t, curve=curve: (curve.velocity(t),),
-                lambda a, b, d: curves._norms(b[0] - a[0]),
-                (curve.velocity_grid(n),),
+                lambda a, b, arc: curves._norms(b[0] - a[0]),
+                (curve.velocity_grid(curves._SCAN_NODES),),
+                TWO_PI,
             ),
         ]
     return out
@@ -930,43 +950,42 @@ def _scan_cases():
 SCAN_CASES = _scan_cases()
 
 
-@pytest.mark.parametrize("name, sample, score, here", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
-def test_lag_maxima_match_roll_oracle_bits(name, sample, score, here):
+@pytest.mark.parametrize("name, sample, score, here, period", SCAN_CASES, ids=[c[0] for c in SCAN_CASES])
+def test_lag_maxima_match_roll_oracle_bits(name, sample, score, here, period):
     # whole node lags slice a doubled copy, the others (modulus steps) sample
-    lags = np.union1d(curves._node_lags(), [0.01, 0.3, 1.0, 2.5, math.pi])
-    peaks, nodes = curves._lag_maxima(sample, score, here, lags)
-    want_peaks, want_nodes = oracles.lag_maxima_roll(sample, score, here, lags, curves._SCAN_NODES)
+    lags = np.union1d(curves._node_lags(period), period / TWO_PI * np.array([0.01, 0.3, 1.0, 2.5, math.pi]))
+    peaks, nodes = curves._lag_maxima(sample, score, here, lags, period)
+    want_peaks, want_nodes = oracles.lag_maxima_roll(sample, score, here, lags, period, curves._SCAN_NODES)
     assert np.array_equal(peaks, want_peaks)
     assert np.array_equal(nodes, want_nodes)
 
 
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
-def test_invert_length_rows_converge_separately(generator):
+def test_invert_length_rows_converge_separately(generator, monkeypatch):
+    # every point stops on its own residual, so in one call of two rows it takes the Newton
+    # steps of its solo inversion, and its values to roundoff (a polynomial's bits at a point
+    # follow the BLAS kernel, which differs between one row and many); row 0 (seed knots)
+    # starts at its answer, row 1 from seeds shifted a tenth of a radian (those above t = 3.5)
     table = build_curve(generator, 512).poly._length
-    target = np.stack([np.linspace(0.1, 0.5, 9), np.linspace(2.0, 3.0, 9)]) * table.length / TWO_PI
-    exact = curves._invert_length(table.at, table.length, target, target / table.mean)[0]
-    # row 0 starts at its answer, row 1 a tenth of a radian off
-    start = exact + np.array([[0.0], [0.1]])
+    target = np.stack([table._seed_cum[1 : 1 + 9 * 7 : 7], np.linspace(4.0, 5.0, 9) * table.length / TWO_PI])
+    monkeypatch.setattr(table, "_seed_t", table._seed_t + np.where(table._seed_t > 3.5, 0.1, 0.0))
     calls = []
-
-    def counted(x):
-        calls.append(x.shape[0])
-        return table.at(x)
-
+    at = table.at
+    monkeypatch.setattr(table, "at", lambda x: calls.append(x.size) or at(x))
     alone = []
-    for row in (0, 1):
+    for s in target.ravel():
         calls.clear()
-        alone.append((curves._invert_length(counted, table.length, target[row : row + 1], start[row : row + 1]), len(calls)))
+        alone.append((table.invert(s), len(calls) - 1))
     calls.clear()
-    t, vals = curves._invert_length(counted, table.length, target, start)
-    counts = [n for _, n in alone]
-    assert counts[0] < counts[1]
-    # both rows while both move, then the slower alone, one evaluation each
-    assert calls == [2] * counts[0] + [1] * (counts[1] - counts[0])
-    for row, ((t_row, vals_row), _) in enumerate(alone):
-        assert np.max(np.abs(t[row] - t_row[0])) <= 1e-15 * table.length
-        for v, v_row in zip(vals, vals_row):
-            assert np.max(np.abs(v[row] - v_row[0])) <= 1e-15 * max(table.length, np.max(np.abs(v_row)))
+    t, vals = table.invert(target)
+    steps = np.array([n for _, n in alone])
+    assert steps.min() < steps.max()
+    # all points, then one evaluation per step of the points still moving
+    assert calls == [target.size] + [int(np.sum(steps >= k)) for k in range(1, steps.max() + 1)]
+    for i, ((t_i, vals_i), _) in zip(np.ndindex(target.shape), alone):
+        assert abs(t[i] - t_i) <= 1e-15 * table.length
+        for v, v_i in zip(vals, vals_i):
+            assert np.max(np.abs(v[i] - v_i)) <= 1e-15 * max(table.length, np.max(np.abs(v_i)))
 
 
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
