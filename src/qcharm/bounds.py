@@ -9,6 +9,7 @@ overflow while the logs stay tame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .curves import curve_length
 from .errors import DegenerateSurfaceError, DomainError, RefinementError
-from .kernels import _gauss_rule
 from .poisson import BoundaryMap, _circle_frames, _dilatations
 
 LOG2 = math.log(2.0)
@@ -215,6 +215,12 @@ def surface_area(boundary: BoundaryMap) -> tuple[float, dict]:
     if correction > _AREA_TOL * max(1.0, abs(area)):
         raise RefinementError(f"area rule did not settle: doubled-rule correction {correction:.3e}")
     return area, {"radial_nodes": 2 * n_r, "angular_nodes": 2 * n_t, "correction": correction}
+
+
+@functools.cache
+def _gauss_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order: the arrays are only read."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:

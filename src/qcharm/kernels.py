@@ -10,27 +10,22 @@ by explicit modulus integrals.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, _norms, _require_modulus, holder_derivative_constant
+from .curves import TWO_PI, JordanCurve, _extreme_nodes, _norms, _require_modulus, holder_derivative_constant
 from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
 RADICAND_FLOOR = -1e-14
 # a kernel may exceed its majorant by this much before it is inconsistent
 _MAJORANT_TOL = 1e-9
-# the boundary-Jacobian rule has settled when doubling its order moves it
+# the boundary-Jacobian rule has settled when doubling its node count moves it
 # by at most this much relative
 _SETTLE = 1e-11
-# Gauss orders per panel of the graded rule, lowest first
-_ORDERS = (16, 32, 64, 128)
-# graded nodes x = sigma^(1/mu) below this are evaluated at it: x underflows at mu <= 0.02,
-# and here the Hölder form's bounded factors |P(x)|/|x| and |x|/(2 sin(|x|/2)) already
-# equal their limits |F'(tau)| and 1 to double precision
-_TINY = 1e-100
 # angles are taken in chunks whose chord block (points x angles x dim) holds at most this
-# many entries: the 32 angles of verify then peak at the memory of one angle at a time
+# many entries, so that memory does not grow with the number of angles
 _CHORD_BLOCK = 1 << 15
 
 
@@ -147,20 +142,25 @@ def kernel_composition_residual(curve: JordanCurve, angle_map, s, t) -> float:
 
 
 @functools.cache
-def _gauss_rule(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order for every
-    caller (the graded rule here, the area rule of ``bounds``): the arrays are only read."""
-    return np.polynomial.legendre.leggauss(order)
+def _periodic_rule(n: int, mu: float):
+    """Midpoint nodes x_k = -pi + (k + 1/2) 2 pi / n and weights of the product rule for the
+    integral over the circle of f |2 sin(x/2)|^s, s = mu - 1, computed once per (n, mu): the
+    arrays are only read.
 
-
-def _gauss_panels(edges, order: int):
-    """Gauss-Legendre rule of the given order on each panel between consecutive edges."""
-    nodes, weights = _gauss_rule(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
+    The weights integrate the trigonometric interpolant of f at the nodes exactly against
+    the Fourier coefficients of the factor, w_0 = Gamma(1 + s) / Gamma(1 + s/2)^2 and
+    w_{k+1} = w_k (k - s/2) / (k + 1 + s/2), summed at every node by one inverse FFT.  They
+    are divided by the factor at the nodes, so they multiply f |2 sin(x/2)|^s itself; at
+    mu = 1 they are the midpoint rule's 2 pi / n.
+    """
+    s = mu - 1.0
+    x = -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
+    k = np.arange(n // 2)
+    ratios = (k[:-1] - s / 2.0) / (k[:-1] + 1.0 + s / 2.0)
+    w = math.exp(math.lgamma(1.0 + s) - 2.0 * math.lgamma(1.0 + s / 2.0)) * np.concatenate(([1.0], np.cumprod(ratios)))
+    # e^{ijx_k} = (-1)^j e^{ij pi/n} e^{2 pi i jk/n}; the Nyquist term vanishes at the nodes
+    weights = TWO_PI * np.fft.irfft(w * np.where(k % 2, -1.0, 1.0) * np.exp(1j * np.pi * k / n), n)
+    return x, weights / np.abs(2.0 * np.sin(x / 2.0)) ** s
 
 
 def boundary_jacobian_bound(
@@ -178,24 +178,26 @@ def boundary_jacobian_bound(
     value = |f'(tau)| * integral of |P(x) ^ h'(f(tau))| / (4*pi*sin^2(x/2))
     dx, with the chord P(x) = F(tau + x) - F(tau) of the boundary series
     (``TrigPolynomial.increments``, accurate relative to |P| as x -> 0).
-    The boundary series is a trigonometric polynomial, so the kernel
-    integrand is bounded at x = 0 whatever mu is, and its rule does not
-    read mu.  The Hölder form's integrand grows like |x|^(mu-1) near 0, so
-    its inner piece is computed after the substitution x = sigma^(1/mu)
-    which makes it bounded ("graded").  The "majorant" method
-    instead replaces the inner piece by its closed-form Hölder majorant,
-    giving a slightly larger, conservative value from the sampled extremes
-    ``JordanCurve.speed_range`` and ``AngleMap.derivative_range``.
-
     ``form="holder"`` evaluates the companion majorant built from the same
     chord, |P(x)|^(1+mu), instead of the kernel.
 
+    The default method (named "graded" for its former graded Gauss panels)
+    is one periodic product-midpoint rule (``_periodic_rule``).  The
+    boundary series is a trigonometric polynomial, so the kernel integrand
+    is bounded and periodic, and its rule is the midpoint rule whatever mu
+    is.  The Hölder form's integrand is a smooth function times
+    |2 sin(x/2)|^(mu-1), and its rule integrates that factor exactly.  The
+    node count doubles from the least power of two above twice the series
+    degree J, up to twice ``curves._extreme_nodes(J)``; each angle keeps
+    the first value that moved by at most 1e-11 relative from the count
+    before, and ``RefinementError`` names the first angle that does not
+    settle.  The "majorant" method instead replaces the inner piece by its
+    closed-form Hölder majorant, giving a slightly larger, conservative
+    value from the sampled extremes ``JordanCurve.speed_range`` and
+    ``AngleMap.derivative_range``; ``spec.m`` sizes its trapezoid rule only.
+
     Every angle shares the quadrature nodes, one power table of them and
-    the curve-wide constants.  The graded rule runs at Gauss orders 16, 32,
-    64 and 128 per panel over the angles not yet settled, and each angle
-    keeps the first value that moved by at most 1e-11 relative from the
-    order before; ``RefinementError`` names the first angle that does not
-    settle.  ``spec.m`` sizes the trapezoid rule of the majorant method only.
+    the curve-wide constants.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
@@ -218,28 +220,22 @@ def boundary_jacobian_bound(
         c_h = _holder_coefficient(curve, mu, c_h)
         holder_const = c_h / curve.speed_range[0]
 
-    def integrand(x, rows, graded: int):
-        """Integrand at the points x for the angles at[rows], one contiguous row per angle; at
-        the first ``graded`` points, times dx/dsigma of the grading substitution."""
+    def integrand(x, rows):
+        """Integrand at the points x for the angles at[rows], one contiguous row per angle, so
+        that each sum runs as it does in one dimension."""
         p = series.increments(at[rows])(x)
-        if form == "kernel":  # graded by 1: dx/dsigma = 1
-            vals = _cross_norm(p, vel_tau[rows]) / (4.0 * np.pi * np.sin(x / 2.0) ** 2)[:, None]
+        denom = 4.0 * np.pi * np.sin(x / 2.0) ** 2
+        if form == "kernel":
+            vals = _cross_norm(p, vel_tau[rows]) / denom[:, None]
         else:
-            norm = _norms(p)
-            # on graded points the integrand times dx/dsigma = |x|^(1-mu) / mu is
-            # (|P|/|x|)^(1+mu) (|x| / (2 sin(|x|/2)))^2 / (pi mu), whose factors stay bounded
-            ax = np.abs(x[:graded])
-            folded = (holder_const / (np.pi * mu)) * (ax / (2.0 * np.sin(ax / 2.0))) ** 2
-            scale = np.concatenate((folded, holder_const / (4.0 * np.pi * np.sin(x[graded:] / 2.0) ** 2)))
-            norm[:graded] /= ax[:, None]
-            vals = norm ** (1.0 + mu) * scale[:, None]
+            vals = _norms(p) ** (1.0 + mu) * (holder_const / denom)[:, None]
         return np.ascontiguousarray(vals.T)
 
-    def in_chunks(points: int, rule):
-        """rule(rows) over chunks of angles whose chord block (points x angles x dim) holds at
-        most _CHORD_BLOCK entries; one value per angle."""
+    def in_chunks(points: int, rows, rule):
+        """rule(chunk) over chunks of the angles at[rows] whose chord block (points x angles x
+        dim) holds at most _CHORD_BLOCK entries; one value per angle."""
         step = max(1, _CHORD_BLOCK // (points * curve.dim))
-        return np.concatenate([rule(np.arange(lo, min(lo + step, at.size))) for lo in range(0, at.size, step)])
+        return np.concatenate([rule(rows[lo : lo + step]) for lo in range(0, rows.size, step)])
 
     if method == "majorant":
         eps = TWO_PI / spec.m
@@ -247,10 +243,10 @@ def boundary_jacobian_bound(
         h = (TWO_PI - 2.0 * eps) / spec.m
 
         def trapezoid(rows):
-            vals = integrand(t_out, rows, 0)
+            vals = integrand(t_out, rows)
             return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
 
-        outer = in_chunks(t_out.size, trapezoid)
+        outer = in_chunks(t_out.size, np.arange(at.size), trapezoid)
         max_speed = curve.speed_range[1]
         sup_fp = fmap.derivative_range[1]
         if form == "kernel":
@@ -260,45 +256,29 @@ def boundary_jacobian_bound(
         inner = coef * (2.0 / mu) * eps**mu
         return _shaped(taus, fp_tau * (outer + inner))
 
-    eps = 0.25
-    # only the Hölder form's integrand grows like |x|^(mu-1); the kernel form's is bounded
-    grade = mu if form == "holder" else 1.0
-    inner_edges = np.linspace(0.0, eps**grade, 5)
-    # outer panels double in width away from the singular point
-    outer_edges = np.append(eps * 2.0 ** np.arange(4), np.pi)
+    def periodic(n: int, rows):
+        # the kernel form's integrand carries no singular factor: the rule of mu = 1
+        x, w = _periodic_rule(n, mu if form == "holder" else 1.0)
+        return in_chunks(n, rows, lambda chunk: np.sum(w * integrand(x, chunk), axis=1))
 
-    def evaluate(order: int, rows):
-        # inner piece through the grading substitution x = sigma^(1/grade)
-        sigma, w_in = _gauss_panels(inner_edges, order)
-        x_in = np.maximum(sigma ** (1.0 / grade), _TINY)
-        x_out, w_out = _gauss_panels(outer_edges, order)
-        # both sides of both pieces in one call, each angle one contiguous row, so that
-        # each sum runs as it does in one dimension
-        n = x_in.size
-        x = np.concatenate((x_in, -x_in, x_out, -x_out))
-        vals = integrand(x, rows, 2 * n)
-        inner = np.sum(w_in * (vals[:, :n] + vals[:, n : 2 * n]), axis=1)
-        outer = np.sum(w_out * (vals[:, 2 * n : 3 * n] + vals[:, 3 * n :]), axis=1)
-        return inner + outer
-
-    def ladder(rows):
-        values = np.empty(rows.size)
-        live = np.arange(rows.size)
-        prev = evaluate(_ORDERS[0], rows)
-        for order in _ORDERS[1:]:
-            cur = evaluate(order, rows[live])
-            settled = np.abs(cur - prev) <= _SETTLE * (1.0 + np.abs(cur))
-            values[live[settled]] = cur[settled]
-            live, prev, last = live[~settled], cur[~settled], prev[~settled]
-            if not live.size:
-                return values
-        raise RefinementError(
-            f"boundary integral at tau={float(at[rows[live[0]]])!r}, mu={mu!r} did not settle:"
-            f" Gauss orders {_ORDERS[-2]} and {_ORDERS[-1]} gave {float(last[0])!r} and {float(prev[0])!r}"
-        )
-
-    points = 2 * (inner_edges.size + outer_edges.size - 2) * _ORDERS[-1]
-    return _shaped(taus, fp_tau * in_chunks(points, ladder))
+    # more than 2J nodes integrate exactly the mu = 1 Hölder integrand, of degree 2J - 1, and the
+    # planar kernel integrand |Q| / (2 pi), Q = (P ^ F') / (1 - cos x) of degree J - 1, where Q keeps one sign
+    n, cap = max(32, 1 << (2 * series.degree).bit_length()), 2 * _extreme_nodes(series.degree)
+    values = np.empty(at.size)
+    live = np.arange(at.size)
+    prev = periodic(n, live)
+    while live.size:
+        if 2 * n > cap:
+            raise RefinementError(
+                f"boundary integral at tau={float(at[live[0]])!r}, mu={mu!r} did not settle:"
+                f" {n // 2} and {n} nodes gave {float(last[0])!r} and {float(prev[0])!r}"
+            )
+        n *= 2
+        cur = periodic(n, live)
+        settled = np.abs(cur - prev) <= _SETTLE * (1.0 + np.abs(cur))
+        values[live[settled]] = cur[settled]
+        live, prev, last = live[~settled], cur[~settled], prev[~settled]
+    return _shaped(taus, fp_tau * values)
 
 
 def _shaped(taus, values):

@@ -297,6 +297,54 @@ def boundary_jacobian_integral_ellipse(c: float, tau: float, n: int = 4_000_000)
     return float(TWO_PI * np.mean(integrand))
 
 
+def chord_over_sine(cos_coeffs, sin_coeffs, t0: float, x: float):
+    """(p(t0 + x) - p(t0)) / (2 sin(x/2)) of sum_j A_j cos(jt) + B_j sin(jt), summed term by
+    term as Re sum_j c_j e^{ij(t0 + x/2)} i sin(jx/2) / sin(x/2), c_j = A_j - i B_j; at x = 0
+    its limit p'(t0)."""
+    a = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+    b = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
+    j = np.arange(a.shape[0])
+    ratio = j if x == 0.0 else np.sin(j * x / 2.0) / math.sin(x / 2.0)
+    return ((1j * ratio * np.exp(1j * j * (t0 + x / 2.0))) @ (a - 1j * b)).real
+
+
+def boundary_jacobian_quad(
+    cos_coeffs, sin_coeffs, tau: float, velocity, form: str = "kernel", mu: float = 1.0, coef: float = 1.0
+) -> float:
+    """Adaptive quadrature of the boundary-Jacobian integral over (-pi, pi) at tau, with the
+    chord P(x) = p(tau + x) - p(tau) of the data p = sum_j A_j cos(jt) + B_j sin(jt), on
+    (0, pi) for x and for -x.  With R = P / (2 sin(x/2)) from ``chord_over_sine``:
+
+    * form "kernel": |P ^ velocity| / (4 pi sin^2(x/2)) = |R ^ velocity| / (pi |2 sin(x/2)|),
+      bounded when velocity is p'(tau), the limit of R;
+    * form "holder": coef |P|^(1+mu) / (4 pi sin^2(x/2))
+      = (coef / pi) |R|^(1+mu) |2 sin(x/2)|^(mu-1), whose last factor is quad's algebraic
+      weight |x|^(mu-1) times the bounded (2 sin(x/2) / x)^(mu-1).
+    """
+    v = np.asarray(velocity, dtype=float)
+
+    def kernel(x):
+        r = chord_over_sine(cos_coeffs, sin_coeffs, tau, x)
+        perp = r - (r @ v) / (v @ v) * v
+        return math.sqrt(v @ v) * math.sqrt(perp @ perp) / (math.pi * abs(2.0 * math.sin(x / 2.0)))
+
+    def holder(x):
+        r = chord_over_sine(cos_coeffs, sin_coeffs, tau, x)
+        return coef / math.pi * math.sqrt(r @ r) ** (1.0 + mu) * float(np.sinc(x / TWO_PI)) ** (mu - 1.0)
+
+    # the Hölder form's factor |x|^(mu-1) as quad's algebraic weight
+    weight = {} if form == "kernel" else {"weight": "alg", "wvar": (mu - 1.0, 0.0)}
+    f = kernel if form == "kernel" else holder
+    return sum(quad(lambda x: f(sign * x), 0.0, math.pi, epsabs=0.0, epsrel=2e-14, limit=400, **weight)[0] for sign in (1.0, -1.0))
+
+
+def sine_power_moment(k: int, s: float) -> float:
+    """integral over (-pi, pi) of cos(kx) |2 sin(x/2)|^s, twice the one over (0, pi) by
+    adaptive quadrature with quad's algebraic weight x^s times the bounded (2 sin(x/2) / x)^s."""
+    f = lambda x: math.cos(k * x) * float(np.sinc(x / TWO_PI)) ** s
+    return 2.0 * quad(f, 0.0, math.pi, weight="alg", wvar=(s, 0.0), epsabs=1e-13, epsrel=2e-14, limit=400)[0]
+
+
 # ---------------------------------------------------------------------------
 # harmonic extension by the Poisson integral (dense trapezoid rule)
 

@@ -223,6 +223,15 @@ def test_verify_near_zero_exponent_reports(scenario, capsys, tmp_path):
     assert json.loads(out_path.read_text())["all_passed"] is True
 
 
+def test_verify_high_degree_conformal_reports(capsys, tmp_path):
+    # degree 200: Gauss panels of order 128 did not settle the boundary-Jacobian integral
+    out_path = tmp_path / "v.json"
+    args = ["verify", "--scenario", "conformal_poly", "--order", "200", "--epsilon", "0.001", "--out", str(out_path)]
+    code, _, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert json.loads(out_path.read_text())["all_passed"] is True
+
+
 def test_determinism_byte_identical(capsys):
     args = ["bound", "--K", "1.3", "--mu", "0.5", "--upsilon", "1", "--lambda", "2.0", "--c-gamma", "0.7", "--length", "5.5"]
     _, out1, _ = run_cli(args, capsys)

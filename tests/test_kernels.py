@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from qcharm import (
     kernel_bound_dini,
     kernel_bound_holder,
     kernel_composition_residual,
+    make_scenario,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -226,7 +228,7 @@ def test_boundary_jacobian_affine_equality(affine_scenario):
 @pytest.mark.parametrize("mu", [1.0, 0.5, 0.25])
 def test_boundary_jacobian_graded_exact_below_one(identity_scenario, affine_scenario, mu):
     # the chord from the boundary series does not cancel near tau, so the
-    # graded ladder settles at every exponent and to the exact value
+    # periodic rule settles at every exponent and to the exact value
     for scenario, exact in ((identity_scenario, 1.0), (affine_scenario, AFFINE_BOUNDARY_JACOBIAN)):
         for tau in (0.0, 0.3, 2.0):
             assert abs(boundary_jacobian_bound(scenario.boundary, tau, mu=mu) - exact) < 1e-14
@@ -269,7 +271,7 @@ def test_boundary_jacobian_majorant_is_conservative(identity_scenario):
 
 
 def test_boundary_jacobian_unsettled_ladder_raises(poly_scenario, monkeypatch):
-    # a negative settle tolerance settles no pair of successive orders (at 0 a pair
+    # a negative settle tolerance settles no pair of successive node counts (at 0 a pair
     # settles when it agrees to the bit, which rests on roundoff)
     monkeypatch.setattr("qcharm.kernels._SETTLE", -1.0)
     with pytest.raises(RefinementError):
@@ -282,7 +284,9 @@ def test_boundary_jacobian_unsettled_message_names_inputs(poly_scenario, monkeyp
         boundary_jacobian_bound(poly_scenario.boundary, 0.3, mu=0.5)
     message = str(err.value)
     assert "tau=0.3" in message and "mu=0.5" in message
-    assert "orders 64 and 128" in message
+    # the rule stops at twice the extreme-sampling grid of the series degree
+    cap = 2 * curves._extreme_nodes(poly_scenario.boundary.series().degree)
+    assert f" {cap // 2} and {cap} nodes gave " in message
     assert "raise the rule order" not in message
     # the last two rule values, each a full repr of a float
     values = [float(v) for v in message.split(" gave ")[1].split(" and ")]
@@ -297,8 +301,8 @@ def test_boundary_jacobian_holder_form(affine_scenario):
 
 
 def test_boundary_jacobian_holder_form_small_exponents(poly_scenario):
-    # the graded nodes x = sigma^(1/mu) underflow at mu <= 0.02; the grading factor folded into
-    # the integrand keeps it bounded, and it takes its limits where x underflows
+    # the singular factor |2 sin(x/2)|^(mu-1) is integrated exactly by the product rule's
+    # weights, so no node underflows however small mu is
     bm = poly_scenario.boundary
     pinned = {1.0: 3.043659306828987, 0.5: 4.748133994291255, 0.03: 87.79760599057627}
     for mu, want in pinned.items():
@@ -307,6 +311,47 @@ def test_boundary_jacobian_holder_form_small_exponents(poly_scenario):
     assert all(math.isfinite(v) for v in small)
     # the inner piece carries the factor 1/mu
     assert pinned[0.03] < small[0] < small[1]
+    series, curve = bm.series(), bm.curve
+    for mu in (0.02, 0.01):
+        coef = 0.7 / curve.speed_range[0]
+        want = oracles.boundary_jacobian_quad(
+            series.cos_coeffs, series.sin_coeffs, 0.3, curve.velocity(0.3), form="holder", mu=mu, coef=coef
+        )
+        got = boundary_jacobian_bound(bm, 0.3, mu=mu, form="holder", c_h=0.7)
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.02])
+def test_periodic_rule_integrates_the_singular_factor(mu):
+    # the product weights integrate cos(kx) |2 sin(x/2)|^(mu-1) for every k < n/2, up to
+    # roundoff relative to the factor's integral
+    scale = oracles.sine_power_moment(0, mu - 1.0)
+    for n in (32, 64):
+        x, w = kernels._periodic_rule(n, mu)
+        factor = np.abs(2.0 * np.sin(x / 2.0)) ** (mu - 1.0)
+        for k in range(n // 2):
+            want = oracles.sine_power_moment(k, mu - 1.0)
+            assert abs(np.sum(w * np.cos(k * x) * factor) - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", [200, 600])
+def test_boundary_jacobian_high_degree_conformal_is_exact(m):
+    # the images are convex, so Q = (P ^ F') / (1 - cos x) keeps one sign and the kernel integral
+    # is the Jacobian |f'|^2; Gauss panels of order 128 did not settle at these degrees
+    eps = 0.001
+    taus = TWO_PI * np.arange(32) / 32
+    got = boundary_jacobian_bound(make_scenario("conformal_poly", eps=eps, m=m).boundary, taus)
+    want = np.abs(1.0 + eps * np.exp(1j * (m - 1) * taus)) ** 2
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_boundary_jacobian_settles_the_seeded_r3_curve(tmp_path):
+    # the seed-4 curve of _graded_curves at 25 pi / 16, where Gauss panels of order 128 did not settle
+    curve = _graded_curves(tmp_path)[-1]
+    boundary, tau = BoundaryMap(curve), 25.0 * math.pi / 16.0
+    series = boundary.series()
+    want = oracles.boundary_jacobian_quad(series.cos_coeffs, series.sin_coeffs, tau, curve.velocity(tau))
+    assert abs(boundary_jacobian_bound(boundary, tau) - want) <= 1e-14 * want
 
 
 def test_boundary_jacobian_requires_curve():
@@ -328,9 +373,21 @@ def test_kernel_keeps_pair_shape(shape, ellipse_curve):
     assert np.allclose(np.ravel(got), flat, rtol=0.0, atol=1e-15)
 
 
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _gauss_panels(edges, order: int):
+    """Gauss-Legendre rule of the given order on each panel between consecutive edges."""
+    nodes, weights = _leggauss(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * nodes[None, :]).ravel(), (half[:, None] * weights[None, :]).ravel()
+
+
 def _four_call_graded(boundary, tau, mu, form, c_h):
-    """The graded rule of ``boundary_jacobian_bound`` with one integrand call per
-    side of each piece (inner and outer), the shape before the calls were batched."""
+    """A graded Gauss-panel rule for ``boundary_jacobian_bound``, independent of its periodic
+    rule: one integrand call per side of each piece (inner and outer), the inner piece after
+    the substitution x = sigma^(1/mu) for the Hölder form, Gauss orders 16 to 128 per panel."""
     curve, fmap = boundary.curve, boundary.angle_map
     fp_tau = abs(float(fmap.derivative(tau)))
     vel_tau = curve.velocity(float(fmap(tau)))
@@ -348,11 +405,11 @@ def _four_call_graded(boundary, tau, mu, form, c_h):
     grade = mu if form == "holder" else 1.0
 
     def evaluate(order):
-        sigma, w_in = kernels._gauss_panels(np.linspace(0.0, 0.25**grade, 5), order)
+        sigma, w_in = _gauss_panels(np.linspace(0.0, 0.25**grade, 5), order)
         x_in = sigma ** (1.0 / grade)
         jac = (1.0 / grade) * sigma ** (1.0 / grade - 1.0)
         inner = float(np.sum(w_in * jac * (integrand(x_in) + integrand(-x_in))))
-        x_out, w_out = kernels._gauss_panels(np.append(0.25 * 2.0 ** np.arange(4), np.pi), order)
+        x_out, w_out = _gauss_panels(np.append(0.25 * 2.0 ** np.arange(4), np.pi), order)
         return inner + float(np.sum(w_out * (integrand(x_out) + integrand(-x_out))))
 
     prev = evaluate(16)
@@ -362,6 +419,18 @@ def _four_call_graded(boundary, tau, mu, form, c_h):
             return fp_tau * cur
         prev = cur
     raise RefinementError("four-call rule did not settle")
+
+
+def _reference(boundary, tau, mu, form, c_h):
+    """``_four_call_graded`` where it settles, else the adaptive-quadrature oracle."""
+    try:
+        return _four_call_graded(boundary, tau, mu, form, c_h)
+    except RefinementError:
+        curve, fmap, series = boundary.curve, boundary.angle_map, boundary.series()
+        value = oracles.boundary_jacobian_quad(
+            series.cos_coeffs, series.sin_coeffs, tau, curve.velocity(float(fmap(tau))), form, mu, c_h / curve.speed_range[0]
+        )
+        return abs(float(fmap.derivative(tau))) * value
 
 
 def _graded_curves(tmp_path):
@@ -414,13 +483,13 @@ def test_one_call_graded_rule_matches_four_calls(mu, tmp_path):
             for form in ("kernel", "holder"):
                 for tau in (0.3, 4.5):
                     got = boundary_jacobian_bound(boundary, tau, mu=mu, form=form, c_h=0.7)
-                    want = _four_call_graded(boundary, tau, mu, form, 0.7)
+                    want = _reference(boundary, tau, mu, form, 0.7)
                     assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_kernel_form_does_not_read_mu(catalog_scenarios, tmp_path):
     # the kernel integrand of trigonometric boundary data is bounded at x = 0, so its rule
-    # takes the mu = 1 panels; grading by mu underflowed to NaN at mu <= 0.02
+    # is the midpoint rule of mu = 1; grading by mu underflowed to NaN at mu <= 0.02
     for boundary in _angle_mapped_boundaries(catalog_scenarios, tmp_path):
         for tau in (0.3, 4.5):
             values = [boundary_jacobian_bound(boundary, tau, mu=mu) for mu in (1.0, 0.5, 0.02, 0.01)]
@@ -452,7 +521,7 @@ def test_array_tau_matches_scalar_calls(method, form, mu, catalog_scenarios, tmp
         ref = np.array([want[tau] for tau in kept])
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
         if method == "graded":
-            four = np.array([_four_call_graded(boundary, tau, mu, form, 0.7) for tau in kept])
+            four = np.array([_reference(boundary, tau, mu, form, 0.7) for tau in kept])
             assert np.all(np.abs(got - four) <= 1e-14 * np.abs(four))
 
 
@@ -468,7 +537,7 @@ def test_array_tau_shapes(poly_scenario):
 
 
 def test_array_tau_error_names_first_angle(poly_scenario, monkeypatch):
-    # a negative tolerance settles no angle (at 0 an angle settles when two orders agree to
+    # a negative tolerance settles no angle (at 0 an angle settles when two rules agree to
     # the bit, which rests on roundoff that varies with the number of angles evaluated together)
     monkeypatch.setattr("qcharm.kernels._SETTLE", -1.0)
     with pytest.raises(RefinementError) as err:
@@ -477,10 +546,10 @@ def test_array_tau_error_names_first_angle(poly_scenario, monkeypatch):
 
 
 def test_array_tau_chunks_agree(graph_scenario, monkeypatch):
-    # a cap of one order-128 point set per chunk runs the angles one at a time
+    # a cap below one rule's point set runs the angles one at a time at every node count
     taus = TWO_PI * np.arange(7) / 7
     whole = {form: boundary_jacobian_bound(graph_scenario.boundary, taus, form=form, c_h=0.7) for form in ("kernel", "holder")}
-    monkeypatch.setattr("qcharm.kernels._CHORD_BLOCK", 2048 * 2)
+    monkeypatch.setattr("qcharm.kernels._CHORD_BLOCK", 1)
     for form, want in whole.items():
         got = boundary_jacobian_bound(graph_scenario.boundary, taus, form=form, c_h=0.7)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
