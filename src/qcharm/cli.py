@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--upsilon", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--c-gamma", dest="c_gamma", type=float, required=True)
+    p.add_argument("--c-gamma", dest="c_gamma", type=float, required=True, help="C_gamma in length^-mu (kappa_max at mu = 1)")
     p.add_argument("--length", type=float, required=True)
     p.add_argument("--area", type=float, default=None)
     p.add_argument("--variant", choices=("statement", "proof"), default="statement")

@@ -213,7 +213,9 @@ class _LengthTable:
     from one evaluation of the stacked polynomial (``osc``, velocity, position), and
     ``invert`` finds where the length reaches its targets by Newton steps, point by point,
     from seeds interpolated on a grid of the length; ``scan_nodes`` holds ``tangent_frame``
-    at the equal-length nodes of the lag scans, inverted once per table."""
+    at the equal-length nodes of the lag scans, inverted once per table.  The table is also
+    the curve's arc-length view: ``parameter`` is the change of parameter theta -> t with
+    cumulative length theta * scale, scale = length / 2 pi, the view's constant speed."""
 
     def __init__(self, poly: TrigPolynomial):
         vel = poly.derivative()
@@ -222,6 +224,7 @@ class _LengthTable:
         a, b = fit.cos_coeffs[:, 0], fit.sin_coeffs[:, 0]
         self.mean = a[0]
         self.length = self.mean * TWO_PI
+        self.scale = self.length / TWO_PI
         j = np.arange(a.size, dtype=float)
         j[0] = np.inf  # the mean is the linear part, not a harmonic
         # integral of a cos(jt) + b sin(jt) is (a sin(jt) - b cos(jt)) / j
@@ -265,6 +268,15 @@ class _LengthTable:
             raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
         return t.reshape(target.shape), [v.reshape(target.shape + v.shape[1:]) for v in vals]
 
+    def parameter(self, theta):
+        """Parameters t with cumulative length theta * scale, each whole turn of theta adding
+        2 pi, and ``at`` them: ``invert`` point by point, so a point's value does not depend
+        on the other points of the call."""
+        theta = np.asarray(theta, dtype=float)
+        wraps = np.floor(theta / TWO_PI)
+        t, vals = self.invert((theta - wraps * TWO_PI) * self.scale)
+        return t + wraps * TWO_PI, vals
+
     def tangent_frame(self, s):
         """Position and unit tangent at cumulative lengths s (mod length)."""
         _, (_, speed, vel, pos) = self.invert(np.mod(s, self.length))
@@ -279,43 +291,6 @@ class _LengthTable:
         return tuple(np.concatenate(v) for v in zip(*slices))
 
 
-class _ArcLengthView:
-    """Exact evaluators of the arc-length reparametrization of a curve.
-
-    Composes the original curve with the inverse of its cumulative length
-    (the length table's Newton inversion, point by point), so positions and
-    chain-rule derivatives stay accurate for arbitrarily eccentric curves
-    where a band-limited refit would alias, and a point's value does not
-    depend on the other points of the call.
-    """
-
-    def __init__(self, base: "JordanCurve"):
-        self.base = base
-        self.table = base.poly._length
-        self.scale = self.table.length / TWO_PI
-
-    def parameter(self, theta):
-        """Original-curve parameters t with cumulative length theta * scale, and the length
-        table's (cumulative length, speed, velocity, position) at t."""
-        theta = np.asarray(theta, dtype=float)
-        wraps = np.floor(theta / TWO_PI)
-        t, vals = self.table.invert((theta - wraps * TWO_PI) * self.scale)
-        return t + wraps * TWO_PI, vals
-
-    def frame(self, theta):
-        """Position and velocity at theta from one inversion of the length."""
-        _, (_, speed, v, pos) = self.parameter(theta)
-        return pos, v * (self.scale / speed[..., None])
-
-    def acceleration(self, theta):
-        t, (_, _, v, _) = self.parameter(theta)
-        a = self.base.acceleration(t)
-        v2 = np.sum(v * v, axis=-1, keepdims=True)
-        va = np.sum(v * a, axis=-1, keepdims=True)
-        dt = self.scale / np.sqrt(v2)
-        return a * dt**2 - v * (self.scale**2 * va / v2**2)
-
-
 @dataclass(frozen=True, eq=False)
 class JordanCurve:
     """Closed curve in R^n given by its position polynomial, with spectral evaluators;
@@ -323,14 +298,15 @@ class JordanCurve:
 
     Attributes
     ----------
-    poly : TrigPolynomial position evaluator (of the base curve, for an arc-length view,
-        whose length table ``poly._length`` is then the base's)
-    view : composite exact evaluators, set for reparametrized curves
+    poly : TrigPolynomial position evaluator (of the base curve, for an arc-length view)
+    view : None, or ``poly._length`` for the arc-length view: the evaluators then compose
+        the polynomial with the length table's ``parameter`` theta -> t, so they stay exact
+        however uneven the speed of ``poly`` is
     fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
     """
 
     poly: TrigPolynomial
-    view: _ArcLengthView | None = None
+    view: _LengthTable | None = None
     fit_tail: float = 0.0
     _vel: TrigPolynomial = field(init=False, repr=False)
     _acc: TrigPolynomial = field(init=False, repr=False)
@@ -347,34 +323,37 @@ class JordanCurve:
         return self.poly.dim
 
     def position(self, t):
-        return self.view.frame(t)[0] if self.view is not None else self.poly(t)
+        return self.frame(t)[0] if self.view is not None else self.poly(t)
 
     def velocity(self, t):
-        return self.view.frame(t)[1] if self.view is not None else self._vel(t)
+        return self.frame(t)[1] if self.view is not None else self._vel(t)
 
     def acceleration(self, t):
-        return self.view.acceleration(t) if self.view is not None else self._acc(t)
+        """d^2/dt^2 of the position; on a view, the chain rule through ``parameter``."""
+        if self.view is None:
+            return self._acc(t)
+        t, (_, _, v, _) = self.view.parameter(t)
+        a = self._acc(t)
+        v2 = np.sum(v * v, axis=-1, keepdims=True)
+        va = np.sum(v * a, axis=-1, keepdims=True)
+        dt = self.view.scale / np.sqrt(v2)
+        return a * dt**2 - v * (self.view.scale**2 * va / v2**2)
 
     def frame(self, t):
         """Position and velocity at t, each shaped like ``position(t)``: one evaluation of the
         stacked ``_frame`` polynomial, or one inversion of the length on an arc-length view."""
         if self.view is not None:
-            return self.view.frame(t)
+            _, (_, speed, v, pos) = self.view.parameter(t)
+            return pos, v * (self.view.scale / speed[..., None])
         both = self._frame(t)
         return both[..., : self.dim], both[..., self.dim :]
 
     def velocity_grid(self, n: int) -> np.ndarray:
-        """Velocity at n uniform nodes, the fast way."""
-        return self._on_grid(n, "velocity", self._vel)
+        """Velocity at n uniform nodes, by the inverse FFT off a view."""
+        return self._vel.grid(n) if self.view is None else self.velocity(TWO_PI * np.arange(n) / n)
 
     def acceleration_grid(self, n: int) -> np.ndarray:
-        return self._on_grid(n, "acceleration", self._acc)
-
-    def _on_grid(self, n: int, name: str, poly: TrigPolynomial) -> np.ndarray:
-        """The evaluator ``name`` at n uniform nodes on a view, else ``poly`` there."""
-        if self.view is not None:
-            return getattr(self, name)(TWO_PI * np.arange(n) / n)
-        return poly.grid(n)
+        return self._acc.grid(n) if self.view is None else self.acceleration(TWO_PI * np.arange(n) / n)
 
     @functools.cached_property
     def speed_range(self) -> tuple[float, float]:
@@ -386,9 +365,8 @@ class JordanCurve:
         return float(np.min(speeds)), float(np.max(speeds))
 
     def scaled(self, c: float) -> "JordanCurve":
-        if self.view is not None:
-            return arc_length_reparametrize(self.view.base.scaled(c))
-        return JordanCurve(poly=self.poly.scaled(c), fit_tail=abs(c) * self.fit_tail)
+        curve = JordanCurve(poly=self.poly.scaled(c), fit_tail=abs(c) * self.fit_tail)
+        return curve if self.view is None else arc_length_reparametrize(curve)
 
 
 @dataclass
@@ -472,6 +450,8 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
             t_in, pts_in = generator
             t_in = np.asarray(t_in, dtype=float)
             pts_in = np.atleast_2d(np.asarray(pts_in, dtype=float))
+            if t_in.size != pts_in.shape[0]:
+                raise DomainError(f"raw samples: {t_in.size} parameters for {pts_in.shape[0]} sample rows")
             expected = TWO_PI * np.arange(t_in.size) / t_in.size
             if not np.allclose(t_in, expected, atol=1e-9):
                 raise DomainError("raw samples must be uniform in [0, 2*pi)")
@@ -550,12 +530,12 @@ def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
     """Reparametrize so the parameter is proportional to arc length.
 
     The output runs over [0, 2*pi) with |d/dt| = length / (2*pi)
-    everywhere.  Its evaluators compose the original curve with the
-    Newton-inverted cumulative length, so they stay exact however uneven
-    the original speed is; its polynomial is the original one.
+    everywhere.  It keeps the curve's polynomial, and its view is that
+    polynomial's length table, whose Newton-inverted cumulative length its
+    evaluators compose with; so it is idempotent, and a curve and its views
+    share one table.
     """
-    base = curve.view.base if curve.view is not None else curve
-    return JordanCurve(poly=base.poly, view=_ArcLengthView(base))
+    return JordanCurve(poly=curve.poly, view=curve.poly._length)
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +643,19 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     """Supremum of |g'(t) - g'(s)| / dist(t, s)^mu over distinct pairs,
     for the given parametrization of the curve.
 
-    dist is circle distance of the parameters.  At mu = 1 the supremum is
-    max |g''|, with no scan: |g'(t) - g'(s)| <= max |g''| dist(t, s) by the
-    mean-value inequality along the shorter arc, with equality as s -> t.
-    On arc-length views that is the curvature maximum times the squared
-    speed, else a polished maximum of |g''| on the ``_extreme_nodes`` grid; both
-    are sampled maxima, not certified upper ends.  For mu < 1 a lag scan does.
+    dist is circle distance of the parameters.  On an arc-length view this is
+    ``_arc_length_holder`` of its table, the ``holder_constant`` of
+    ``compute_curve_constants`` to the bit.  Otherwise, at mu = 1 the supremum
+    is max |g''|, with no scan: |g'(t) - g'(s)| <= max |g''| dist(t, s) by the
+    mean-value inequality along the shorter arc, with equality as s -> t; a
+    polished maximum of |g''| on the ``_extreme_nodes`` grid, a sampled maximum
+    and not a certified upper end.  For mu < 1 a lag scan in the parameter does.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
+    if curve.view is not None:
+        return _arc_length_holder(curve.view, mu, max_curvature(curve) if mu == 1.0 else None)
     if mu == 1.0:
-        if curve.view is not None:
-            return ScanResult(curve.view.scale**2 * max_curvature(curve), 0, True)
         acc = _norms(curve.acceleration_grid(_extreme_nodes(curve.poly.degree)))
         return ScanResult(_polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc), 0, True)
 
@@ -685,6 +666,24 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
         return _norms(b[0] - a[0]) / arc**mu
 
     return _lag_scan(sample, score, (curve.velocity_grid(_SCAN_NODES),), TWO_PI)
+
+
+def _arc_length_holder(table: _LengthTable, mu: float, kappa: float | None) -> ScanResult:
+    """mu-Hölder constant of the derivative of the arc-length parametrization over [0, 2 pi)
+    of the curve with length table ``table``: (L / 2 pi)^(1 + mu) sup |T(s) - T(s')| /
+    arc(s, s')^mu for the unit tangent T.  At mu = 1 it is kappa_max (L / 2 pi)^2 from the
+    curvature maximum ``kappa`` (read only there), computed as such: |T(s) - T(s')| <=
+    kappa_max arc(s, s') by the mean-value inequality, with equality as s' -> s, so no pair
+    scan can exceed it.  For mu < 1 the tangent scan, like the chord-arc scan, runs in
+    cumulative length over the table's equal-length nodes (``_lag_scan``, which searches the
+    half-length crease first)."""
+    if mu == 1.0:
+        return ScanResult(table.scale**2 * kappa, 0, True)
+
+    def score(a, b, arc):
+        return table.scale ** (1.0 + mu) * _norms(b[1] - a[1]) / arc**mu
+
+    return _lag_scan(table.tangent_frame, score, table.scan_nodes, table.length)
 
 
 def _polished_max(f, center, width, best: float):
@@ -735,11 +734,9 @@ def max_curvature(curve: JordanCurve) -> float:
     ``tests/test_cli.py::_degree_1000_draws`` 4,000 nodes give 264.72 and 4,096 give
     238.74 (2^17-node grid maximum 264.71), so a grid is no fix; a certified upper end is.
     """
-    source = curve.view.base if curve.view is not None else curve
-    m = max(_SCAN_NODES, 4 * source.poly.degree)
+    m = max(_SCAN_NODES, 4 * curve.poly.degree)
     return _polished_grid_max(
-        lambda t: _curvature(source.velocity(t), source.acceleration(t)),
-        _curvature(source.velocity_grid(m), source.acceleration_grid(m)),
+        lambda t: _curvature(curve._vel(t), curve._acc(t)), _curvature(curve._vel.grid(m), curve._acc.grid(m))
     )
 
 
@@ -888,32 +885,21 @@ def dini_single_integral(omega, y: float) -> float:
 def compute_curve_constants(curve: JordanCurve, mu: float = 1.0) -> CurveConstants:
     """Length, chord-arc constant, Hölder constant and curvature of a curve
     in any regular parametrization.  ``holder_constant`` is that of the
-    arc-length parametrization over [0, 2 pi): (L / 2 pi)^(1 + mu) sup
-    |T(s) - T(s')| / arc(s, s')^mu for the unit tangent T.  At mu = 1 it is
-    kappa_max (L / 2 pi)^2, computed as such: |T(s) - T(s')| <= kappa_max
-    arc(s, s') by the mean-value inequality, with equality as s' -> s, so
-    no pair scan can exceed it.  kappa_max is a sampled maximum polished
-    until its search is flat to roundoff, not a certified upper end.  For
-    mu < 1 the tangent scan, like the chord-arc scan, runs in cumulative length
-    over the length table's equal-length nodes (``_lag_scan``, which searches
-    the half-length crease first); ``refinement_depth`` is the larger step count of the scans."""
+    arc-length parametrization over [0, 2 pi), ``_arc_length_holder`` of the
+    curve's length table, the value ``holder_derivative_constant`` gives on its
+    arc-length view; it scales like the curve, and divided by (L / 2 pi)^(1 + mu)
+    it is the Hölder constant of the unit tangent in true arc length (length^-mu,
+    kappa_max at mu = 1).  kappa_max is a sampled maximum polished until its
+    search is flat to roundoff, not a certified upper end.  ``refinement_depth``
+    is the larger step count of the scans."""
     if not 0.0 < mu <= 1.0:
         raise DomainError("holder exponent mu must lie in (0, 1]")
     table = curve.poly._length
-    length = table.length
-    scale = length / TWO_PI
     lam = chord_arc_constant(curve)
     kappa = max_curvature(curve)
-
-    def score(a, b, arc):
-        return scale ** (1.0 + mu) * _norms(b[1] - a[1]) / arc**mu
-
-    if mu == 1.0:
-        hol = ScanResult(scale**2 * kappa, 0, True)
-    else:
-        hol = _lag_scan(table.tangent_frame, score, table.scan_nodes, length)
+    hol = _arc_length_holder(table, mu, kappa)
     return CurveConstants(
-        length=length,
+        length=table.length,
         chord_arc=lam.value,
         holder_constant=hol.value,
         holder_exponent=mu,

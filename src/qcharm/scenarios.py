@@ -185,8 +185,8 @@ def make_scenario(name: str, **params) -> Scenario:
     elif name == "conformal_poly":
         eps = complex(params.get("eps", 0.3))
         order = int(params.get("m", 2))
-        if order < 1:
-            raise DomainError("polynomial order must be a positive integer")
+        if order < 1 or order != params.get("m", 2):
+            raise DomainError(f"polynomial order must be a positive integer, got {params.get('m')!r}")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for an embedded image curve")
         cos_c = np.zeros((order + 1, 2))
@@ -224,8 +224,8 @@ def make_scenario(name: str, **params) -> Scenario:
     elif name == "harmonic_graph":
         eps = float(params.get("eps", 0.1))
         order = int(params.get("m", 2))
-        if order < 1:
-            raise DomainError("graph order must be a positive integer")
+        if order < 1 or order != params.get("m", 2):
+            raise DomainError(f"graph order must be a positive integer, got {params.get('m')!r}")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for a mild graph scenario")
         cos_c = np.zeros((order + 1, 3))
@@ -431,7 +431,8 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
             mu=mu,
             upsilon=upsilon,
             lam=constants.chord_arc,
-            c_gamma=constants.holder_constant,
+            # the unit tangent's constant in true arc length (length^-mu), as the theorem states it
+            c_gamma=constants.holder_constant / (length / TWO_PI) ** (1.0 + mu),
             length=length,
         )
     )

@@ -175,7 +175,7 @@ def test_c5_main_bound_suite(catalog_reports, catalog_scenarios):
             rep.constants.holder_exponent,
             rep.upsilon,
             rep.constants.chord_arc,
-            rep.constants.holder_constant,
+            rep.constants.holder_constant / (rep.length / TWO_PI) ** (1.0 + rep.constants.holder_exponent),
             rep.length,
         )
         assert rep.bound.log_value == log_ref  # bit-identical in log space

@@ -228,6 +228,14 @@ def test_nonuniform_samples_rejected():
         build_curve((t, pts), 64)
 
 
+def test_raw_samples_need_one_parameter_per_row():
+    # a 10-entry t column for 256 rows used to pass the uniformity check and fit the rows
+    rows = TWO_PI * np.arange(256) / 256
+    pts = np.stack([np.cos(rows), np.sin(rows)], axis=1)
+    with pytest.raises(DomainError, match=r"\b10\b.*\b256\b"):
+        build_curve((TWO_PI * np.arange(10) / 10, pts), 512)
+
+
 def test_raw_samples_match_descriptor(circle_curve):
     t = TWO_PI * np.arange(128) / 128
     pts = np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -371,7 +379,7 @@ def test_reparametrize_circle_unchanged(circle_curve):
 def test_reparametrize_newton_nonconvergence_raises(ellipse_curve, monkeypatch):
     arc = arc_length_reparametrize(ellipse_curve)
     # a cumulative length that never reaches its target stalls every Newton step
-    monkeypatch.setattr(arc.view.table, "at", lambda t: (np.full(np.shape(t), -1.0), np.ones(np.shape(t))))
+    monkeypatch.setattr(arc.view, "at", lambda t: (np.full(np.shape(t), -1.0), np.ones(np.shape(t))))
     with pytest.raises(RefinementError, match="Newton"):
         arc.position(np.array([0.5, 1.5]))
 
@@ -380,6 +388,14 @@ def test_reparametrize_idempotent(ellipse_arc):
     again = arc_length_reparametrize(ellipse_arc)
     t = _nodes(512)
     assert np.max(np.abs(again.position(t) - ellipse_arc.position(t))) < 1e-10
+
+
+def test_arc_length_view_is_the_length_table(ellipse_curve, ellipse_arc):
+    # a view holds nothing but its polynomial's length table, shared with the curve
+    for curve in (ellipse_curve, ellipse_arc):
+        view = arc_length_reparametrize(curve)
+        assert view.poly is ellipse_curve.poly
+        assert view.view is ellipse_curve.poly._length
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +766,9 @@ def test_compute_constants_ellipse(ellipse_curve):
 
 def test_constants_need_no_arc_length_view(ellipse_curve, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an arc-length view was built")
+        raise AssertionError("an arc-length view was evaluated")
 
-    monkeypatch.setattr(curves, "_ArcLengthView", refuse)
+    monkeypatch.setattr(curves._LengthTable, "parameter", refuse)
     cc = compute_curve_constants(ellipse_curve, mu=0.5)
     assert cc.all_converged()
     assert abs(cc.length - ELLIPSE_PERIMETER) < 1e-8
@@ -810,6 +826,18 @@ def test_lag_scans_dominate_brute_force(generator, mu):
     assert cc.chord_arc >= ref["chord_arc"] * (1.0 - 1e-9)
     assert cc.holder_constant >= ref["holder_constant"] * (1.0 - 1e-9)
     assert own.value >= ref["velocity_holder"] * (1.0 - 1e-9)
+
+
+ARC_LENGTH_CASES = SEEDED + [("ellipse 4:1", ellipse(4.0, 1.0)), ("ellipse 16:1", ellipse(16.0, 1.0))]
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.75, 0.5])
+@pytest.mark.parametrize("generator", [g for _, g in ARC_LENGTH_CASES], ids=[name for name, _ in ARC_LENGTH_CASES])
+def test_one_arc_length_holder_constant(generator, mu):
+    # the constants' holder_constant is the derivative constant of the arc-length view: one scan
+    curve = build_curve(generator, 512)
+    own = holder_derivative_constant(arc_length_reparametrize(curve), mu)
+    assert own.value == compute_curve_constants(curve, mu).holder_constant
 
 
 @pytest.mark.parametrize("view", [False, True], ids=["own", "arc-length view"])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 
@@ -59,6 +60,14 @@ def test_harmonic_graph_k_oracle(graph_scenario):
 def test_harmonic_graph_rejects_large_eps():
     with pytest.raises(DomainError):
         make_scenario("harmonic_graph", eps=0.6, m=2)
+
+
+@pytest.mark.parametrize("name", ["conformal_poly", "harmonic_graph"])
+def test_polynomial_order_must_be_integral(name):
+    # m = 2.7 used to build the m = 2 map silently
+    with pytest.raises(DomainError, match="2.7"):
+        make_scenario(name, eps=0.1, m=2.7)
+    assert make_scenario(name, eps=0.1, m=3.0).params["m"] == 3
 
 
 def test_unknown_scenario():
@@ -171,6 +180,34 @@ def test_gradient_bound_record_gate(monkeypatch, below, passed):
     assert (rec.lhs, rec.rhs) == (sup_grad, sup_grad - below)
     assert abs(rec.margin + below) <= 1e-15
     assert rec.passed is passed
+
+
+@functools.cache
+def _circle_report(r: float, mu: float):
+    """verify on the boundary data r e^{it}: the conformal map z -> r z, whose Lipschitz constant is r."""
+    return verify(make_scenario("fourier", cos_coeffs=[[0.0, 0.0], [r, 0.0]], sin_coeffs=[[0.0, 0.0], [0.0, r]]), mu)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.75, 0.5])
+def test_bound_is_scale_covariant(mu):
+    # with C_gamma in length^-mu the bound on r e^{it} is r times the bound on e^{it}
+    logs = [_circle_report(r, mu).bound.log_value - math.log(r) for r in (1e-6, 1e-3, 1.0, 1e3)]
+    assert max(logs) - min(logs) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("r", [1e-3, 1e3])
+def test_verify_passes_on_small_and_large_circles(r, mu):
+    # at r = 1e-3 the bound used to fall below sup |grad u| = r (3.22e-3 at mu = 1 for r = 0.01)
+    rep = _circle_report(r, mu)
+    assert rep.all_passed, [(rec.name, rec.lhs, rec.rhs) for rec in rep.checks if not rec.passed]
+
+
+def test_mu_one_c_gamma_is_max_curvature(catalog_reports):
+    # at mu = 1 the unit tangent's Hölder constant in arc length is the largest curvature
+    for rep in [*catalog_reports.values(), _circle_report(1e-3, 1.0), _circle_report(1e3, 1.0)]:
+        kappa = rep.constants.max_curvature
+        assert abs(rep.bound.inputs.c_gamma - kappa) <= 1e-9 * kappa, rep.scenario
 
 
 def test_all_catalog_scenarios_pass(catalog_reports):
