@@ -175,6 +175,8 @@ class TrigPolynomial:
         weight = np.sqrt(np.sum(self.cos_coeffs**2 + self.sin_coeffs**2, axis=1))
         keep = np.nonzero(weight > floor)[0]
         cut = int(keep[-1]) + 1 if keep.size else 1
+        if cut == weight.size:
+            return self, 0.0
         tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
         return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut]), tail
 
@@ -186,13 +188,27 @@ def _resolved_fit(sample, start: int) -> tuple[TrigPolynomial, float]:
     at most m / 4.  ``RefinementError`` when that needs more than _MAX_FIT samples."""
     m = start
     while True:
-        samples = sample(m)
-        fit = TrigPolynomial.from_samples(samples).truncated(_roundoff_floor(samples))
+        fit = _sample_fit(sample(m))
         if fit[0].degree <= m // 4:
             return fit
         if m >= _MAX_FIT:
             raise RefinementError(f"FFT fit not resolved at {m} samples: degree {fit[0].degree} kept")
         m *= 2
+
+
+def _chopped(poly: TrigPolynomial, values) -> tuple[TrigPolynomial, float]:
+    """``poly`` at its resolved degree, and the tail it leaves (``TrigPolynomial.truncated``):
+    without the trailing harmonics of weight at most the roundoff floor 1e-15 * max|value| *
+    log2(m) of ``values``, the (m, n) values that ``poly`` interpolates at m uniform nodes.
+    The one resolution rule of sample and coefficient input: chop where the coefficients
+    reach the roundoff plateau (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM
+    Trans. Math. Softw. 43, 2017)."""
+    return poly.truncated(1e-15 * float(np.max(_norms(values))) * np.log2(values.shape[0]))
+
+
+def _sample_fit(samples) -> tuple[TrigPolynomial, float]:
+    """The FFT fit through uniform samples (m, n), ``_chopped`` at their roundoff floor."""
+    return _chopped(TrigPolynomial.from_samples(samples), samples)
 
 
 def _norms(v):
@@ -302,7 +318,8 @@ class JordanCurve:
     view : None, or ``poly._length`` for the arc-length view: the evaluators then compose
         the polynomial with the length table's ``parameter`` theta -> t, so they stay exact
         however uneven the speed of ``poly`` is
-    fit_tail : sum_{j > J} j |c_j| over the harmonics the sample fit dropped
+    fit_tail : sum_{j > J} j |c_j| over the harmonics ``build_curve`` dropped at the
+        roundoff floor (``_chopped``), 0 when it kept them all; kept by the arc-length view
     """
 
     poly: TrigPolynomial
@@ -427,14 +444,20 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
     Parameters
     ----------
     generator : TrigPolynomial or (t, points) tuple or (m, n) array
-        Analytic descriptor, kept whole, or raw uniform periodic samples.
-        Raw nodes must be uniform in [0, 2*pi); the samples are fitted by
-        FFT at their resolved degree (trailing harmonics below the
-        roundoff floor 1e-15 * max|sample| * log2(samples) go to
-        ``fit_tail``), and derivatives follow by spectral differentiation.
-        ``RefinementError`` when more than 1e-6 of the fit's acceleration
-        energy lies in the top quarter of the band of the m samples
-        (harmonics 0 .. m // 2): the data do not resolve the curvature.
+        Coefficient descriptor, or raw uniform periodic samples, whose nodes
+        must be uniform in [0, 2*pi) and which are fitted by FFT.  Either
+        kind runs at its resolved degree by one rule (``_chopped``): the
+        trailing harmonics below the roundoff floor 1e-15 * max|value| *
+        log2(m) of the values it interpolates go to ``fit_tail``.  Those
+        values are the m samples, or for a degree-J descriptor its values at
+        the 2J nodes that a degree-J FFT fit interpolates; so the coefficients
+        of the FFT fit of an even number of samples give the curve of those
+        samples, and an exact descriptor, whose top harmonic is above the
+        floor, is kept whole with a tail of 0.  Derivatives follow by
+        spectral differentiation.  Samples only: ``RefinementError`` when
+        more than 1e-6 of the fit's acceleration energy lies in the top
+        quarter of the band of the m samples (harmonics 0 .. m // 2): the
+        data do not resolve the curvature.
     node_count : number of uniform nodes (>= 16) of the sampled-injectivity
         check, which reads the raw rows when there are that many; nothing is
         stored at them, and no constant depends on it
@@ -444,7 +467,7 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
 
     points = None
     if isinstance(generator, TrigPolynomial):
-        poly, fit_tail = generator, 0.0
+        poly, fit_tail = _chopped(generator, generator.grid(max(2 * generator.degree, 2)))
     else:
         if isinstance(generator, tuple):
             t_in, pts_in = generator
@@ -457,7 +480,7 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
                 raise DomainError("raw samples must be uniform in [0, 2*pi)")
         else:
             pts_in = np.atleast_2d(np.asarray(generator, dtype=float))
-        poly, fit_tail = TrigPolynomial.from_samples(pts_in).truncated(_roundoff_floor(pts_in))
+        poly, fit_tail = _sample_fit(pts_in)
         _check_resolved(poly, pts_in.shape[0])
         if pts_in.shape[0] == node_count:
             points = pts_in
@@ -470,12 +493,6 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         raise RegularityError(f"degenerate parametrization: min |d/dt| = {curve.speed_range[0]:.3e}")
     _check_sampled_injectivity(poly(TWO_PI * np.arange(node_count) / node_count) if points is None else points)
     return curve
-
-
-def _roundoff_floor(samples) -> float:
-    """Weight below which a harmonic of the FFT fit through uniform samples
-    (m, n) is roundoff: 1e-15 * max|sample| * log2(m)."""
-    return 1e-15 * float(np.max(_norms(samples))) * np.log2(samples.shape[0])
 
 
 def _check_resolved(poly: TrigPolynomial, m: int):
@@ -533,9 +550,9 @@ def arc_length_reparametrize(curve: JordanCurve) -> JordanCurve:
     everywhere.  It keeps the curve's polynomial, and its view is that
     polynomial's length table, whose Newton-inverted cumulative length its
     evaluators compose with; so it is idempotent, and a curve and its views
-    share one table.
+    share one table.  It keeps the curve's ``fit_tail``.
     """
-    return JordanCurve(poly=curve.poly, view=curve.poly._length)
+    return JordanCurve(poly=curve.poly, view=curve.poly._length, fit_tail=curve.fit_tail)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, TrigPolynomial, _extreme_nodes, _resolved_fit
+from .curves import TWO_PI, JordanCurve, TrigPolynomial, _extreme_nodes, _resolved_fit, _sample_fit
 from .errors import DomainError
 
 # |e^{it}| exceeds one by roundoff; points that far out still count as on the circle
@@ -91,7 +91,6 @@ class BoundaryMap:
     def __init__(self, curve: JordanCurve, angle_map: AngleMap | None = None):
         self.curve = curve
         self.angle_map = angle_map or AngleMap.identity()
-        self._poly = None
         self._series = None
         increase = float(self.angle_map(TWO_PI)) - float(self.angle_map(0.0))
         if abs(increase - TWO_PI) > 1e-9:
@@ -99,47 +98,46 @@ class BoundaryMap:
 
     @classmethod
     def from_values(cls, samples) -> "BoundaryMap":
-        """Raw boundary data from uniform periodic samples (m, n)."""
+        """Raw boundary data from uniform periodic samples (m, n): their FFT fit at its
+        resolved degree, by the rule of ``curves.build_curve`` (trailing harmonics below the
+        roundoff floor 1e-15 * max|sample| * log2(m) go to ``series_tail``)."""
         obj = cls.__new__(cls)
         obj.curve = None
         obj.angle_map = None
-        obj._poly = TrigPolynomial.from_samples(np.atleast_2d(np.asarray(samples, dtype=float)))
-        obj._series = None
+        obj._series = _sample_fit(np.atleast_2d(np.asarray(samples, dtype=float)))
         return obj
 
     @property
     def dim(self) -> int:
-        return self.curve.dim if self.curve is not None else self._poly.dim
+        return self.curve.dim if self.curve is not None else self.series().dim
 
     def values(self, t):
         if self.curve is not None:
             return self.curve.position(self.angle_map(t))
-        return self._poly(t)
+        return self.series()(t)
 
     def derivative(self, t):
         if self.curve is not None:
             f = self.angle_map(t)
             fp = self.angle_map.derivative(t)
             return self.curve.velocity(f) * np.asarray(fp)[..., None]
-        return self._poly.derivative()(t)
+        return self.series().derivative()(t)
 
     def series(self) -> TrigPolynomial:
         """The boundary data as one trigonometric polynomial, computed on
         first use and cached.
 
         The curve's own polynomial (identity angle map, no arc-length view)
-        with its ``fit_tail``, and the interpolant of ``from_values``, are
-        returned as they are.  Other data is fitted by FFT at 64, 128, ...
-        samples, by the resolution rule of the curves' speed fits: trailing
+        with its ``fit_tail``, and the resolved fit of ``from_values`` with
+        its tail, are returned as they are.  Other data is fitted by FFT at 64, 128, ...
+        samples, by the same resolution rule (``curves._chopped``): trailing
         harmonics below the roundoff floor 1e-15 * max|F| * log2(samples) are
         dropped, and the count doubles until the kept degree is at most a
         quarter of it.  ``RefinementError`` when the fit is still unresolved at
         2^16 samples.
         """
         if self._series is None:
-            if self.curve is None:
-                self._series = (self._poly, 0.0)
-            elif self.angle_map._osc is None and self.curve.view is None:
+            if self.angle_map._osc is None and self.curve.view is None:
                 self._series = (self.curve.poly, self.curve.fit_tail)
             else:
                 self._series = _resolved_fit(lambda m: self.values(TWO_PI * np.arange(m) / m), 64)
@@ -147,8 +145,9 @@ class BoundaryMap:
 
     @property
     def series_tail(self) -> float:
-        """sum_{j > J} j |c_j| over the harmonics the fit (of this data or of
-        the curve's samples) dropped; zero for exact data.  On the closed disk
+        """sum_{j > J} j |c_j| over the harmonics the fit (of this data, of the
+        curve's samples or of its coefficients) dropped at the roundoff floor;
+        zero when none was dropped, as for exact data.  On the closed disk
         it bounds the gradient error of the truncation, and, since j >= 1,
         its value error."""
         self.series()

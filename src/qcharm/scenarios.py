@@ -14,6 +14,7 @@ fourier(...)        arbitrary trigonometric boundary data, numeric only
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,14 @@ def _planar(u_complex):
     return u
 
 
+def _order(m, what: str) -> int:
+    """m as a positive integer order, checked before it is converted: ``DomainError`` for a
+    fraction, NaN, an infinity or anything not a real number."""
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 1 and m == int(m)):
+        raise DomainError(f"{what} order must be a positive integer, got {m!r}")
+    return int(m)
+
+
 def make_scenario(name: str, **params) -> Scenario:
     """Build a catalog scenario; see the module docstring for the list."""
     if name == "identity":
@@ -184,9 +193,7 @@ def make_scenario(name: str, **params) -> Scenario:
         )
     elif name == "conformal_poly":
         eps = complex(params.get("eps", 0.3))
-        order = int(params.get("m", 2))
-        if order < 1 or order != params.get("m", 2):
-            raise DomainError(f"polynomial order must be a positive integer, got {params.get('m')!r}")
+        order = _order(params.get("m", 2), "polynomial")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for an embedded image curve")
         cos_c = np.zeros((order + 1, 2))
@@ -223,9 +230,7 @@ def make_scenario(name: str, **params) -> Scenario:
         )
     elif name == "harmonic_graph":
         eps = float(params.get("eps", 0.1))
-        order = int(params.get("m", 2))
-        if order < 1 or order != params.get("m", 2):
-            raise DomainError(f"graph order must be a positive integer, got {params.get('m')!r}")
+        order = _order(params.get("m", 2), "graph")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for a mild graph scenario")
         cos_c = np.zeros((order + 1, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -13,6 +14,7 @@ from qcharm import (
     BoundaryMap,
     DomainError,
     InjectivityError,
+    JordanCurve,
     PowerModulus,
     RefinementError,
     RegularityError,
@@ -31,7 +33,9 @@ from qcharm import (
     fourier_curve,
     holder_derivative_constant,
     isoperimetric_check,
+    make_scenario,
     max_curvature,
+    verify,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -284,6 +288,10 @@ def test_sampled_curve_fits_at_source_degree(seed, dim, tmp_path):
     # 120 dropped harmonics of about 2e-17 each, weighted by j
     assert 0.0 < curve.fit_tail <= 1e-12
     assert curve.scaled(-2.0).fit_tail == 2.0 * curve.fit_tail
+    # the arc-length view keeps the tail, and so does scaling the view
+    view = arc_length_reparametrize(curve)
+    assert view.fit_tail == curve.fit_tail
+    assert view.scaled(-2.0).fit_tail == 2.0 * curve.fit_tail
     assert BoundaryMap(curve).series_tail == curve.fit_tail
     assert build_curve(fourier_curve(*_degree8_source(seed, dim)), 512).fit_tail == 0.0
 
@@ -297,6 +305,64 @@ def test_sampled_constants_match_source(seed, dim, mu, tmp_path):
     want = compute_curve_constants(build_curve(fourier_curve(*source), 512), mu)
     for name in ("length", "chord_arc", "holder_constant", "max_curvature"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13 * getattr(want, name), name
+
+
+FITS = [(seed, dim) for dim in (2, 3) for seed in range(1, 9)]
+
+
+def _fft_fit(seed: int, dim: int, m: int = 64):
+    """Parameters and samples of the degree-8 source at m uniform nodes, and the coefficients
+    of their FFT fit (degree m / 2, harmonics 9 .. m / 2 at roundoff), as a coefficient file
+    written from the fit holds them."""
+    cos_c, sin_c = _degree8_source(seed, dim)
+    t = TWO_PI * np.arange(m) / m
+    j = np.arange(cos_c.shape[0])
+    pts = np.cos(np.outer(t, j)) @ cos_c + np.sin(np.outer(t, j)) @ sin_c
+    fit = TrigPolynomial.from_samples(pts)
+    return t, pts, fit.cos_coeffs, fit.sin_coeffs
+
+
+@pytest.mark.parametrize("seed, dim", FITS)
+def test_fft_fit_coefficients_resolve_like_their_samples(seed, dim):
+    # one resolution rule: the coefficients of the fit give the curve of its samples
+    t, pts, a, b = _fft_fit(seed, dim)
+    assert a.shape[0] == 33
+    coeffs = build_curve(fourier_curve(a, b))
+    samples = build_curve((t, pts))
+    assert coeffs.poly.degree <= 8
+    assert 0.0 < coeffs.fit_tail <= 1e-12
+    assert coeffs.poly.degree == samples.poly.degree
+    assert coeffs.fit_tail == samples.fit_tail
+    assert np.array_equal(coeffs.poly.cos_coeffs, samples.poly.cos_coeffs)
+    assert np.array_equal(coeffs.poly.sin_coeffs, samples.poly.sin_coeffs)
+    raw = BoundaryMap.from_values(pts)
+    assert raw.series().degree == samples.poly.degree
+    assert raw.series_tail == samples.fit_tail > 0.0
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("seed, dim", FITS)
+def test_fft_fit_coefficients_match_source(seed, dim, mu):
+    # kept whole, the degree-32 coefficients missed the source by up to 2.1e-13
+    _, _, a, b = _fft_fit(seed, dim)
+    got = compute_curve_constants(build_curve(fourier_curve(a, b)), mu)
+    want = compute_curve_constants(build_curve(fourier_curve(*_degree8_source(seed, dim))), mu)
+    for name in ("length", "chord_arc", "holder_constant", "max_curvature"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-14 * getattr(want, name), name
+
+
+@pytest.mark.parametrize("seed, dim", FITS)
+def test_fft_fit_verify_matches_whole_coefficients(seed, dim):
+    # the cut series verifies like the whole degree-32 one, whose extra harmonics are roundoff
+    _, _, a, b = _fft_fit(seed, dim)
+    sc = make_scenario("fourier", cos_coeffs=a, sin_coeffs=b)
+    whole = JordanCurve(poly=TrigPolynomial(a, b))
+    got = verify(sc)
+    want = verify(dataclasses.replace(sc, curve=whole, boundary=BoundaryMap(whole)))
+    assert (got.series_degree, want.series_degree) == (sc.curve.poly.degree, 32)
+    for name in ("sup_grad_extrapolated", "k_estimate", "area"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * getattr(want, name), name
+    assert got.all_passed == want.all_passed
 
 
 def test_noisy_samples_keep_every_harmonic():

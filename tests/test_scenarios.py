@@ -10,6 +10,9 @@ import oracles
 from qcharm import (
     DomainError,
     RefinementError,
+    build_curve,
+    circle,
+    ellipse,
     gradient_frames,
     make_scenario,
     poisson_extend,
@@ -70,6 +73,14 @@ def test_polynomial_order_must_be_integral(name):
     assert make_scenario(name, eps=0.1, m=3.0).params["m"] == 3
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), float("-inf"), 2.5])
+@pytest.mark.parametrize("name", ["conformal_poly", "harmonic_graph"])
+def test_polynomial_order_checked_before_conversion(name, m):
+    # int(m) ran first: NaN raised a bare ValueError and an infinity an OverflowError
+    with pytest.raises(DomainError, match="positive integer"):
+        make_scenario(name, eps=0.1, m=m)
+
+
 def test_unknown_scenario():
     with pytest.raises(DomainError):
         make_scenario("spiral")
@@ -81,6 +92,15 @@ def test_catalog_listing():
 
 
 def test_exact_data_consistent_with_numeric(catalog_scenarios):
+    # exact descriptors have no harmonic below the roundoff floor: kept whole, tail 0
+    for poly in (circle(), circle(3.0, (1.0, -2.0)), ellipse(4.0, 1.0), ellipse(16.0, 1.0)):
+        curve = build_curve(poly)
+        assert curve.poly is poly and curve.fit_tail == 0.0
+    extra = [make_scenario(name, m=3) for name in ("conformal_poly", "harmonic_graph")]
+    extra.append(make_scenario("conformal_poly", m=200, eps=0.001))
+    for sc in catalog_scenarios + extra:
+        assert sc.curve.poly.degree == sc.params.get("m", 1) and sc.curve.fit_tail == 0.0
+        assert sc.boundary.series_tail == 0.0
     for sc in catalog_scenarios:
         if sc.jacobian_exact is None:
             continue
