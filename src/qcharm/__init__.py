@@ -24,7 +24,6 @@ from .bounds import (
 from .curves import (
     CurveConstants,
     JordanCurve,
-    PowerModulus,
     ScanResult,
     TabulatedModulus,
     TrigPolynomial,
@@ -34,9 +33,7 @@ from .curves import (
     circle,
     compute_curve_constants,
     curve_length,
-    dini_double_integral,
     dini_modulus_table,
-    dini_single_integral,
     ellipse,
     fourier_curve,
     holder_derivative_constant,

@@ -139,10 +139,7 @@ def _scenario_from_args(args):
     kwargs = {}
     if args.scenario == "affine":
         kwargs["c"] = args.c
-    elif args.scenario == "conformal_poly":
-        kwargs["eps"] = args.epsilon
-        kwargs["m"] = args.order
-    elif args.scenario == "harmonic_graph":
+    elif args.scenario in ("conformal_poly", "harmonic_graph"):
         kwargs["eps"] = args.epsilon
         kwargs["m"] = args.order
     elif args.scenario == "fourier":
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", allow_abbrev=False, help="run the inequality suite on a scenario")
-    p.add_argument("--scenario", choices=("identity", "affine", "conformal_poly", "harmonic_graph", "fourier"), required=True)
+    p.add_argument("--scenario", choices=[entry["name"] for entry in scenario_catalog()], required=True)
     p.add_argument("--c", type=float, default=0.2, help="affine coefficient")
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--order", type=int, default=2, help="harmonic order m")
@@ -287,10 +284,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except report_mod.NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except RefinementError as exc:
+    except (report_mod.NonFiniteError, RefinementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except QcharmError as exc:

@@ -86,8 +86,8 @@ class TrigPolynomial:
 
     @classmethod
     def from_samples(cls, points):
-        """Band-limited fit through uniform periodic samples (m, n)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Band-limited fit through uniform periodic samples, m rows (``_sample_rows``)."""
+        pts = _sample_rows(points)
         m = pts.shape[0]
         c = np.fft.rfft(pts, axis=0) / m
         half = m // 2
@@ -206,9 +206,19 @@ def _chopped(poly: TrigPolynomial, values) -> tuple[TrigPolynomial, float]:
     return poly.truncated(1e-15 * float(np.max(_norms(values))) * np.log2(values.shape[0]))
 
 
+def _sample_rows(samples) -> np.ndarray:
+    """Uniform periodic samples as an (m, n) array of m rows: m scalar samples, a 1-D array,
+    are one column, not one row of an m-dimensional point."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise DomainError(f"samples must be an (m,) or (m, n) array, not of shape {pts.shape}")
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
 def _sample_fit(samples) -> tuple[TrigPolynomial, float]:
-    """The FFT fit through uniform samples (m, n), ``_chopped`` at their roundoff floor."""
-    return _chopped(TrigPolynomial.from_samples(samples), samples)
+    """The FFT fit through uniform samples (m, n) or (m,), ``_chopped`` at their roundoff floor."""
+    pts = _sample_rows(samples)
+    return _chopped(TrigPolynomial.from_samples(pts), pts)
 
 
 def _norms(v):
@@ -465,33 +475,33 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
     if node_count < 16:
         raise DomainError("node_count must be at least 16")
 
-    points = None
+    samples = None
     if isinstance(generator, TrigPolynomial):
         poly, fit_tail = _chopped(generator, generator.grid(max(2 * generator.degree, 2)))
     else:
         if isinstance(generator, tuple):
-            t_in, pts_in = generator
+            t_in, samples = generator
             t_in = np.asarray(t_in, dtype=float)
-            pts_in = np.atleast_2d(np.asarray(pts_in, dtype=float))
-            if t_in.size != pts_in.shape[0]:
-                raise DomainError(f"raw samples: {t_in.size} parameters for {pts_in.shape[0]} sample rows")
+            samples = _sample_rows(samples)
+            if t_in.size != samples.shape[0]:
+                raise DomainError(f"raw samples: {t_in.size} parameters for {samples.shape[0]} sample rows")
             expected = TWO_PI * np.arange(t_in.size) / t_in.size
             if not np.allclose(t_in, expected, atol=1e-9):
                 raise DomainError("raw samples must be uniform in [0, 2*pi)")
         else:
-            pts_in = np.atleast_2d(np.asarray(generator, dtype=float))
-        poly, fit_tail = _sample_fit(pts_in)
-        _check_resolved(poly, pts_in.shape[0])
-        if pts_in.shape[0] == node_count:
-            points = pts_in
+            samples = _sample_rows(generator)
+        poly, fit_tail = _sample_fit(samples)
 
     if poly.dim < 2:
         raise DomainError("curves must live in R^n with n >= 2")
+    if samples is not None:
+        _check_resolved(poly, samples.shape[0])
 
     curve = JordanCurve(poly=poly, fit_tail=fit_tail)
     if curve.speed_range[0] < 1e-9 * max(curve.speed_range[1], 1.0):
         raise RegularityError(f"degenerate parametrization: min |d/dt| = {curve.speed_range[0]:.3e}")
-    _check_sampled_injectivity(poly(TWO_PI * np.arange(node_count) / node_count) if points is None else points)
+    raw = samples is not None and samples.shape[0] == node_count
+    _check_sampled_injectivity(samples if raw else poly(TWO_PI * np.arange(node_count) / node_count))
     return curve
 
 
@@ -795,25 +805,6 @@ class TabulatedModulus:
         return total + v[-1] * np.maximum(x - d[-1], 0.0)
 
 
-class PowerModulus:
-    """Modulus c * x^mu with closed-form integral (the Hölder majorant)."""
-
-    def __init__(self, coefficient: float, mu: float):
-        if coefficient < 0:
-            raise DomainError("modulus coefficient must be nonnegative")
-        if not 0.0 < mu <= 1.0:
-            raise DomainError("modulus exponent must lie in (0, 1]")
-        self.coefficient = coefficient
-        self.mu = mu
-
-    def __call__(self, x):
-        return self.coefficient * np.asarray(x, dtype=float) ** self.mu
-
-    def integral_to(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return self.coefficient * x ** (1.0 + self.mu) / (1.0 + self.mu)
-
-
 def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     """Modulus of continuity of the curve derivative at the given steps.
 
@@ -829,70 +820,6 @@ def dini_modulus_table(curve: JordanCurve, steps) -> TabulatedModulus:
     peaks, _ = _lag_maxima(lambda t: (curve.velocity(t),), lambda a, b, arc: _norms(b[0] - a[0]), here, lags, TWO_PI)
     values = np.maximum.accumulate(peaks)[np.searchsorted(lags, capped)]
     return TabulatedModulus(deltas, values)
-
-
-# ---------------------------------------------------------------------------
-# Dini-type double integral identity
-
-
-def _require_modulus(omega):
-    """``DomainError`` unless omega is one of the moduli with exact integrals."""
-    if not isinstance(omega, (TabulatedModulus, PowerModulus)):
-        raise DomainError("modulus of continuity must be a TabulatedModulus or a PowerModulus")
-
-
-def _dini_power(omega, y: float):
-    """c y^mu / (mu (1 + mu)), both Dini integrals of a ``PowerModulus`` c x^mu,
-    or None for a table; ``DomainError`` for a nonpositive y or another modulus."""
-    _require_modulus(omega)
-    if y <= 0:
-        raise DomainError("upper limit must be positive")
-    if isinstance(omega, PowerModulus):
-        return omega.coefficient * y**omega.mu / (omega.mu * (1.0 + omega.mu))
-    return None
-
-
-def _table_segments(omega: TabulatedModulus, y: float):
-    """Pieces [lo, hi] of [0, y] on which the table is a + b x, with a and b
-    there: one per knot segment, then the constant extension past the last
-    knot.  The first piece starts at (0, 0), so its a is 0."""
-    d, v = omega.deltas, omega.values
-    b = np.append(np.diff(v) / np.diff(d), 0.0)
-    a = np.append(v[:-1] - b[:-1] * d[:-1], v[-1])
-    lo = d[d < y]
-    n = lo.size
-    hi = np.minimum(np.append(d[1:], np.inf)[:n], y)
-    return lo, hi, a[:n], b[:n]
-
-
-def dini_double_integral(omega, y: float) -> float:
-    """integral_{0+}^{y} x^{-2} integral_0^x omega(t) dt dx, in closed form for a
-    ``PowerModulus`` or ``TabulatedModulus``.
-
-    On each table piece the inner integral is A + B x + C x^2, so the outer
-    integrand has the antiderivative -A/x + B ln x + C x; on the first piece
-    A = B = 0."""
-    power = _dini_power(omega, y)
-    if power is not None:
-        return float(power)
-    lo, hi, a, b = _table_segments(omega, y)
-    big_a = omega.integral_to(lo) - a * lo - 0.5 * b * lo**2
-    terms = 0.5 * b * (hi - lo)
-    terms[1:] += big_a[1:] * (hi[1:] - lo[1:]) / (lo[1:] * hi[1:]) + a[1:] * np.log(hi[1:] / lo[1:])
-    return float(np.sum(terms))
-
-
-def dini_single_integral(omega, y: float) -> float:
-    """integral_{0+}^{y} (omega(x)/x - omega(x)/y) dx, in closed form for a
-    ``PowerModulus`` or ``TabulatedModulus``: per table piece a + b x,
-    a ln(hi/lo) + b (hi - lo), less integral_0^y omega / y."""
-    power = _dini_power(omega, y)
-    if power is not None:
-        return float(power)
-    lo, hi, a, b = _table_segments(omega, y)
-    terms = b * (hi - lo)
-    terms[1:] += a[1:] * np.log(hi[1:] / lo[1:])
-    return float(np.sum(terms) - omega.integral_to(y) / y)
 
 
 # ---------------------------------------------------------------------------

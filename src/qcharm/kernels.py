@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .curves import TWO_PI, JordanCurve, _extreme_nodes, _norms, _require_modulus, holder_derivative_constant
+from .curves import TWO_PI, JordanCurve, TabulatedModulus, _extreme_nodes, _norms, holder_derivative_constant
 from .errors import ConsistencyError, DomainError, RefinementError
 from .poisson import BoundaryMap, QuadratureSpec
 
@@ -94,11 +94,13 @@ def kernel_bound_dini(curve: JordanCurve, omega, s, t):
     """Modulus-integral majorant of the kernel at angle pairs.
 
     bound = (|h(s) - h(t)| / |e^{is} - e^{it}|) * integral_0^{pi |e^{is}-e^{it}|} omega
-    for a ``TabulatedModulus`` or ``PowerModulus`` omega (``DomainError`` for
-    anything else).  s and t broadcast; the kernel value is recomputed and
-    checked against the bound at every pair.
+    for a ``TabulatedModulus`` omega (``dini_modulus_table``), whose piecewise-linear
+    integral is exact; ``DomainError`` for anything else.  For a power modulus c x^mu
+    this is ``kernel_bound_holder`` with c_h = c pi^(1 + mu) / (1 + mu).  s and t
+    broadcast; the kernel value is recomputed and checked against the bound at every pair.
     """
-    _require_modulus(omega)
+    if not isinstance(omega, TabulatedModulus):
+        raise DomainError("modulus of continuity must be a TabulatedModulus")
 
     def majorant(chord, circ):
         return (chord / circ) * omega.integral_to(np.pi * circ)

@@ -62,7 +62,7 @@ class AngleMap:
         """Fit from samples of f at uniform nodes; f(2*pi) - f(0) must be 2*pi."""
         v = np.asarray(values, dtype=float)
         t = TWO_PI * np.arange(v.size) / v.size
-        return cls(TrigPolynomial.from_samples((v - t)[:, None]))
+        return cls(TrigPolynomial.from_samples(v - t))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -98,18 +98,14 @@ class BoundaryMap:
 
     @classmethod
     def from_values(cls, samples) -> "BoundaryMap":
-        """Raw boundary data from uniform periodic samples (m, n): their FFT fit at its
-        resolved degree, by the rule of ``curves.build_curve`` (trailing harmonics below the
-        roundoff floor 1e-15 * max|sample| * log2(m) go to ``series_tail``)."""
+        """Raw boundary data from uniform periodic samples (m, n), or (m,) for scalar data:
+        their FFT fit at its resolved degree, by the rule of ``curves.build_curve`` (trailing
+        harmonics below the roundoff floor 1e-15 * max|sample| * log2(m) go to ``series_tail``)."""
         obj = cls.__new__(cls)
         obj.curve = None
         obj.angle_map = None
-        obj._series = _sample_fit(np.atleast_2d(np.asarray(samples, dtype=float)))
+        obj._series = _sample_fit(samples)
         return obj
-
-    @property
-    def dim(self) -> int:
-        return self.curve.dim if self.curve is not None else self.series().dim
 
     def values(self, t):
         if self.curve is not None:

@@ -446,23 +446,6 @@ def minimal_surface_log(lam: float, mu: float, c_slot: float, length: float) -> 
     return math.log(8.0) + (p / mu) * math.log(b1) + (0.5 + lam) ** 2 * math.log(b2)
 
 
-def dini_power_closed_form(mu: float, y: float) -> float:
-    """Closed form of the nested modulus integral for omega(t) = t^mu."""
-    return y**mu / (mu * (1.0 + mu))
-
-
-def dini_nested_quad(omega, y: float, points=()) -> float:
-    """integral_0^y x^{-2} integral_0^x omega(t) dt dx by nested adaptive
-    quadrature, each integral split at the breakpoints (the kinks of omega)
-    that fall inside its interval."""
-
-    def piecewise(f, a, b):
-        edges = [a, *(p for p in sorted(points) if a < p < b), b]
-        return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=2e-14, limit=200)[0] for lo, hi in zip(edges[:-1], edges[1:]))
-
-    return piecewise(lambda x: piecewise(lambda t: float(omega(t)), 0.0, x) / x**2, 0.0, y)
-
-
 def main():
     a, b = 1.2, 0.8
     print("ellipse_perimeter(1.2, 0.8)        =", repr(ellipse_perimeter(a, b)))

@@ -10,20 +10,18 @@ import pytest
 import oracles
 from qcharm import (
     BoundInputs,
-    PowerModulus,
     QuadratureSpec,
     boundary_jacobian_bound,
     build_curve,
     chord_tangent_kernel,
-    dini_double_integral,
     dini_modulus_table,
-    dini_single_integral,
     ellipse,
     fourier_curve,
     gradient_frames,
     holder_derivative_constant,
     isoperimetric_check,
     kernel_bound_dini,
+    kernel_bound_holder,
     lipschitz_bound,
     max_curvature,
     minimal_surface_bound,
@@ -109,12 +107,12 @@ def test_c3_kernel_bound_suite(circle_curve, ellipse_curve):
     for curve in (circle_curve, ellipse_curve):
         table = dini_modulus_table(curve, np.linspace(0.02, math.pi, 80))
         c_holder = holder_derivative_constant(curve, 1.0).value
-        majorant = PowerModulus(c_holder, 1.0)
         s = rng.uniform(0.0, TWO_PI, n_pairs)
         t = rng.uniform(0.0, TWO_PI, n_pairs)
         kern = chord_tangent_kernel(curve, s, t)
         b_tab = kernel_bound_dini(curve, table, s, t)
-        b_pow = kernel_bound_dini(curve, majorant, s, t)
+        # the Dini majorant of the power modulus c x: the Hölder form with c_h = c pi^2 / 2
+        b_pow, _ = kernel_bound_holder(curve, 1.0, s, t, c_h=c_holder * math.pi**2 / 2.0)
         viol_a = int(np.sum(kern > b_tab + 1e-9))
         viol_b = int(np.sum(b_tab > b_pow + 1e-9))
         worst = min(worst, float(np.min(b_tab - kern)), float(np.min(b_pow - b_tab)))
@@ -235,16 +233,3 @@ def test_c7_numerical_analysis_checks(ellipse_curve):
         f"\nACCEPTANCE 7 PASS: gradient-vs-FD rel {rel:.2e}, laplacian {worst_lap:.2e}, "
         "ellipse length/curvature within 1e-4"
     )
-
-
-def test_c8_dini_identity():
-    worst = 0.0
-    for mu in (0.5, 1.0):
-        omega = PowerModulus(1.0, mu)
-        for y in (0.5, 1.0, 2.0):
-            lhs = dini_double_integral(omega, y)
-            rhs = dini_single_integral(omega, y)
-            worst = max(worst, abs(lhs - rhs))
-            assert abs(lhs - rhs) < 1e-8
-            assert abs(lhs - oracles.dini_power_closed_form(mu, y)) < 1e-8
-    print(f"\nACCEPTANCE 8 PASS: nested modulus integral identity (worst LHS-RHS gap {worst:.2e})")

@@ -12,7 +12,7 @@ import pytest
 import oracles
 import qcharm
 from qcharm import DomainError, report
-from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from qcharm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -47,7 +47,6 @@ from qcharm.cli import main
 ell = q.build_curve(q.ellipse(1.2, 0.8), 128)
 affine = q.make_scenario("affine", c=0.2)
 bm = affine.boundary
-table = q.TabulatedModulus([0.5, 1.0, 2.0], [0.25, 0.9, 1.1])
 inputs = q.BoundInputs(K=1.5, mu=0.5, upsilon=1.0, lam=1.5, c_gamma=1.0, length=6.3)
 calls = {
     "arc_length_reparametrize": lambda: q.arc_length_reparametrize(ell),
@@ -58,9 +57,7 @@ calls = {
     "circle": lambda: q.circle(2.0),
     "compute_curve_constants": lambda: q.compute_curve_constants(ell, mu=0.5),
     "curve_length": lambda: q.curve_length(ell),
-    "dini_double_integral": lambda: q.dini_double_integral(table, 1.7),
     "dini_modulus_table": lambda: q.dini_modulus_table(ell, [0.5, 1.0, 2.0]),
-    "dini_single_integral": lambda: q.dini_single_integral(q.PowerModulus(1.0, 0.5), 1.7),
     "ellipse": lambda: q.ellipse(2.0, 1.0),
     "fourier_curve": lambda: q.fourier_curve([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]),
     "gradient_frames": lambda: q.gradient_frames(bm, [0.3j, 0.5]),
@@ -111,6 +108,12 @@ def test_scenarios_listing(capsys):
     payload = json.loads(out)
     assert payload["schema_version"] == "1"
     assert [c["name"] for c in payload["catalog"]][:2] == ["identity", "affine"]
+
+
+def test_verify_choices_are_the_catalog():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    scenario = next(a for a in commands.choices["verify"]._actions if a.dest == "scenario")
+    assert scenario.choices == [entry["name"] for entry in qcharm.scenario_catalog()]
 
 
 def test_bound_command_matches_oracle(capsys):

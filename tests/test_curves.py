@@ -15,7 +15,6 @@ from qcharm import (
     DomainError,
     InjectivityError,
     JordanCurve,
-    PowerModulus,
     RefinementError,
     RegularityError,
     TabulatedModulus,
@@ -26,9 +25,7 @@ from qcharm import (
     circle,
     compute_curve_constants,
     curve_length,
-    dini_double_integral,
     dini_modulus_table,
-    dini_single_integral,
     ellipse,
     fourier_curve,
     holder_derivative_constant,
@@ -238,6 +235,14 @@ def test_raw_samples_need_one_parameter_per_row():
     pts = np.stack([np.cos(rows), np.sin(rows)], axis=1)
     with pytest.raises(DomainError, match=r"\b10\b.*\b256\b"):
         build_curve((TWO_PI * np.arange(10) / 10, pts), 512)
+
+
+def test_scalar_samples_are_not_a_curve():
+    # m scalar samples are one coordinate, alone or with their t column
+    t = TWO_PI * np.arange(64) / 64
+    for generator in (np.cos(t), (t, np.cos(t))):
+        with pytest.raises(DomainError, match=r"curves must live in R\^n with n >= 2"):
+            build_curve(generator, 64)
 
 
 def test_raw_samples_match_descriptor(circle_curve):
@@ -752,69 +757,6 @@ def test_tabulated_modulus_integral_matches_quadrature():
     for x in (0.3, 0.75, 1.7, 2.0, 3.5):
         ref, _ = quad(table, 0.0, x, limit=200)
         assert abs(table.integral_to(x) - ref) < 1e-9
-
-
-def test_power_modulus_integral():
-    pm = PowerModulus(2.0, 0.5)
-    assert abs(pm.integral_to(1.0) - 2.0 / 1.5) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# nested modulus integral identity
-
-
-@pytest.mark.parametrize("mu", [0.5, 1.0])
-@pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
-def test_dini_identity_power_modulus(mu, y):
-    omega = PowerModulus(1.0, mu)
-    lhs = dini_double_integral(omega, y)
-    rhs = dini_single_integral(omega, y)
-    closed = oracles.dini_power_closed_form(mu, y)
-    assert abs(lhs - closed) < 1e-8
-    assert abs(lhs - rhs) < 1e-8
-
-
-@pytest.mark.parametrize("mu", [0.25, 0.5, 1.0])
-@pytest.mark.parametrize("y", [0.3, 1.0, 2.5])
-def test_dini_closed_forms_power_match_oracle(mu, y):
-    omega = PowerModulus(1.0, mu)
-    ref = oracles.dini_nested_quad(lambda t: t**mu, y)
-    closed = oracles.dini_power_closed_form(mu, y)
-    for value in (dini_double_integral(omega, y), dini_single_integral(omega, y)):
-        assert abs(value - ref) <= 1e-13 * ref
-        assert abs(value - closed) <= 1e-13 * closed
-    scaled = PowerModulus(3.0, mu)
-    assert abs(dini_double_integral(scaled, y) - 3.0 * closed) <= 1e-13 * 3.0 * closed
-
-
-def _random_tables():
-    rng = np.random.default_rng(2024)
-    yield TabulatedModulus([0.5, 1.0, 2.0], [0.25, 0.9, 1.1])
-    for _ in range(8):
-        n = int(rng.integers(1, 16))
-        yield TabulatedModulus(np.cumsum(rng.uniform(0.02, 1.0, n)), np.cumsum(rng.uniform(0.0, 1.0, n)))
-
-
-@pytest.mark.parametrize("table", list(_random_tables()), ids=lambda t: f"knots{t.deltas.size - 1}")
-def test_dini_closed_forms_table_match_oracle(table):
-    knots = table.deltas[1:]
-    # below the first knot, between knots, on a knot, on and beyond the last knot
-    ys = (0.5 * knots[0], 0.5 * (knots[0] + knots[-1]), knots[knots.size // 2], knots[-1], 1.7 * knots[-1])
-    for y in ys:
-        ref = oracles.dini_nested_quad(table, y, knots)
-        double = dini_double_integral(table, y)
-        single = dini_single_integral(table, y)
-        assert abs(double - ref) <= 1e-13 * ref
-        assert abs(single - ref) <= 1e-13 * ref
-        assert abs(double - single) <= 1e-13 * ref
-
-
-def test_dini_integrals_reject_other_moduli():
-    for integral in (dini_double_integral, dini_single_integral):
-        with pytest.raises(DomainError, match="TabulatedModulus or a PowerModulus"):
-            integral(lambda t: t, 1.0)
-        with pytest.raises(DomainError):
-            integral(PowerModulus(1.0, 0.5), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from qcharm import (
     BoundaryMap,
     ConsistencyError,
     DomainError,
-    PowerModulus,
     QuadratureSpec,
     RefinementError,
     TabulatedModulus,
@@ -110,7 +109,7 @@ def test_dini_bound_rejects_nonmonotone(circle_curve):
 def test_dini_bound_rejects_plain_callable(circle_curve):
     # the exact circle modulus as a bare function has no exact integral
     omega = lambda d: 2.0 * math.sin(min(d, math.pi) / 2.0)
-    with pytest.raises(DomainError, match="TabulatedModulus or a PowerModulus"):
+    with pytest.raises(DomainError, match="must be a TabulatedModulus"):
         kernel_bound_dini(circle_curve, omega, 0.0, math.pi / 2)
 
 
@@ -118,30 +117,28 @@ def test_kernel_chain_on_dense_grids(circle_curve, ellipse_curve):
     for curve in (circle_curve, ellipse_curve):
         table = dini_modulus_table(curve, np.linspace(0.02, math.pi, 80))
         c_holder = holder_derivative_constant(curve, 1.0).value
-        majorant = PowerModulus(c_holder, 1.0)
         rng = np.random.default_rng(23)
         s, t = rng.uniform(0, TWO_PI, 60), rng.uniform(0, TWO_PI, 60)
         k = chord_tangent_kernel(curve, s, t)
         b_table = kernel_bound_dini(curve, table, s, t)
-        b_major = kernel_bound_dini(curve, majorant, s, t)
+        # the Dini majorant of the power modulus c x: the Hölder form with c_h = c pi^2 / 2
+        b_major, _ = kernel_bound_holder(curve, 1.0, s, t, c_h=c_holder * math.pi**2 / 2.0)
         assert np.all(k <= b_table + 1e-9)
         assert np.all(b_table <= b_major + 1e-9)
 
 
 def test_majorants_on_pair_arrays_match_scalar_calls(ellipse_curve):
     table = dini_modulus_table(ellipse_curve, np.linspace(0.02, math.pi, 80))
-    power = PowerModulus(holder_derivative_constant(ellipse_curve, 1.0).value, 1.0)
     rng = np.random.default_rng(5)
     s = rng.uniform(0, TWO_PI, 12)
     t = rng.uniform(0, TWO_PI, 12)
     t[4] = s[4]  # a diagonal pair inside the array
-    for omega in (table, power):
-        arr = kernel_bound_dini(ellipse_curve, omega, s, t)
-        assert isinstance(arr, np.ndarray) and arr.shape == s.shape and arr[4] == 0.0
-        for i in range(s.size):
-            one = kernel_bound_dini(ellipse_curve, omega, s[i], t[i])
-            assert isinstance(one, float)
-            assert abs(arr[i] - one) <= 1e-14 * abs(one)
+    arr = kernel_bound_dini(ellipse_curve, table, s, t)
+    assert isinstance(arr, np.ndarray) and arr.shape == s.shape and arr[4] == 0.0
+    for i in range(s.size):
+        one = kernel_bound_dini(ellipse_curve, table, s[i], t[i])
+        assert isinstance(one, float)
+        assert abs(arr[i] - one) <= 1e-14 * abs(one)
     arr, c_h = kernel_bound_holder(ellipse_curve, 0.5, s, t)
     assert arr[4] == 0.0
     for i in range(s.size):

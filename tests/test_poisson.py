@@ -96,6 +96,17 @@ def test_extend_constant_data():
         assert np.max(np.abs(u - [2.5, -1.0, 0.5])) < 1e-12
 
 
+def test_scalar_samples_are_one_column():
+    # m scalar samples are a 1-dimensional map, not one row of an m-dimensional one
+    t = TWO_PI * np.arange(64) / 64
+    bm = BoundaryMap.from_values(np.cos(t))
+    assert bm.series().dim == 1 and bm.series().degree == 1
+    probe = np.linspace(0.0, TWO_PI, 7)
+    assert np.max(np.abs(bm.values(probe)[:, 0] - np.cos(probe))) < 1e-14
+    with pytest.raises(DomainError, match=r"not of shape \(64, 2, 2\)"):
+        BoundaryMap.from_values(np.zeros((64, 2, 2)))
+
+
 def test_extend_affine_on_axis(affine_map):
     u = poisson_extend(affine_map, 0.5 + 0.0j)
     assert np.max(np.abs(u - [0.6, 0.0])) < 1e-10
