@@ -237,11 +237,13 @@ class _LengthTable:
     2 degree) samples on, whose mean is the linear part and whose harmonics ``osc`` are
     integrated term by term.  ``at(t)`` gives (cumulative length, speed, velocity, position)
     from one evaluation of the stacked polynomial (``osc``, velocity, position), and
-    ``invert`` finds where the length reaches its targets by Newton steps, point by point,
-    from seeds interpolated on a grid of the length; ``scan_nodes`` holds ``tangent_frame``
-    at the equal-length nodes of the lag scans, inverted once per table.  The table is also
-    the curve's arc-length view: ``parameter`` is the change of parameter theta -> t with
-    cumulative length theta * scale, scale = length / 2 pi, the view's constant speed."""
+    ``invert`` finds where the length reaches its targets: cubic Hermite seeds on
+    max(4 _SCAN_NODES, 4 osc degree) uniform knots, slopes 1 / speed from the speed fit,
+    which that one evaluation mostly confirms, and Newton steps, point by point, where a
+    seed misses.  ``scan_nodes`` holds ``tangent_frame`` at the equal-length nodes of the
+    lag scans, inverted once per table.  The table is also the curve's arc-length view:
+    ``parameter`` is the change of parameter theta -> t with cumulative length
+    theta * scale, scale = length / 2 pi, the view's constant speed."""
 
     def __init__(self, poly: TrigPolynomial):
         vel = poly.derivative()
@@ -258,9 +260,11 @@ class _LengthTable:
         self.osc0 = float(self.osc(0.0)[0])
         self._poly = TrigPolynomial.stack(self.osc, vel, poly)
         self._dim = poly.dim
-        n = max(start, 4 * self.osc.degree)
+        n = max(4 * _SCAN_NODES, 4 * self.osc.degree)
         self._seed_t = TWO_PI * np.arange(n + 1) / n
         self._seed_cum = np.append(self.mean * self._seed_t[:-1] + self.osc.grid(n)[:, 0] - self.osc0, self.length)
+        speed = fit.grid(n)[:, 0]
+        self._seed_slope = 1.0 / np.append(speed, speed[0])  # dt/ds
         if not np.all(np.diff(self._seed_cum) > 0):
             raise RefinementError("cumulative arc length non-monotone; refine the curve first")
 
@@ -272,13 +276,14 @@ class _LengthTable:
 
     def invert(self, target):
         """Parameters where the cumulative length reaches ``target`` (any shape, within
-        [0, length]), and ``at`` them: at most 8 Newton steps from the interpolated seeds, to
-        a residual below 1e-13 max(length, 1).  Each point stops on its own residual, so it
+        [0, length]), and ``at`` them: ``_seeds`` there, then at most 8 Newton steps to a
+        residual below 1e-13 max(length, 1).  The seeds mostly meet it already, so an
+        inversion is mostly one evaluation.  Each point stops on its own residual, so it
         takes the steps it would take alone, whatever else shares the call."""
         target = np.asarray(target, dtype=float)
         s = target.ravel()
         tol = 1e-13 * max(self.length, 1.0)
-        t = np.interp(s, self._seed_cum, self._seed_t)
+        t = self._seeds(s)
         vals = list(self.at(t))
         resid = vals[0] - s
         for _ in range(8):
@@ -293,6 +298,21 @@ class _LengthTable:
         if not np.all(np.abs(resid) < tol):
             raise RefinementError(f"arc-length inversion: 8 Newton steps left residual {np.max(np.abs(resid)):.3e}")
         return t.reshape(target.shape), [v.reshape(target.shape + v.shape[1:]) for v in vals]
+
+    def _seeds(self, s):
+        """The cubic Hermite interpolant of s -> t on the seed knots, slopes 1 / speed, at the
+        cumulative lengths s: its error falls like the fourth power of the knot spacing (de
+        Boor, "A Practical Guide to Splines", 1978, ch. IV)."""
+        cum, knot_t, slope = self._seed_cum, self._seed_t, self._seed_slope
+        k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, cum.size - 2)
+        h = cum[k + 1] - cum[k]
+        u = (s - cum[k]) / h
+        v = 1.0 - u
+        return (
+            knot_t[k] * (1.0 + 2.0 * u) * v * v
+            + knot_t[k + 1] * (3.0 - 2.0 * u) * u * u
+            + h * u * v * (slope[k] * v - slope[k + 1] * u)
+        )
 
     def parameter(self, theta):
         """Parameters t with cumulative length theta * scale, each whole turn of theta adding
@@ -596,25 +616,28 @@ def _lag_maxima(sample, score, here, lags, period: float):
     x = period * np.arange(_SCAN_NODES) / _SCAN_NODES
     doubled = tuple(np.concatenate([v, v]) for v in here)
     here = tuple(v[:_SCAN_NODES] for v in doubled)  # contiguous, whatever ``here`` was
+    arcs = _shorter_arc(np.asarray(lags, dtype=float), period)
     peaks = np.empty(len(lags))
     nodes = np.empty(len(lags), dtype=int)
     for j, d in enumerate(lags):
         k = int(round(d / x[1]))
         there = tuple(v[k : k + _SCAN_NODES] for v in doubled) if d == period * k / _SCAN_NODES else sample(x + d)
-        vals = score(here, there, _shorter_arc(d, period))
+        vals = score(here, there, arcs[j])
         nodes[j] = int(np.argmax(vals))
         peaks[j] = vals[nodes[j]]
     return peaks, nodes
 
 
 def _restarted_max(f, point, width, value: float):
-    """``_polished_max`` restarted where the last search ended until one gains at most 1e-12
-    relative (roundoff), at most _SEARCHES times: a ridge runs further than one search reaches.
-    Returns the running max, the last centre, the total steps and whether it settled."""
+    """``_polished_max`` restarted where the last search ended until one ends on its flat stop
+    or gains at most 1e-12 relative (roundoff), at most _SEARCHES times: a ridge runs further
+    than a search that ends on its width floor or step cap reaches, while a flat stop already
+    sits at a smooth maximum.  Returns the running max, the last centre, the total steps and
+    whether it settled."""
     depth = 0
     for _ in range(_SEARCHES):
-        found, point, steps = _polished_max(f, point, width, value)
-        settled, value, depth = found - value <= 1e-12 * abs(found), found, depth + steps
+        found, point, steps, flat = _polished_max(f, point, width, value)
+        settled, value, depth = flat or found - value <= 1e-12 * abs(found), found, depth + steps
         if settled:
             break
     return value, point, depth, settled
@@ -720,8 +743,8 @@ def _polished_max(f, center, width, best: float):
     interior on every axis and its values agree to _FLAT relative (near a smooth maximum
     about 1/64 of their spread is left to gain; at a kink the spread stays linear in the
     width, so this never fires there), else when the first half-width is below 1e-12 or
-    after 30 steps.  Returns the running max with ``best``, the last search centre and the
-    step count."""
+    after 30 steps.  Returns the running max with ``best``, the last search centre, the
+    step count and whether the flat stop ended it."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     width = np.atleast_1d(np.asarray(width, dtype=float))
     for step in range(1, 31):
@@ -731,9 +754,10 @@ def _polished_max(f, center, width, best: float):
         best = max(best, float(vals[k]))
         center = np.array([axis[i] for axis, i in zip(axes, k)])
         width = width * 0.45
-        if width[0] < 1e-12 or (0 < min(k) and max(k) < 8 and np.ptp(vals) <= _FLAT * abs(best)):
+        flat = bool(0 < min(k) and max(k) < 8 and np.ptp(vals) <= _FLAT * abs(best))
+        if flat or width[0] < 1e-12:
             break
-    return best, center, step
+    return best, center, step, flat
 
 
 def _polished_grid_max(f, grid_values) -> float:

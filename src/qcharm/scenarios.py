@@ -36,6 +36,7 @@ from .curves import (
     TWO_PI,
     CurveConstants,
     JordanCurve,
+    _MAX_FIT,
     _extreme_nodes,
     _norms,
     build_curve,
@@ -141,10 +142,13 @@ def _planar(u_complex):
 
 
 def _order(m, what: str) -> int:
-    """m as a positive integer order, checked before it is converted: ``DomainError`` for a
-    fraction, NaN, an infinity or anything not a real number."""
+    """m as a positive integer order, checked before it is converted or anything is allocated:
+    ``DomainError`` for a fraction, NaN, an infinity, anything not a real number, or an order
+    above _MAX_FIT // 4, the largest degree any fit of the program resolves."""
     if not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 1 and m == int(m)):
         raise DomainError(f"{what} order must be a positive integer, got {m!r}")
+    if m > _MAX_FIT // 4:
+        raise DomainError(f"{what} order {m!r} exceeds {_MAX_FIT // 4}, the largest resolvable degree")
     return int(m)
 
 

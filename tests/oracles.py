@@ -201,6 +201,48 @@ def crease_chord_arc(cos_coeffs, sin_coeffs, n: int = 1 << 14) -> float:
     return float(np.max(0.5 * length / chord))
 
 
+# mu = 0.5 Hölder constant of the arc-length derivative of the ellipse (a cos t, sin t),
+# (L / 2 pi)^1.5 max |T(t1) - T(t2)| / arc^0.5, to 20 digits: ``ellipse_holder_half_mp``
+# from the pair where the lag scan of ``compute_curve_constants`` ends (mpmath is not in
+# the test extra, so the values are frozen here).  Each maximum is the pair symmetric about
+# the vertex of largest curvature; for 16:1 a 1-D search over that symmetric pair, with the
+# arc by ``mpmath.quad``, gives the same 40 digits.
+ELLIPSE_HOLDER_HALF = {4.0: "8.6130009765899169477", 16.0: "124.04175413292668512"}
+ELLIPSE_HOLDER_HALF_START = {4.0: (2.9272659503062672, 3.355919356873317), 16.0: (6.230880071832966 - TWO_PI, 0.05230523534661639)}
+
+
+def ellipse_holder_half_mp(a: float, b: float, t1: float, t2: float, digits: int = 40):
+    """Local maximum of (L / 2 pi)^1.5 |T(u) - T(v)| / arc(u, v)^0.5 over pairs (u, v) of
+    parameters of the ellipse (a cos t, b sin t), T the unit tangent and arc the shorter arc,
+    by Newton steps on the gradient of its logarithm from (t1, t2), ``digits`` significant
+    digits; returns (value, u, v) as mpmath numbers.  Arc lengths are incomplete elliptic
+    integrals, speed a sqrt(1 - m cos^2 t), m = 1 - b^2 / a^2.  Needs mpmath:
+
+        python -c "import oracles; print(oracles.ellipse_holder_half_mp(4, 1, *oracles.ELLIPSE_HOLDER_HALF_START[4.0])[0])"
+    """
+    import mpmath as mp
+
+    with mp.workdps(digits + 20):
+        a, b = mp.mpf(a), mp.mpf(b)
+        m = 1 - (b / a) ** 2
+        length = 4 * a * mp.ellipe(m)
+
+        def log_score(u, v):
+            forward = a * (mp.ellipe(v - mp.pi / 2, m) - mp.ellipe(u - mp.pi / 2, m))
+            arc = min(forward, length - forward)
+            su, sv = mp.hypot(a * mp.sin(u), b * mp.cos(u)), mp.hypot(a * mp.sin(v), b * mp.cos(v))
+            dx = a * mp.sin(v) / sv - a * mp.sin(u) / su
+            dy = b * mp.cos(u) / su - b * mp.cos(v) / sv
+            return mp.log(mp.hypot(dx, dy)) - mp.log(arc) / 2
+
+        def gradient(u, v):
+            return [mp.diff(log_score, (u, v), (1, 0)), mp.diff(log_score, (u, v), (0, 1))]
+
+        u, v = mp.findroot(gradient, (mp.mpf(t1), mp.mpf(t2)))
+        value = (length / (2 * mp.pi)) ** 1.5 * mp.exp(log_score(u, v))
+        return +value, +u, +v
+
+
 def lag_maxima_roll(sample, score, here, lags, period: float, n: int = 2048):
     """Per lag d, the maximum over n uniform nodes x_i = period i / n of
     score(sample(x_i), sample(x_i + d), arc) and its node, as the lag scan first took them,

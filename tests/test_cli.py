@@ -344,6 +344,12 @@ def test_fourier_without_coeffs_exits_two(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_order_above_the_largest_fit_exits_two(capsys):
+    code, out, err = run_cli(["verify", "--scenario", "conformal_poly", "--order", "100000000", "--epsilon", "1e-9"], capsys)
+    _assert_one_line_error(code, out, err)
+    assert "16384" in err
+
+
 def test_verify_fourier_from_coeff_file(capsys, tmp_path):
     coeffs = {
         "cos_coeffs": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.05, 0.0]],

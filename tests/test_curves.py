@@ -620,11 +620,36 @@ def test_lag_scan_leaves_the_crease_for_a_higher_pair_beside_it(monkeypatch):
 def test_polish_stops_once_flat_but_not_at_a_kink():
     # near a smooth maximum the 9 values agree to roundoff well before the width does;
     # at a kink their spread stays linear in the width, so only the width stop ends it
-    value, _, steps = curves._polished_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.25, 0.1, -np.inf)
-    assert steps < 30 and value >= 1.0 - 1e-15
-    value, _, steps = curves._polished_max(lambda x: 1.0 - np.abs(x - 0.3), 0.3004, 1e-3, -np.inf)
+    value, _, steps, flat = curves._polished_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.25, 0.1, -np.inf)
+    assert flat and steps < 30 and value >= 1.0 - 1e-15
+    value, _, steps, flat = curves._polished_max(lambda x: 1.0 - np.abs(x - 0.3), 0.3004, 1e-3, -np.inf)
+    assert not flat
     assert steps == math.ceil(math.log(1e-12 / 1e-3) / math.log(0.45))  # the first width below 1e-12
     assert value >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+def test_flat_search_is_settled_without_a_restart(mu, monkeypatch):
+    # a search that ends on its flat stop sits at a smooth maximum: the restart that used to
+    # follow it (forced here by reporting every stop as not flat) returns the same bits
+    polish = curves._polished_max
+
+    def run(force):
+        stops = []
+
+        def search(*args):
+            out = polish(*args)
+            stops.append(out[3])
+            return (*out[:3], False) if force else out
+
+        monkeypatch.setattr(curves, "_polished_max", search)
+        constants = [compute_curve_constants(build_curve(g, 512), mu) for _, g in SEEDED]
+        return [(c.chord_arc, c.holder_constant) for c in constants], stops
+
+    settled, stops = run(False)
+    forced, forced_stops = run(True)
+    assert any(stops) and len(stops) < len(forced_stops)
+    assert settled == forced
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +664,14 @@ def test_holder_circle_lipschitz(circle_arc):
 def test_holder_circle_half_oracle(circle_arc):
     res = holder_derivative_constant(circle_arc, 0.5)
     assert abs(res.value - CIRCLE_HOLDER_HALF) < 1e-6
+
+
+@pytest.mark.parametrize("a, tol", [(4.0, 1e-13), (16.0, 1e-11)], ids=["4:1", "16:1"])
+def test_holder_half_of_ellipses_matches_mpmath(a, tol):
+    # oracles.ELLIPSE_HOLDER_HALF: 20 of 40 mpmath digits; the 16:1 scan reads 6.8e-12 low
+    want = float(oracles.ELLIPSE_HOLDER_HALF[a])
+    got = compute_curve_constants(build_curve(ellipse(a, 1.0), 512), 0.5).holder_constant
+    assert abs(got - want) <= tol * want
 
 
 def test_holder_exponent_domain(circle_arc):
@@ -1022,6 +1055,31 @@ def test_invert_length_rows_converge_separately(generator, monkeypatch):
         assert abs(t[i] - t_i) <= 1e-15 * table.length
         for v, v_i in zip(vals, vals_i):
             assert np.max(np.abs(v[i] - v_i)) <= 1e-15 * max(table.length, np.max(np.abs(v_i)))
+
+
+def _inversion_cases():
+    """(name, position polynomial, nodes allowed a Newton step) of the seeded curves and the
+    catalog maps' boundaries: next to the tips of the 14:1 and 16:1 ellipses (curvature 14
+    and 16 over the unit minor axis) the Hermite seeds miss the residual by up to 1.5 times."""
+    cases = [(name, lambda g=g: build_curve(g, 512).poly, 4 if name in ("ellipse 14.12:1", "ellipse 16.00:1") else 0) for name, g in SEEDED]
+    return cases + [(name, lambda n=name: make_scenario(n).curve.poly, 0) for name in ("identity", "affine", "conformal_poly", "harmonic_graph")]
+
+
+INVERSION_CASES = _inversion_cases()
+
+
+@pytest.mark.parametrize("make, missed", [c[1:] for c in INVERSION_CASES], ids=[c[0] for c in INVERSION_CASES])
+def test_invert_takes_one_evaluation_at_the_scan_nodes(make, missed, monkeypatch):
+    # the Hermite seeds meet the residual at the equal-length nodes: no Newton step, but for
+    # the few nodes next to the tips of the most eccentric ellipses
+    table = make()._length
+    calls = []
+    at = table.at
+    monkeypatch.setattr(table, "at", lambda x: calls.append(x.size) or at(x))
+    s = table.length * np.arange(curves._SCAN_NODES) / curves._SCAN_NODES
+    _, (cum, _, _, _) = table.invert(s)
+    assert calls[0] == curves._SCAN_NODES and len(calls) <= 1 + (missed > 0) and sum(calls[1:]) <= missed
+    assert np.all(np.abs(cum - s) < 1e-13 * max(table.length, 1.0))
 
 
 @pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])

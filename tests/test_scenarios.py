@@ -81,6 +81,15 @@ def test_polynomial_order_checked_before_conversion(name, m):
         make_scenario(name, eps=0.1, m=m)
 
 
+@pytest.mark.parametrize("m", [1e300, 100_000_000])
+@pytest.mark.parametrize("name", ["conformal_poly", "harmonic_graph"])
+def test_polynomial_order_above_the_largest_fit_is_refused(name, m):
+    # both pass |eps m| < 1 at eps = 1e-301; (m + 1)-row arrays were allocated before any
+    # check, so 1e300 raised a bare ValueError from np.zeros and 1e8 would take about 3 GB
+    with pytest.raises(DomainError, match="16384"):
+        make_scenario(name, eps=1e-301, m=m)
+
+
 def test_unknown_scenario():
     with pytest.raises(DomainError):
         make_scenario("spiral")
