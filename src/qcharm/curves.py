@@ -22,8 +22,11 @@ from .errors import DomainError, InjectivityError, RefinementError, RegularityEr
 
 TWO_PI = 2.0 * np.pi
 
-# points per evaluation chunk, fewer where the power table would pass 2^20 entries
+# points per evaluation chunk, fewer where a power table would pass 2^20 entries
 _EVAL_CHUNK = 2048
+# harmonics above which an evaluation splits its powers into baby steps and giant steps: from
+# about 65 harmonics on, the split evaluates 2,048 points of 2 to 5 columns at least as fast
+_SPLIT_ROWS = 64
 # most uniform samples of a resolved FFT fit, whose kept degree is at most a quarter of them
 _MAX_FIT = 1 << 16
 # the lag scans pair uniform nodes t_i with t_i + k h, for node shifts k
@@ -46,6 +49,10 @@ def _extreme_nodes(degree: int) -> int:
 class TrigPolynomial:
     """R^n-valued trigonometric polynomial sum_j A[j] cos(jt) + B[j] sin(jt).
 
+    One evaluator serves the circle and the disk: ``extension(w)`` is Re sum_j c_j w^j,
+    c_j = A[j] - i B[j], at complex points w, from one power table of w per chunk
+    (``_power_sum``); ``p(t)`` is ``extension(e^{it})``.
+
     Parameters
     ----------
     cos_coeffs, sin_coeffs : (J+1, n) arrays
@@ -65,24 +72,23 @@ class TrigPolynomial:
         # c_j = a_j - i b_j, so that p(t) = Re sum_j c_j e^{ijt}
         self.complex_coeffs = a - 1j * b
         self.complex_coeffs[0] = a[0]
-        # e^{ijt} for j = kB + r is the giant step e^{ikBt} times the baby step e^{irt},
-        # B = ceil(sqrt(J+1)); the rows of _weights pair (Re, -Im) of c_j with the
-        # interleaved (cos, sin) of e^{ijt} (Paterson & Stockmeyer, SIAM J. Comput. 1973)
-        block = math.isqrt(self.degree) + 1
-        self._baby = np.arange(block)
-        self._giant = np.arange(0, self.degree + 1, block)
-        self._weights = self._paired(self.complex_coeffs)
+        # column blocks, each its own matmul on the power table (``stack``)
+        self._blocks = (self.complex_coeffs,)
 
     @classmethod
     def stack(cls, *polys):
         """One polynomial whose coordinates are those of ``polys`` in order, each padded with
-        zero harmonics to the largest degree, so that one power table evaluates them all."""
+        zero harmonics to the largest degree, so that one power table evaluates them all.  Each
+        keeps its own matmul on that table, so one of the largest degree gets its values to the
+        bit."""
         top = max(p.degree for p in polys) + 1
 
         def padded(c):
             return np.pad(c, ((0, top - c.shape[0]), (0, 0)))
 
-        return cls(np.hstack([padded(p.cos_coeffs) for p in polys]), np.hstack([padded(p.sin_coeffs) for p in polys]))
+        out = cls(np.hstack([padded(p.cos_coeffs) for p in polys]), np.hstack([padded(p.sin_coeffs) for p in polys]))
+        out._blocks = tuple(padded(c) for p in polys for c in p._blocks)
+        return out
 
     @classmethod
     def from_samples(cls, points):
@@ -102,46 +108,30 @@ class TrigPolynomial:
         return cls(a, b)
 
     def __call__(self, t):
-        return self._sum(t, self._powers, self._weights)
+        return self.extension(np.exp(1j * np.asarray(t, dtype=float)))
+
+    def extension(self, w):
+        """Re sum_j c_j w^j at complex points w, shaped w.shape + (dim,): on |w| = 1 the
+        polynomial's values, in the disk its harmonic extension."""
+        w = np.asarray(w, dtype=complex)
+        return _power_sum(w.ravel(), self._blocks).reshape(w.shape + (self.dim,))
 
     def increments(self, t0):
         """x -> p(t0 + x) - p(t0) for every t0 at once, shaped x.shape + t0.shape + (dim,), as
-        Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, from the powers at half angle: nothing
+        Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, from the powers of e^{ix/2}: nothing
         cancels as x -> 0, so it keeps its relative accuracy.  The rotated harmonics
         c_j e^{ij t0} are one outer product, and one power table of x serves every t0."""
         t0 = np.asarray(t0, dtype=float)
         j = np.arange(self.degree + 1)
         rotated = np.exp(1j * np.multiply.outer(j, t0.ravel()))[:, :, None] * self.complex_coeffs[:, None, :]
-        weights = self._paired(rotated)
+        blocks = (rotated.reshape(self.degree + 1, -1),)
 
-        def terms(x):
-            half = self._powers(x / 2.0)
-            return 2j * half * half.imag
+        def chord(x):
+            half = np.exp(0.5j * np.asarray(x, dtype=float))
+            p = _power_sum(half.ravel(), blocks, lambda table: 2j * table * table.imag)
+            return p.reshape(half.shape + t0.shape + (self.dim,))
 
-        return lambda x: self._sum(x, terms, weights).reshape(np.shape(x) + t0.shape + (self.dim,))
-
-    def _paired(self, c):
-        """Rows pairing (Re, -Im) of the harmonics c (J+1, ...), zero-padded to K*B, with the
-        interleaved (cos, sin) of e^{ijt}: one column per trailing entry of c."""
-        rows = np.zeros((self._giant.size * self._baby.size, 2) + c.shape[1:])
-        rows[: c.shape[0], 0] = c.real
-        rows[: c.shape[0], 1] = -c.imag
-        return rows.reshape(2 * rows.shape[0], -1)
-
-    def _powers(self, x):
-        """e^{ijx} for j < K*B at a column of points x, as giant step times baby step."""
-        return (np.exp(1j * x * self._giant)[:, :, None] * np.exp(1j * x * self._baby)[:, None, :]).reshape(x.size, -1)
-
-    def _sum(self, t, terms, weights):
-        """Re sum_j c_j terms(x)_j at the points t, chunk by chunk, for each column of
-        harmonics paired in ``weights``; shape t.shape + (columns,)."""
-        t = np.asarray(t, dtype=float)
-        x = t.ravel()
-        out = np.empty((x.size, weights.shape[1]))
-        chunk = max(1, min(_EVAL_CHUNK, (1 << 20) // (self._giant.size * self._baby.size)))
-        for lo in range(0, x.size, chunk):
-            out[lo : lo + chunk] = terms(x[lo : lo + chunk, None]).view(float) @ weights
-        return out.reshape(t.shape + (weights.shape[1],))
+        return chord
 
     def derivative(self):
         j = np.arange(self.degree + 1)[:, None]
@@ -179,6 +169,61 @@ class TrigPolynomial:
             return self, 0.0
         tail = float(np.sum(np.arange(cut, weight.size) * weight[cut:]))
         return TrigPolynomial(self.cos_coeffs[:cut], self.sin_coeffs[:cut]), tail
+
+
+def _doubled_powers(x, out) -> np.ndarray:
+    """x^k for k < len(out), as the rows of ``out`` (count, n), by doubling: rows s .. 2s - 1
+    are rows 0 .. s - 1 times x^s.  x^k is a product of k factors x, so it rounds like
+    Horner's rule, by about k eps relative at most."""
+    out[0] = 1.0
+    s = 1
+    while s < out.shape[0]:
+        n = min(s, out.shape[0] - s)
+        np.multiply(out[:n], out[s - 1] * x, out=out[s : s + n])
+        s *= 2
+    return out
+
+
+def _power_sum(w, blocks, terms=None) -> np.ndarray:
+    """Re sum_j c[j] terms(w^j) at the points w (k,), for each column of the complex
+    coefficient blocks c (J+1, n_i), side by side: shape (k, sum n_i); one complex matmul per
+    block, so a block's values do not depend on the blocks beside it.
+
+    Chunk by chunk, the powers form a table of rows of chunk length (``_doubled_powers``).
+    Up to _SPLIT_ROWS harmonics, and whenever ``terms`` is given, the table holds every power
+    w^j and the matmul gives the sum.  Above, it holds the baby steps w^r, r < B =
+    isqrt(J) + 1: the matmul gives the inner sums s_k = sum_r c[kB + r] w^r, and the giant
+    steps (w^B)^k weight them, sum_k (w^B)^k s_k (Paterson & Stockmeyer, SIAM J. Comput.
+    1973).  Then no table holds J powers per point: the J products per point run inside the
+    matmul.  A chunk holds _EVAL_CHUNK points, fewer where a table would pass 2^20 entries,
+    so memory does not grow with the degree."""
+    rows = blocks[0].shape[0]
+    baby = rows if terms is not None or rows <= _SPLIT_ROWS else math.isqrt(rows - 1) + 1
+    giant = -(-rows // baby)
+    inner = list(blocks)
+    if giant > 1:
+        for i, c in enumerate(blocks):
+            # c[kB + r] at row r, column k n_i + i
+            padded = np.zeros((giant * baby, c.shape[1]), dtype=complex)
+            padded[:rows] = c
+            inner[i] = padded.reshape(giant, baby, -1).transpose(1, 0, 2).reshape(baby, -1)
+    chunk = max(1, min(_EVAL_CHUNK, (1 << 20) // max(baby, max(c.shape[1] for c in inner))))
+    out = np.empty((w.size, sum(c.shape[1] for c in blocks)))
+    for lo in range(0, w.size, chunk):
+        x = w[lo : lo + chunk]
+        table = _doubled_powers(x, np.empty((baby, x.size), dtype=complex))
+        if terms is not None:
+            table = terms(table)
+        if giant > 1:
+            steps = _doubled_powers(table[-1] * x, np.empty((giant, x.size), dtype=complex))
+        col = 0
+        for c, arranged in zip(blocks, inner):
+            sums = table.T @ arranged
+            if giant > 1:
+                sums = np.einsum("kp,pkm->pm", steps, sums.reshape(x.size, giant, -1))
+            out[lo : lo + chunk, col : col + c.shape[1]] = sums.real
+            col += c.shape[1]
+    return out
 
 
 def _resolved_fit(sample, start: int) -> tuple[TrigPolynomial, float]:
@@ -542,10 +587,22 @@ def _check_resolved(poly: TrigPolynomial, m: int):
 
 def _check_sampled_injectivity(points):
     """InjectivityError naming the nearest pair of nodes, not neighbours, of
-    the first 512-row block holding a pair within 1e-9 of the diameter."""
+    the first 512-row block holding a pair within 1e-9 of the diameter.
+
+    A pair within that tolerance projects within it onto any unit direction, so the
+    quadratic scan (``_nearest_pair_scan``) runs only when two node projections on one fixed
+    direction, sorted, lie within twice the tolerance."""
+    centered = points - points.mean(axis=0)
+    tol = 1e-9 * max(float(np.max(_norms(centered))) * 2.0, 1e-12)
+    direction = np.sin(np.arange(1.0, points.shape[1] + 1.0))
+    if np.min(np.diff(np.sort(centered @ (direction / np.linalg.norm(direction))))) > 2.0 * tol:
+        return
+    _nearest_pair_scan(points, tol)
+
+
+def _nearest_pair_scan(points, tol: float):
+    """The quadratic scan of ``_check_sampled_injectivity``: squared distances to every node."""
     m = points.shape[0]
-    diam = float(np.max(_norms(points - points.mean(axis=0)))) * 2.0
-    tol = 1e-9 * max(diam, 1e-12)
     # squared distance to the nearest node, 64 rows at a time (cache-sized)
     near, nearest = np.empty(m), np.empty(m, dtype=int)
     for lo in range(0, m, 64):

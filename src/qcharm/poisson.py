@@ -5,10 +5,12 @@ b_j sin(jt) per coordinate, so its harmonic extension is exactly
 u = Re f with f(z) = sum_j c_j z^j, c_j = a_j - i b_j, and the gradient is
 u_x = Re f', u_y = -Im f' (Duren, Harmonic Mappings in the Plane, 2004,
 ch. 1).  Scattered points anywhere on the closed disk, the circle
-included, are evaluated by Horner's rule; whole circles of uniform angles
-(the area rule's) by one inverse FFT each.  Data that is not itself a
-polynomial (a curve composed with an angle map, or an arc-length view) is
-fitted once by FFT until the coefficient tail sits at roundoff;
+included, go through the polynomial's one evaluator
+(``TrigPolynomial.extension``: a power table of z per chunk, then one
+matmul); whole circles of uniform angles (the area rule's) through one
+inverse FFT each.  Data that is not itself a polynomial (a curve composed
+with an angle map, or an arc-length view) is fitted once by FFT until the
+coefficient tail sits at roundoff;
 ``BoundaryMap.series_tail`` carries the discarded part.
 """
 
@@ -172,29 +174,22 @@ def _closed_disk(z) -> np.ndarray:
     return zz
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] z^j at every point: (J+1, n) and (k,) -> (k, n)."""
-    out = np.zeros((z.size, coeffs.shape[1]), dtype=complex)
-    zc = z[:, None]
-    for c in coeffs[::-1]:
-        out *= zc
-        out += c
-    return out
-
-
 def poisson_extend(boundary: BoundaryMap, z):
     """Harmonic extension of the boundary data at point(s) z of the closed disk."""
-    vals = _horner(boundary.series().complex_coeffs, _closed_disk(z)).real
+    vals = boundary.series().extension(_closed_disk(z))
     return vals[0] if np.ndim(z) == 0 else vals
 
 
 def gradient_frames(boundary: BoundaryMap, z):
     """Gradient frames (ux, uy) at an array of points of the closed disk;
-    returns (ux, uy) arrays of shape (k, n)."""
+    returns (ux, uy) arrays of shape (k, n).  ux = Re f' and uy = Re(i f') are one
+    evaluation of the 2n columns [(j + 1) c_{j+1}, i (j + 1) c_{j+1}], j < max(J, 1)."""
     c = boundary.series().complex_coeffs
-    j = np.arange(1, c.shape[0])[:, None]
-    df = _horner(j * c[1:], _closed_disk(z))
-    return df.real, -df.imag
+    df = np.zeros((max(c.shape[0] - 1, 1), c.shape[1]), dtype=complex)
+    df[: c.shape[0] - 1] = np.arange(1, c.shape[0])[:, None] * c[1:]
+    both = np.hstack([df, 1j * df])
+    frames = TrigPolynomial(both.real, -both.imag).extension(_closed_disk(z))
+    return frames[:, : c.shape[1]], frames[:, c.shape[1] :]
 
 
 def _circle_frames(boundary: BoundaryMap, radii, n: int):

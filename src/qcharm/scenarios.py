@@ -45,7 +45,7 @@ from .curves import (
     fourier_curve,
 )
 from .errors import DomainError, RefinementError
-from .kernels import boundary_jacobian_bound
+from .kernels import _chordal, boundary_jacobian_bound
 from .poisson import (
     BoundaryMap,
     CheckRecord,
@@ -119,14 +119,16 @@ class VerificationReport:
 
 
 def worker_count() -> int:
-    """Worker cap of the verification stages: QCH_THREADS, else cpu count (<=4)."""
+    """Worker cap of the verification stages: QCH_THREADS, else 1, so the stages run in order.
+    A pool (QCH_THREADS >= 2) gives the same report; on stages of a few milliseconds its
+    hand-offs cost more than they save."""
     env = os.environ.get("QCH_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"QCH_THREADS must be an integer, got {env!r}")
-    return max(1, min(4, os.cpu_count() or 1))
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +346,11 @@ def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
 
 
 def _low_discrepancy(n: int, offset: int = 0):
+    """Fractional parts of k a1 and k a2, k = offset + 1 .. offset + n: x - floor(x) is
+    ``np.mod(x, 1.0)`` to the bit for x >= 0, at a fraction of its cost."""
     k = np.arange(offset + 1, offset + n + 1)
-    return np.mod(k * _LD_A1, 1.0), np.mod(k * _LD_A2, 1.0)
+    x1, x2 = k * _LD_A1, k * _LD_A2
+    return x1 - np.floor(x1), x2 - np.floor(x2)
 
 
 def _boundary_pair_angles(n_pairs: int, n_near: int):
@@ -421,8 +426,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         f1 = boundary.values(t1)
         f2 = boundary.values(t2)
         lhs = _norms(f1 - f2)
-        dz = np.abs(np.exp(1j * t1) - np.exp(1j * t2))
-        return [_worst_record("boundary_holder", lhs, growth * dz**alpha)]
+        return [_worst_record("boundary_holder", lhs, growth * _chordal(t1, t2) ** alpha)]
 
     def stage_boundary_jacobian():
         taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS

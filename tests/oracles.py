@@ -86,6 +86,22 @@ def _trig_derivative(cos_coeffs, sin_coeffs, t, order: int):
     return (j**order * np.cos(phase)) @ a + (j**order * np.sin(phase)) @ b
 
 
+def disk_extension(cos_coeffs, sin_coeffs, z):
+    """u = Re f, ux = Re f' and uy = -Im f' of f(z) = sum_j c_j z^j, c_j = A_j - i B_j (the
+    imaginary part of c_0 dropped), one row per z, summed term by term with
+    z^j = |z|^j e^{ij arg z}."""
+    a = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+    b = np.atleast_2d(np.asarray(sin_coeffs, dtype=float))
+    c = a - 1j * b
+    c[0] = a[0]
+    j = np.arange(a.shape[0])
+    r, th = np.abs(z), np.angle(z)
+    f = (r[:, None] ** j * np.exp(1j * np.outer(th, j))) @ c
+    k = j[1:] - 1
+    df = (r[:, None] ** k * np.exp(1j * np.outer(th, k))) @ (j[1:, None] * c[1:])
+    return f.real, df.real, -df.imag
+
+
 def trig_increment(cos_coeffs, sin_coeffs, t0: float, x):
     """p(t0 + x) - p(t0) of sum_j A_j cos(jt) + B_j sin(jt), one row per x, summed
     term by term as Re sum_j c_j e^{ij t0} 2i sin(jx/2) e^{ijx/2}, c_j = A_j - i B_j."""

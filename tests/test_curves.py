@@ -28,10 +28,12 @@ from qcharm import (
     dini_modulus_table,
     ellipse,
     fourier_curve,
+    gradient_frames,
     holder_derivative_constant,
     isoperimetric_check,
     make_scenario,
     max_curvature,
+    poisson_extend,
     verify,
 )
 
@@ -73,6 +75,7 @@ def test_evaluation_matches_term_by_term(degree, dim):
     for t in inputs:
         got = poly(t)
         assert got.shape == np.shape(t) + (dim,)
+        assert np.array_equal(got, poly.extension(np.exp(1j * t)))
         want = oracles._trig_derivative(a, b, np.atleast_1d(t), 0).reshape(got.shape)
         assert np.all(np.abs(got - want) <= _phase_tolerance(poly, t)[..., None])
         # sin(0 t) vanishes: the nonzero sin_coeffs[0] drawn above is ignored
@@ -80,6 +83,18 @@ def test_evaluation_matches_term_by_term(degree, dim):
     for n in {max(2 * degree, 1), 2 * degree + 3}:
         t = TWO_PI * np.arange(n) / n
         assert np.all(np.abs(poly.grid(n) - poly(t)) <= _phase_tolerance(poly, t)[:, None])
+    # the same evaluator in the disk: the extension, its two readers and the gradient frames,
+    # with the phase j arg z in place of j t
+    th = rng.uniform(-math.pi, math.pi, 64)
+    z = np.concatenate([r * np.exp(1j * th) for r in (0.0, 0.5, 0.9, 1.0)])
+    want_u, want_ux, want_uy = oracles.disk_extension(a, b, z)
+    boundary = BoundaryMap(JordanCurve(poly=poly))
+    tol = _phase_tolerance(poly, np.angle(z))[:, None]
+    for got in (poly.extension(z), poisson_extend(boundary, z)):
+        assert got.shape == (z.size, dim) and np.all(np.abs(got - want_u) <= tol)
+    tol = _phase_tolerance(poly.derivative(), np.angle(z))[:, None]
+    for got, want in zip(gradient_frames(boundary, z), (want_ux, want_uy)):
+        assert got.shape == (z.size, dim) and np.all(np.abs(got - want) <= tol)
 
 
 def test_evaluation_memory_is_bounded():
@@ -175,7 +190,7 @@ def test_injectivity_check_matches_oracle(m, dim):
     base[:, 0] += np.cos(t)
     base[:, 1] += np.sin(t)
     verdicts = set()
-    for f in (0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 2.0):
+    for f in (0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1.5, 2.0, 3.0):
         for _ in range(2):
             i, j = rng.choice(m, 2, replace=False)
             if min((i - j) % m, (j - i) % m) <= 1:
@@ -188,6 +203,19 @@ def test_injectivity_check_matches_oracle(m, dim):
             assert _named_pair(pts) == want
             verdicts.add(want is None)
     assert verdicts == {True, False}
+    # offsets orthogonal to the screen's direction project onto the same point, so the scan
+    # runs, and finds no pair
+    direction = np.sin(np.arange(1.0, dim + 1.0))
+    for f in (1.5, 3.0, 1e3):
+        i, j = rng.choice(m, 2, replace=False)
+        if min((i - j) % m, (j - i) % m) <= 1:
+            continue
+        e = rng.standard_normal(dim)
+        e -= (e @ direction) / (direction @ direction) * direction
+        pts = base.copy()
+        for _ in range(2):
+            pts[j] = pts[i] + f * _tolerance(pts) * e / np.linalg.norm(e)
+        assert oracles.sampled_self_intersection(pts) is None and _named_pair(pts) is None
     if m > 512:
         # a pinch in the first 512 rows is named before a closer one further on
         pts = base.copy()
@@ -195,6 +223,22 @@ def test_injectivity_check_matches_oracle(m, dim):
         pts[m - 20] = pts[520]
         pts[10, 0] += 0.5 * _tolerance(pts)
         assert _named_pair(pts) == oracles.sampled_self_intersection(pts) == (10, 300)
+
+
+def test_injectivity_scan_skipped_on_catalog_curves(monkeypatch):
+    """The projection screen clears the catalog curves, so the quadratic scan never runs."""
+    calls = []
+    monkeypatch.setattr(curves, "_nearest_pair_scan", lambda points, tol: calls.append(points.shape))
+    catalog = [("identity", {}), ("affine", {"c": 0.2}), ("conformal_poly", {"eps": 0.3, "m": 3})]
+    for name, params in catalog + [("harmonic_graph", {"eps": 0.1, "m": 2})]:
+        make_scenario(name, **params)
+    for aspect in (1.0, 4.0, 16.0):
+        build_curve(ellipse(aspect, 1.0))
+    assert calls == []
+    # a pinch still reaches it
+    t = TWO_PI * np.arange(256) / 256
+    build_curve(np.stack([np.cos(t), np.sin(t) * np.cos(t) ** 2], axis=1), 256)
+    assert calls == [(256, 2)]
 
 
 def test_pinched_curve_names_the_pinch():
@@ -1093,8 +1137,8 @@ def test_stacked_polynomial_matches_blocks(generator):
     got = stacked(t)
     lo = 0
     for p in blocks:
-        # padding changes the baby-step size, so the phases j t round differently:
-        # a roundoff of the coefficient weight per unit of |t|
+        # padding changes the power table (its length, or its baby-step size), so the
+        # sums round differently: a roundoff of the coefficient weight per unit of |t|
         tol = 1e-15 * np.sum(np.abs(p.complex_coeffs)) * (1.0 + np.abs(t))[..., None]
         assert np.all(np.abs(got[..., lo : lo + p.dim] - p(t)) <= tol)
         lo += p.dim

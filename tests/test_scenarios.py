@@ -19,7 +19,7 @@ from qcharm import (
     scenario_catalog,
     verify,
 )
-from qcharm import curves, scenarios
+from qcharm import curves, kernels, scenarios
 from qcharm.poisson import _dilatations
 from qcharm.scenarios import worker_count
 
@@ -315,6 +315,8 @@ def test_affine_extreme_reports_log_bound():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.delenv("QCH_THREADS", raising=False)
+    assert worker_count() == 1
     monkeypatch.setenv("QCH_THREADS", "2")
     assert worker_count() == 2
     monkeypatch.setenv("QCH_THREADS", "zero")
@@ -331,6 +333,26 @@ def test_verify_sequential_matches_parallel(identity_scenario, monkeypatch):
     for a, b in zip(seq.checks, par.checks):
         assert a.name == b.name
         assert a.margin == b.margin
+
+
+def test_boundary_holder_record_from_chordal_distance(identity_scenario, catalog_reports):
+    """The boundary Hölder check compares |F(t1) - F(t2)| with growth * |e^{it1} - e^{it2}|^alpha,
+    the chord taken as 2 |sin((t1 - t2) / 2)|, which loses nothing to cancellation near the diagonal."""
+    rep = catalog_reports["identity"]
+    t1, t2 = scenarios._boundary_pair_angles(scenarios._BOUNDARY_PAIRS, scenarios._NEAR_DIAGONAL_PAIRS)
+    values = identity_scenario.boundary.values
+    lhs = curves._norms(values(t1) - values(t2))
+    want = scenarios._worst_record("boundary_holder", lhs, rep.mori_growth * kernels._chordal(t1, t2) ** rep.alpha)
+    assert next(rec for rec in rep.checks if rec.name == "boundary_holder") == want
+
+
+@pytest.mark.parametrize("n, offset", [(9_000, 0), (1_000, 77_777), (10_000, 0), (10_000, 314_159)])
+def test_low_discrepancy_is_mod_one(n, offset):
+    # the sizes and offsets verify draws: boundary pairs, near-diagonal pairs, interior pairs
+    k = np.arange(offset + 1, offset + n + 1)
+    u1, u2 = scenarios._low_discrepancy(n, offset)
+    assert np.array_equal(u1, np.mod(k * scenarios._LD_A1, 1.0))
+    assert np.array_equal(u2, np.mod(k * scenarios._LD_A2, 1.0))
 
 
 def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
