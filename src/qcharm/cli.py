@@ -8,6 +8,7 @@ configuration error; 3 numerical non-convergence or NaN in a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -194,7 +195,10 @@ def cmd_scenarios(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it: parsing reads it
+    and changes nothing in it."""
     # no prefix abbreviations: the flag names _apply_config_file compares are the only ones
     parser = argparse.ArgumentParser(prog="qcharm", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,6 +38,9 @@ _LAGS_PER_OCTAVE = 16
 _SEARCHES = 20
 # a shrinking search whose best node is interior stops once its values agree to this, relative
 _FLAT = 1e-13
+# values per coordinate of a shrinking search, and the factor on its half-widths per step
+_POLISH_NODES = 33
+_SHRINK = 0.1
 
 
 def _extreme_nodes(degree: int) -> int:
@@ -84,7 +87,9 @@ class TrigPolynomial:
         top = max(p.degree for p in polys) + 1
 
         def padded(c):
-            return np.pad(c, ((0, top - c.shape[0]), (0, 0)))
+            out = np.zeros((top, c.shape[1]), dtype=c.dtype)
+            out[: c.shape[0]] = c
+            return out
 
         out = cls(np.hstack([padded(p.cos_coeffs) for p in polys]), np.hstack([padded(p.sin_coeffs) for p in polys]))
         out._blocks = tuple(padded(c) for p in polys for c in p._blocks)
@@ -375,10 +380,14 @@ class _LengthTable:
 
     @functools.cached_property
     def scan_nodes(self):
-        """``tangent_frame`` at the _SCAN_NODES equal-length nodes length i / _SCAN_NODES,
-        256 at a time: one call's power tables would cost tens of MB on eccentric curves."""
+        """``tangent_frame`` at the _SCAN_NODES equal-length nodes length i / _SCAN_NODES, in
+        slices of at least 256 nodes and, above that, of at most 2^14 power-table entries of
+        the stacked polynomial: one slice up to stacked degree 7, 256 nodes from degree 63 on.
+        2^14 entries are the _SPLIT_ROWS powers at 256 nodes; slices of larger tables raised
+        the peak RSS (one call's power tables would cost tens of MB on eccentric curves)."""
         s = self.length * np.arange(_SCAN_NODES) / _SCAN_NODES
-        slices = [self.tangent_frame(s[lo : lo + 256]) for lo in range(0, s.size, 256)]
+        size = max(256, (1 << 14) // (self._poly.degree + 1))
+        slices = [self.tangent_frame(s[lo : lo + size]) for lo in range(0, s.size, size)]
         return tuple(np.concatenate(v) for v in zip(*slices))
 
 
@@ -700,6 +709,17 @@ def _restarted_max(f, point, width, value: float):
     return value, point, depth, settled
 
 
+def _pair_scores(sample, score, x, y, period: float):
+    """score(sample(x), sample(y), _shorter_arc(y - x, period)) for coordinate arrays x and y
+    that broadcast together: x (n, 1) against y (1, m) scores every pair, x (n,) against
+    y (n,) the pairs (x_i, y_i) only, each to the bits of that pair in the grid.  ``sample``
+    runs once, on x and y side by side."""
+    both = sample(np.concatenate([x.ravel(), y.ravel()]))
+    a = tuple(v[: x.size].reshape(x.shape + v.shape[1:]) for v in both)
+    b = tuple(v[x.size :].reshape(y.shape + v.shape[1:]) for v in both)
+    return score(a, b, _shorter_arc(y - x, period))
+
+
 def _lag_scan(sample, score, here, period: float) -> ScanResult:
     """Supremum of a symmetric objective score(sample(x), sample(y), arc) over pairs of
     coordinates x != y of one period, arc = _shorter_arc(y - x, period): the per-lag maxima
@@ -708,11 +728,13 @@ def _lag_scan(sample, score, here, period: float) -> ScanResult:
     lag.  Each scan runs in the coordinate its distance is measured in: the parameter
     (period 2 pi), or cumulative length (period L), where the shorter arc's kink at half the
     length is the crease y = x + L / 2, grid lag _SCAN_NODES / 2.  A best pair whose lag is
-    within two half-widths of half the period is searched along the crease first: at a kink a
-    search in both ends gains only linearly, so the crease maximum is the supremum unless a
-    pair of the box around it (a half-width from each end) beats it by more than 1e-12
-    relative.  Otherwise the search runs in both ends.  Converged when a search gains at most
-    1e-12 relative; after _SEARCHES searches that have not, it has not."""
+    within two half-widths of half the period is searched along the crease first, over the
+    _POLISH_NODES pairs (x, x + L / 2) of each step alone (``_pair_scores``, the diagonal of
+    the grid of pairs to the bit): at a kink a search in both ends gains only linearly, so
+    the crease maximum is the supremum unless a pair of the 9 x 9 box around it (a half-width
+    from each end) beats it by more than 1e-12 relative.  Otherwise the search runs in both
+    ends, on grids of pairs.  Converged when a search gains at most 1e-12 relative; after
+    _SEARCHES searches that have not, it has not."""
     lags = _node_lags(period)
     peaks, nodes = _lag_maxima(sample, score, here, lags, period)
     j = int(np.argmax(peaks))
@@ -720,14 +742,14 @@ def _lag_scan(sample, score, here, period: float) -> ScanResult:
     center = period * nodes[j] / _SCAN_NODES + np.array([0.0, lags[j]])
 
     def objective(x, y):
-        both = sample(np.stack([x, y]))
-        arc = _shorter_arc(y[None, :] - x[:, None], period)
-        return score(tuple(v[0][:, None] for v in both), tuple(v[1][None, :] for v in both), arc)
+        return _pair_scores(sample, score, x[:, None], y[None, :], period)
 
     value = crease = float(peaks[j])
     depth, half = 0, 0.5 * period
     if abs(lags[j] - half) <= 2.0 * width:
-        crease, x, depth, settled = _restarted_max(lambda xs: np.diagonal(objective(xs, xs + half)), center[0], (width,), value)
+        crease, x, depth, settled = _restarted_max(
+            lambda xs: _pair_scores(sample, score, xs, xs + half, period), center[0], (width,), value
+        )
         offsets = np.linspace(-width, width, 9)
         probe = objective(x[0] + offsets, x[0] + half + offsets)  # both sides of the crease
         depth += 1
@@ -794,24 +816,25 @@ def _arc_length_holder(table: _LengthTable, mu: float, kappa: float | None) -> S
 
 
 def _polished_max(f, center, width, best: float):
-    """Maximum of f near ``center`` by shrinking searches on 9 values per coordinate
-    (half-widths ``width``, times 0.45 per step) around the best point so far; f maps the
-    coordinate values to its grid of values.  A step stops the search when its best node is
-    interior on every axis and its values agree to _FLAT relative (near a smooth maximum
-    about 1/64 of their spread is left to gain; at a kink the spread stays linear in the
-    width, so this never fires there), else when the first half-width is below 1e-12 or
-    after 30 steps.  Returns the running max with ``best``, the last search centre, the
-    step count and whether the flat stop ended it."""
+    """Maximum of f near ``center`` by shrinking searches on _POLISH_NODES values per
+    coordinate (half-widths ``width``, times _SHRINK per step) around the best point so far;
+    f maps the coordinate values to its grid of values.  The next half-width is 1.6 node
+    spacings, so the best node's neighbours stay inside the next box.  A step stops the
+    search when its best node is interior on every axis and its values agree to _FLAT
+    relative (near a smooth maximum about 1/1024 of their spread is left to gain; at a kink
+    the spread stays linear in the width, so this never fires there), else when the first
+    half-width is below 1e-12 or after 30 steps.  Returns the running max with ``best``, the
+    last search centre, the step count and whether the flat stop ended it."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     width = np.atleast_1d(np.asarray(width, dtype=float))
     for step in range(1, 31):
-        axes = [c + np.linspace(-w, w, 9) for c, w in zip(center, width)]
+        axes = [c + np.linspace(-w, w, _POLISH_NODES) for c, w in zip(center, width)]
         vals = np.asarray(f(*axes))
         k = np.unravel_index(int(np.argmax(vals)), vals.shape)
         best = max(best, float(vals[k]))
         center = np.array([axis[i] for axis, i in zip(axes, k)])
-        width = width * 0.45
-        flat = bool(0 < min(k) and max(k) < 8 and np.ptp(vals) <= _FLAT * abs(best))
+        width = width * _SHRINK
+        flat = bool(0 < min(k) and max(k) < _POLISH_NODES - 1 and np.ptp(vals) <= _FLAT * abs(best))
         if flat or width[0] < 1e-12:
             break
     return best, center, step, flat
@@ -837,15 +860,21 @@ def max_curvature(curve: JordanCurve) -> float:
     Uses kappa = sqrt(|g'|^2 |g''|^2 - <g', g''>^2) / |g'|^3, which is
     parametrization invariant: a grid maximum over max(2048, 4 degree) nodes of
     the curve's polynomial (of the base curve, for an arc-length view), polished
-    by a shrinking search until its values agree to roundoff (``_polished_max``).
+    by a shrinking search until its values agree to roundoff (``_polished_max``),
+    each step evaluating velocity and acceleration from one power table of their
+    ``TrigPolynomial.stack``, the bits of two separate evaluations.
     That is ``_extreme_nodes`` up to degree 512, not above: on draw 2 of
     ``tests/test_cli.py::_degree_1000_draws`` 4,000 nodes give 264.72 and 4,096 give
     238.74 (2^17-node grid maximum 264.71), so a grid is no fix; a certified upper end is.
     """
     m = max(_SCAN_NODES, 4 * curve.poly.degree)
-    return _polished_grid_max(
-        lambda t: _curvature(curve._vel(t), curve._acc(t)), _curvature(curve._vel.grid(m), curve._acc.grid(m))
-    )
+    both, n = TrigPolynomial.stack(curve._vel, curve._acc), curve.dim
+
+    def kappa(t):
+        va = both(t)
+        return _curvature(va[:, :n], va[:, n:])
+
+    return _polished_grid_max(kappa, _curvature(curve._vel.grid(m), curve._acc.grid(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -434,3 +434,21 @@ def test_config_naming_removed_flag_exits_two(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--config", str(cfg)])
         assert exc.value.code == EXIT_CONFIG
+
+
+def test_parser_is_built_once_and_parses_alike(capsys):
+    # the parser is shared by every main() of a process; parsing leaves it as it was
+    assert build_parser() is build_parser()
+    argv = ["verify", "--scenario", "conformal_poly", "--order", "3", "--mu", "0.5"]
+    first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+    assert first[0] == EXIT_OK and first == second
+
+    def verify_help(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(["verify", "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    helps = [verify_help(main) for _ in range(2)]
+    fresh = verify_help(build_parser.__wrapped__().parse_args)  # a parser built anew
+    assert helps[0] and helps[0] == helps[1] == fresh

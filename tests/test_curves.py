@@ -662,14 +662,25 @@ def test_lag_scan_leaves_the_crease_for_a_higher_pair_beside_it(monkeypatch):
 
 
 def test_polish_stops_once_flat_but_not_at_a_kink():
-    # near a smooth maximum the 9 values agree to roundoff well before the width does;
+    # near a smooth maximum the values agree to roundoff well before the width does;
     # at a kink their spread stays linear in the width, so only the width stop ends it
     value, _, steps, flat = curves._polished_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.25, 0.1, -np.inf)
     assert flat and steps < 30 and value >= 1.0 - 1e-15
     value, _, steps, flat = curves._polished_max(lambda x: 1.0 - np.abs(x - 0.3), 0.3004, 1e-3, -np.inf)
     assert not flat
-    assert steps == math.ceil(math.log(1e-12 / 1e-3) / math.log(0.45))  # the first width below 1e-12
+    # the first width below 1e-12, shrunk step by step as the search shrinks it: roundoff
+    # leaves 1e-3 times _SHRINK^9 above 1e-12 at _SHRINK = 0.1
+    width, first = 1e-3, 0
+    while first == 0 or width >= 1e-12:
+        width, first = width * curves._SHRINK, first + 1
+    assert steps == first
     assert value >= 1.0 - 1e-12
+
+
+def test_polish_of_a_smooth_quadratic_stops_flat_within_seven_steps():
+    # each step leaves about 1/1024 of its spread to gain, so the flat stop comes early
+    value, _, steps, flat = curves._polished_max(lambda x: 1.0 - (x - 0.3) ** 2, 0.25, 0.1, -np.inf)
+    assert flat and steps <= 7 and value >= 1.0 - 1e-15
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5])
@@ -913,6 +924,27 @@ def test_lag_scans_dominate_brute_force(generator, mu):
     assert own.value >= ref["velocity_holder"] * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("generator", [g for _, g in SEEDED], ids=[name for name, _ in SEEDED])
+def test_crease_pairs_are_the_diagonal_of_the_pair_grid(generator, monkeypatch):
+    # the crease search scores its pairs (x, x + period / 2) alone, to the bits that the
+    # diagonal of the grid of every pair (x_i, x_j + period / 2) holds; the scans are the
+    # chord-arc and tangent scans in length and the velocity scan in the parameter
+    calls = []
+    scan = curves._lag_scan
+    monkeypatch.setattr(curves, "_lag_scan", lambda *args: calls.append(args) or scan(*args))
+    curve = build_curve(generator, 512)
+    compute_curve_constants(curve, 0.5)
+    holder_derivative_constant(curve, 0.5)
+    assert len(calls) == 3
+    draws = np.random.default_rng(6).uniform(-1.0, TWO_PI + 1.0, curves._POLISH_NODES)
+    for sample, score, _, period in calls:
+        x = draws * (period / TWO_PI)
+        y = x + 0.5 * period
+        pairs = curves._pair_scores(sample, score, x, y, period)
+        grid = curves._pair_scores(sample, score, x[:, None], y[None, :], period)
+        assert pairs.shape == x.shape and pairs.tobytes() == np.diagonal(grid).tobytes()
+
+
 ARC_LENGTH_CASES = SEEDED + [("ellipse 4:1", ellipse(4.0, 1.0)), ("ellipse 16:1", ellipse(16.0, 1.0))]
 
 
@@ -1133,6 +1165,19 @@ def test_stacked_polynomial_matches_blocks(generator):
     blocks = (table.osc, curve._vel, curve.poly)
     stacked = TrigPolynomial.stack(*blocks)
     assert stacked.degree == max(p.degree for p in blocks) and stacked.dim == sum(p.dim for p in blocks)
+    # the coefficients are those of each block padded with zero harmonics by np.pad, bit for bit
+    top = stacked.degree + 1
+
+    def padded(c):
+        return np.pad(c, ((0, top - c.shape[0]), (0, 0)))
+
+    want = (
+        np.hstack([padded(p.cos_coeffs) for p in blocks]),
+        np.hstack([padded(p.sin_coeffs) for p in blocks]),
+        *(padded(p.complex_coeffs) for p in blocks),
+    )
+    for got_c, want_c in zip((stacked.cos_coeffs, stacked.sin_coeffs, *stacked._blocks), want, strict=True):
+        assert got_c.dtype == want_c.dtype and got_c.shape == want_c.shape and got_c.tobytes() == want_c.tobytes()
     t = np.random.default_rng(4).uniform(-1.0, TWO_PI + 1.0, (7, 60))
     got = stacked(t)
     lo = 0
