@@ -28,8 +28,8 @@ TWO_PI = 2.0 * math.pi
 def main():
     identity = make_scenario("identity")
     affine = make_scenario("affine", c=0.2)
-    circle_curve = identity.curve
-    ellipse_curve = affine.curve
+    circle_curve = identity.boundary.curve
+    ellipse_curve = affine.boundary.curve
 
     print("kernel on the circle vs the closed form 1 - cos(t - s):")
     for s, t in ((0.0, math.pi), (0.0, math.pi / 2), (1.1, 2.7)):

@@ -47,6 +47,10 @@ class BoundInputs:
     area: float | None = None
 
     def __post_init__(self):
+        for name in ("K", "mu", "upsilon", "lam", "c_gamma", "length", "area"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"bound input {name} must be finite, got {value!r}")
         if self.K < 1.0:
             raise DomainError("dilatation bound K must be at least 1")
         if not 0.0 < self.mu <= 1.0:
@@ -108,11 +112,18 @@ def isoperimetric_coefficient(surface_class: str, K: float | None = None) -> flo
 def mori_exponent(K: float, lam: float, upsilon: float) -> float:
     """Boundary Hölder exponent 8*upsilon / (pi*K*(1 + 2*lambda)^2).
 
-    Always in (0, 1] for K >= 1, lambda >= 1, upsilon <= pi.
+    At most 1 for K >= 1, lambda >= 1, upsilon <= pi; ``DomainError`` when it is not positive
+    in floating point (K or lambda so large that it underflows or the square overflows).
     """
     if K < 1.0 or lam < 1.0 or not 0.0 < upsilon <= math.pi:
         raise DomainError("require K >= 1, lambda >= 1, upsilon in (0, pi]")
-    return 8.0 * upsilon / (math.pi * K * (1.0 + 2.0 * lam) ** 2)
+    try:
+        alpha = 8.0 * upsilon / (math.pi * K * (1.0 + 2.0 * lam) ** 2)
+    except OverflowError:
+        alpha = 0.0
+    if not alpha > 0.0:
+        raise DomainError(f"Hölder exponent is not positive in floating point at K = {K!r}, lambda = {lam!r}")
+    return alpha
 
 
 def mori_constant(K: float, lam: float, upsilon: float, area: float, variant: str = "statement") -> float:

@@ -34,7 +34,7 @@ EXIT_NUMERIC = 3
 
 
 def _write_report(payload: dict, kind: str, out: str | None, fmt: str, csv_rows: list[dict]):
-    """Check the sanitized payload against its schema, then write it as JSON or CSV rows."""
+    """Sanitize the payload once and check it against its schema, then write it as JSON or CSV rows."""
     clean = report_mod.sanitize(payload)
     report_mod.validate_report(clean, kind)
     text = report_mod.dumps(clean) if fmt == "json" else report_mod.dumps_csv(csv_rows)

@@ -4,8 +4,10 @@ JSON is written by the standard library's ``json`` with insertion-ordered
 keys, two-space indentation and floats in their shortest round-trip form
 (``repr``), so identical inputs produce byte-identical files and every
 double parses back bit-identical.  CSV cells keep 17 significant digits.
-``sanitize`` runs first: infinities (the exponentiated bound can
-overflow) become null, and NaN, which signals a numerical failure, raises.
+A report is sanitized once, before its schema check: ``sanitize`` turns
+infinities (the exponentiated bound can overflow) into null, and NaN,
+which signals a numerical failure, raises.  ``dumps`` writes the sanitized
+dictionary; ``dumps_csv`` sanitizes each cell.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def sanitize(value):
 
 
 def dumps(report: dict) -> str:
-    """Deterministic JSON text for a report dictionary, sanitized first."""
-    return json.dumps(sanitize(report), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """Deterministic JSON text for a report dictionary that ``sanitize`` has already made plain;
+    a NaN or infinity left in it raises ``ValueError`` (``allow_nan=False``)."""
+    return json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def dumps_csv(rows: list[dict]) -> str:

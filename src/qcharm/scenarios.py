@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # read by bench/tracing.py; ROADMAP item 8 deletes it
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ from .bounds import (
 from .curves import (
     TWO_PI,
     CurveConstants,
-    JordanCurve,
     _MAX_FIT,
     _extreme_nodes,
     _norms,
@@ -84,7 +82,6 @@ class Scenario:
     name: str
     params: dict
     boundary: BoundaryMap
-    curve: JordanCurve
     surface_class: str
     u_exact: object = None
     grad_exact: object = None
@@ -119,15 +116,8 @@ class VerificationReport:
 
 
 def worker_count() -> int:
-    """Worker cap of the verification stages: QCH_THREADS, else 1, so the stages run in order.
-    A pool (QCH_THREADS >= 2) gives the same report; on stages of a few milliseconds its
-    hand-offs cost more than they save."""
-    env = os.environ.get("QCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"QCH_THREADS must be an integer, got {env!r}")
+    """1: ``verify`` runs its stages in order in one thread.  Read by bench/run.py; ROADMAP
+    item 8 deletes it."""
     return 1
 
 
@@ -162,7 +152,6 @@ def make_scenario(name: str, **params) -> Scenario:
             name=name,
             params={},
             boundary=BoundaryMap(curve),
-            curve=curve,
             surface_class="minimal",
             u_exact=_planar(lambda z: z),
             grad_exact=lambda z: _const_frames(z, (1.0, 0.0), (0.0, 1.0)),
@@ -188,7 +177,6 @@ def make_scenario(name: str, **params) -> Scenario:
             name=name,
             params={"c": c.real if c.imag == 0 else c},
             boundary=BoundaryMap(curve),
-            curve=curve,
             surface_class="qc_harmonic",
             u_exact=_planar(lambda z: z + c * np.conj(z)),
             grad_exact=lambda z: _const_frames(z, ux, uy),
@@ -225,7 +213,6 @@ def make_scenario(name: str, **params) -> Scenario:
             name=name,
             params={"eps": eps.real if eps.imag == 0 else eps, "m": order},
             boundary=BoundaryMap(curve),
-            curve=curve,
             surface_class="minimal",
             u_exact=_planar(lambda z: z + eps * np.asarray(z, dtype=complex) ** order / order),
             grad_exact=grad_fn,
@@ -274,7 +261,6 @@ def make_scenario(name: str, **params) -> Scenario:
             name=name,
             params={"eps": eps, "m": order},
             boundary=BoundaryMap(curve),
-            curve=curve,
             surface_class="qc_harmonic",
             u_exact=u_fn,
             grad_exact=grad_fn,
@@ -291,7 +277,6 @@ def make_scenario(name: str, **params) -> Scenario:
             name=name,
             params={"cos_coeffs": cos_c.tolist(), "sin_coeffs": sin_c.tolist()},
             boundary=BoundaryMap(curve),
-            curve=curve,
             surface_class="qc_harmonic",
         )
     else:
@@ -371,21 +356,24 @@ def _interior_points(n: int, r_max: float, offset: int = 0):
 def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     """Run the full inequality suite on one scenario with Hölder exponent mu.
 
-    Stages: (1) curve constants; (2) gradient/dilatation sups, evaluated
-    on the unit circle from the boundary series; (3) pointwise
-    angular-derivative inequality;
-    (4) boundary Hölder estimate on sampled pairs; (5) boundary Jacobian
-    bound at sampled angles; (6) isoperimetric ratio; (7) gradient and
-    displacement bounds.  Inequality violations are recorded, not raised;
-    an inequality check passes down to the margin -1e-9 (``_GATE``).  The
-    curve constants are computed once, and ``RefinementError`` is raised
-    when any of them does not converge.
+    Stages, in order and in one thread: (1) curve constants; (2)
+    gradient/dilatation sups, evaluated on the unit circle from the boundary
+    series; (3) pointwise angular-derivative inequality; (4) boundary Hölder
+    estimate on sampled pairs; (5) boundary Jacobian bound at sampled
+    angles; (6) isoperimetric ratio; (7) gradient and displacement bounds.
+    Inequality violations are recorded, not raised; an inequality check
+    passes down to the margin -1e-9 (``_GATE``).  The curve constants are
+    computed once, on the boundary's curve: ``DomainError`` when the
+    boundary has none (``BoundaryMap.from_values``), and ``RefinementError``
+    when any constant does not converge.
     """
     checks: list[CheckRecord] = []
     boundary = scenario.boundary
+    if boundary.curve is None:
+        raise DomainError("verify needs boundary data with a curve; BoundaryMap.from_values has none")
 
     # (1) curve constants
-    constants = compute_curve_constants(scenario.curve, mu=mu)
+    constants = compute_curve_constants(boundary.curve, mu=mu)
     if not constants.all_converged():
         raise RefinementError(f"curve constants did not converge: {constants.converged}")
     length = constants.length
@@ -404,40 +392,10 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         checks.append(_tol_check("dilatation_vs_exact", abs(k_estimate - scenario.k_exact), 1e-6))
     k_used = scenario.k_exact if scenario.k_exact is not None else k_estimate
 
-    def stage_angular():
-        radii = np.linspace(_GRID_RMAX / _GRID_RADII, _GRID_RMAX, _GRID_RADII)
-        angles = TWO_PI * np.arange(_GRID_ANGLES) / _GRID_ANGLES
-        grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        ux, uy = gradient_frames(boundary, grid)
-        _, _, jac, hs2 = _dilatations(ux, uy)
-        lhs, rhs = _angular_sides(grid, ux, uy, jac, k_used)
-        return [
-            _worst_record("angular_derivative", lhs, rhs),
-            # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
-            _worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac),
-        ]
-
+    # constants of stages (4), (6) and (7): an input they reject raises before stage (3) runs
     upsilon = isoperimetric_coefficient(scenario.surface_class, K=k_used)
     alpha = mori_exponent(k_used, constants.chord_arc, upsilon)
     growth = mori_constant(k_used, constants.chord_arc, upsilon, area)
-
-    def stage_mori():
-        t1, t2 = _boundary_pair_angles(_BOUNDARY_PAIRS, _NEAR_DIAGONAL_PAIRS)
-        f1 = boundary.values(t1)
-        f2 = boundary.values(t2)
-        lhs = _norms(f1 - f2)
-        return [_worst_record("boundary_holder", lhs, growth * _chordal(t1, t2) ** alpha)]
-
-    def stage_boundary_jacobian():
-        taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
-        rhs = boundary_jacobian_bound(boundary, taus, mu=mu)
-        lhs = _boundary_jacobians(scenario, boundary, taus)
-        return [_worst_record("boundary_jacobian", lhs, rhs)]
-
-    def stage_isoperimetric():
-        rep = isoperimetric_check(boundary, upsilon=upsilon, area=area)
-        return [_worst_record("isoperimetric", np.array([rep.ratio]), np.array([rep.bound]))]
-
     bound = lipschitz_bound(
         BoundInputs(
             K=k_used,
@@ -450,26 +408,37 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         )
     )
 
-    def stage_main_bound():
-        rec = _worst_record("gradient_bound", np.array([sup_grad]), np.array([bound.value]))
-        z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
-        z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
-        u1 = poisson_extend(boundary, z1)
-        u2 = poisson_extend(boundary, z2)
-        lhs = _norms(u1 - u2)
-        rhs = k_used * bound.value * np.abs(z1 - z2)
-        return [rec, _worst_record("displacement_bound", lhs, rhs)]
+    # (3) angular derivative and quasiconformality on a polar grid
+    radii = np.linspace(_GRID_RMAX / _GRID_RADII, _GRID_RMAX, _GRID_RADII)
+    angles = TWO_PI * np.arange(_GRID_ANGLES) / _GRID_ANGLES
+    grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    ux, uy = gradient_frames(boundary, grid)
+    _, _, jac, hs2 = _dilatations(ux, uy)
+    lhs, rhs = _angular_sides(grid, ux, uy, jac, k_used)
+    checks.append(_worst_record("angular_derivative", lhs, rhs))
+    # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
+    checks.append(_worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac))
 
-    stages = [stage_angular, stage_mori, stage_boundary_jacobian, stage_isoperimetric, stage_main_bound]
-    n_workers = worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(s) for s in stages]
-            for fut in futures:
-                checks.extend(fut.result())
-    else:
-        for s in stages:
-            checks.extend(s())
+    # (4) boundary Hölder estimate
+    t1, t2 = _boundary_pair_angles(_BOUNDARY_PAIRS, _NEAR_DIAGONAL_PAIRS)
+    lhs = _norms(boundary.values(t1) - boundary.values(t2))
+    checks.append(_worst_record("boundary_holder", lhs, growth * _chordal(t1, t2) ** alpha))
+
+    # (5) boundary Jacobian
+    taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
+    rhs = boundary_jacobian_bound(boundary, taus, mu=mu)
+    checks.append(_worst_record("boundary_jacobian", _boundary_jacobians(scenario, boundary, taus), rhs))
+
+    # (6) isoperimetric ratio
+    rep = isoperimetric_check(boundary, upsilon=upsilon, area=area)
+    checks.append(_worst_record("isoperimetric", np.array([rep.ratio]), np.array([rep.bound])))
+
+    # (7) gradient and displacement bounds
+    checks.append(_worst_record("gradient_bound", np.array([sup_grad]), np.array([bound.value])))
+    z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
+    z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
+    lhs = _norms(poisson_extend(boundary, z1) - poisson_extend(boundary, z2))
+    checks.append(_worst_record("displacement_bound", lhs, k_used * bound.value * np.abs(z1 - z2)))
 
     worst_margin = min(rec.margin for rec in checks)
     return VerificationReport(

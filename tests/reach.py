@@ -1,10 +1,9 @@
 """Reach report: the functions of ``src/qcharm`` that no CLI command enters.
 
 Runs a fixed set of 14 commands in-process through ``qcharm.cli.main`` under a
-profile hook on every thread (``sys.setprofile`` for this one,
-``threading.setprofile`` for the worker threads that ``verify`` runs its stages
-in), then prints ``file:line name`` for each function, method or nested function
-of the package whose body was never entered, and one summary line.  Comprehensions
+profile hook (``sys.setprofile``), then prints ``file:line name`` for each
+function, method or nested function of the package whose body was never entered,
+and one summary line.  Comprehensions
 and lambdas are not listed.  It reports only, and always exits 0.
 
     PYTHONPATH=src python tests/reach.py
@@ -17,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +74,6 @@ def main() -> int:
         if event == "call":
             entered.add(frame.f_code)
 
-    threading.setprofile(hook)
     sys.setprofile(hook)
     try:
         from qcharm.cli import main as cli_main
@@ -92,7 +89,6 @@ def main() -> int:
                     codes.append(f"{type(exc).__name__}: {exc}")
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
 
     import qcharm
 

@@ -339,6 +339,41 @@ def test_bad_bound_inputs_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--K", "inf"),
+        ("--K", "1e308"),
+        ("--K", "nan"),
+        ("--lambda", "inf"),
+        ("--lambda", "1e200"),
+        ("--c-gamma", "inf"),
+        ("--length", "inf"),
+        ("--area", "nan"),
+    ],
+)
+def test_bound_inputs_it_cannot_evaluate_exit_two(flag, value, capsys):
+    # non-finite inputs, and a Hölder exponent that underflows to 0 or whose (1 + 2 lambda)^2 overflows
+    args = {"--K": "1.5", "--mu": "1", "--upsilon": "1", "--lambda": "1.5", "--c-gamma": "1", "--length": "6.3"} | {flag: value}
+    code, out, err = run_cli(["bound", *(item for pair in args.items() for item in pair)], capsys)
+    _assert_one_line_error(code, out, err)
+
+
+def test_verify_report_is_sanitized_once(capsys, monkeypatch):
+    real = report.sanitize
+    whole = []
+
+    def counted(value):
+        if isinstance(value, dict) and "schema_version" in value:
+            whole.append(value)
+        return real(value)
+
+    monkeypatch.setattr(report, "sanitize", counted)
+    code, out, _ = run_cli(["verify", "--scenario", "identity"], capsys)
+    assert code == EXIT_OK and json.loads(out)["command"] == "verify"
+    assert len(whole) == 1
+
+
 def test_fourier_without_coeffs_exits_two(capsys):
     code, _, err = run_cli(["verify", "--scenario", "fourier"], capsys)
     assert code == EXIT_CONFIG

@@ -407,8 +407,8 @@ def test_fft_fit_verify_matches_whole_coefficients(seed, dim):
     sc = make_scenario("fourier", cos_coeffs=a, sin_coeffs=b)
     whole = JordanCurve(poly=TrigPolynomial(a, b))
     got = verify(sc)
-    want = verify(dataclasses.replace(sc, curve=whole, boundary=BoundaryMap(whole)))
-    assert (got.series_degree, want.series_degree) == (sc.curve.poly.degree, 32)
+    want = verify(dataclasses.replace(sc, boundary=BoundaryMap(whole)))
+    assert (got.series_degree, want.series_degree) == (sc.boundary.curve.poly.degree, 32)
     for name in ("sup_grad_extrapolated", "k_estimate", "area"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * getattr(want, name), name
     assert got.all_passed == want.all_passed
@@ -1138,7 +1138,7 @@ def _inversion_cases():
     catalog maps' boundaries: next to the tips of the 14:1 and 16:1 ellipses (curvature 14
     and 16 over the unit minor axis) the Hermite seeds miss the residual by up to 1.5 times."""
     cases = [(name, lambda g=g: build_curve(g, 512).poly, 4 if name in ("ellipse 14.12:1", "ellipse 16.00:1") else 0) for name, g in SEEDED]
-    return cases + [(name, lambda n=name: make_scenario(n).curve.poly, 0) for name in ("identity", "affine", "conformal_poly", "harmonic_graph")]
+    return cases + [(name, lambda n=name: make_scenario(n).boundary.curve.poly, 0) for name in ("identity", "affine", "conformal_poly", "harmonic_graph")]
 
 
 INVERSION_CASES = _inversion_cases()

@@ -20,8 +20,7 @@ from qcharm import (
     verify,
 )
 from qcharm import curves, kernels, scenarios
-from qcharm.poisson import _dilatations
-from qcharm.scenarios import worker_count
+from qcharm.poisson import BoundaryMap, _dilatations
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,7 +107,7 @@ def test_exact_data_consistent_with_numeric(catalog_scenarios):
     extra = [make_scenario(name, m=3) for name in ("conformal_poly", "harmonic_graph")]
     extra.append(make_scenario("conformal_poly", m=200, eps=0.001))
     for sc in catalog_scenarios + extra:
-        assert sc.curve.poly.degree == sc.params.get("m", 1) and sc.curve.fit_tail == 0.0
+        assert sc.boundary.curve.poly.degree == sc.params.get("m", 1) and sc.boundary.curve.fit_tail == 0.0
         assert sc.boundary.series_tail == 0.0
     for sc in catalog_scenarios:
         if sc.jacobian_exact is None:
@@ -171,7 +170,7 @@ def test_catalog_verify_builds_one_length_table(monkeypatch):
     monkeypatch.setattr(curves._LengthTable, "__init__", counted)
     sc = scenarios.make_scenario("conformal_poly", m=3)
     verify(sc)
-    assert built == [sc.curve.poly]
+    assert built == [sc.boundary.curve.poly]
 
 
 def test_witness_thirds_match_root_finding(catalog_scenarios):
@@ -314,25 +313,20 @@ def test_affine_extreme_reports_log_bound():
     assert abs(rep.k_estimate - 199.0) < 1e-5
 
 
-def test_worker_count_env(monkeypatch):
+def test_verify_ignores_qch_threads_and_builds_no_pool(identity_scenario, monkeypatch):
+    # the stages run in order in one thread whatever the environment says
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("verify built a thread pool")
+
+    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", NoPool)
     monkeypatch.delenv("QCH_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("QCH_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("QCH_THREADS", "zero")
-    with pytest.raises(DomainError):
-        worker_count()
-
-
-def test_verify_sequential_matches_parallel(identity_scenario, monkeypatch):
-    monkeypatch.setenv("QCH_THREADS", "1")
-    seq = verify(identity_scenario)
-    monkeypatch.setenv("QCH_THREADS", "4")
-    par = verify(identity_scenario)
-    assert seq.all_passed and par.all_passed
-    for a, b in zip(seq.checks, par.checks):
-        assert a.name == b.name
-        assert a.margin == b.margin
+    want = verify(identity_scenario)
+    for env in ("zero", "4"):
+        monkeypatch.setenv("QCH_THREADS", env)
+        got = verify(identity_scenario)
+        assert [(a.name, a.margin) for a in got.checks] == [(b.name, b.margin) for b in want.checks]
+    assert want.all_passed
 
 
 def test_boundary_holder_record_from_chordal_distance(identity_scenario, catalog_reports):
@@ -367,7 +361,7 @@ def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
 
     monkeypatch.setattr(scenarios, "compute_curve_constants", counted)
     assert verify(identity_scenario).all_passed
-    assert calls == [identity_scenario.curve]
+    assert calls == [identity_scenario.boundary.curve]
 
     def unconverged(curve, mu=1.0, **kwargs):
         cc = counted(curve, mu=mu, **kwargs)
@@ -377,7 +371,19 @@ def test_verify_computes_curve_constants_once(identity_scenario, monkeypatch):
     monkeypatch.setattr(scenarios, "compute_curve_constants", unconverged)
     with pytest.raises(RefinementError) as exc:
         verify(identity_scenario)
-    assert calls == [identity_scenario.curve]
+    assert calls == [identity_scenario.boundary.curve]
+
+
+def test_verify_rejects_a_boundary_without_a_curve(monkeypatch):
+    # raw samples carry no curve to take the constants of: refused before any stage runs
+    calls = []
+    monkeypatch.setattr(scenarios, "compute_curve_constants", lambda *args, **kwargs: calls.append(args))
+    t = TWO_PI * np.arange(64) / 64
+    raw = BoundaryMap.from_values(np.stack([np.cos(t), np.sin(t)], axis=1))
+    sc = scenarios.Scenario(name="fourier", params={}, boundary=raw, surface_class="qc_harmonic")
+    with pytest.raises(DomainError):
+        verify(sc)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
