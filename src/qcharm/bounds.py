@@ -251,15 +251,15 @@ def _polar_area(boundary: BoundaryMap, n_r: int, n_t: int) -> float:
 def isoperimetric_check(boundary: BoundaryMap, upsilon: float = 1.0, area: float | None = None) -> IsoperimetricReport:
     """Ratio area / length^2 against the ceiling 1 / (4*upsilon); the check
     passes down to the margin -1e-9 (``_GATE``).  ``DegenerateSurfaceError`` when
-    the curve's polynomial is zero or its length is below 1e-12 of its scale
-    max(1, max_k sum_j |c_jk|), the largest coordinate bound."""
+    the curve's length is not at least 1e-12 of its scale max_k sum_j |c_jk|, the largest
+    coordinate bound, or that scale is zero: relative, so a curve at any scale passes."""
     if not 0.0 < upsilon <= math.pi:
         raise DomainError("isoperimetric coefficient must lie in (0, pi]")
     if boundary.curve is None:
         raise DegenerateSurfaceError("boundary data has no curve; the length ratio is undefined")
     length = curve_length(boundary.curve)
     scale = float(np.max(np.sum(np.abs(boundary.curve.poly.complex_coeffs), axis=0)))
-    if length < 1e-12 * max(scale, 1.0) or scale == 0.0:
+    if not length >= 1e-12 * scale > 0:
         raise DegenerateSurfaceError("boundary curve has no length; ratio undefined")
     if area is None:
         area_val, rule = surface_area(boundary)

@@ -142,9 +142,6 @@ class TrigPolynomial:
         j = np.arange(self.degree + 1)[:, None]
         return TrigPolynomial(j * self.sin_coeffs, -j * self.cos_coeffs)
 
-    def scaled(self, c):
-        return TrigPolynomial(c * self.cos_coeffs, c * self.sin_coeffs)
-
     def grid(self, n: int) -> np.ndarray:
         """Values at n uniform nodes in [0, 2*pi), by the inverse FFT on the
         smallest multiple m of n that does not alias (m >= 2 degree)."""
@@ -410,6 +407,7 @@ class JordanCurve:
     view: _LengthTable | None = None
     fit_tail: float = 0.0
     _vel: TrigPolynomial = field(init=False, repr=False)
+    # the acceleration of ``poly``: the curve's own only off a view
     _acc: TrigPolynomial = field(init=False, repr=False)
     # position and velocity as one polynomial of 2n coordinates
     _frame: TrigPolynomial = field(init=False, repr=False)
@@ -429,17 +427,6 @@ class JordanCurve:
     def velocity(self, t):
         return self.frame(t)[1] if self.view is not None else self._vel(t)
 
-    def acceleration(self, t):
-        """d^2/dt^2 of the position; on a view, the chain rule through ``parameter``."""
-        if self.view is None:
-            return self._acc(t)
-        t, (_, _, v, _) = self.view.parameter(t)
-        a = self._acc(t)
-        v2 = np.sum(v * v, axis=-1, keepdims=True)
-        va = np.sum(v * a, axis=-1, keepdims=True)
-        dt = self.view.scale / np.sqrt(v2)
-        return a * dt**2 - v * (self.view.scale**2 * va / v2**2)
-
     def frame(self, t):
         """Position and velocity at t, each shaped like ``position(t)``: one evaluation of the
         stacked ``_frame`` polynomial, or one inversion of the length on an arc-length view."""
@@ -453,9 +440,6 @@ class JordanCurve:
         """Velocity at n uniform nodes, by the inverse FFT off a view."""
         return self._vel.grid(n) if self.view is None else self.velocity(TWO_PI * np.arange(n) / n)
 
-    def acceleration_grid(self, n: int) -> np.ndarray:
-        return self._acc.grid(n) if self.view is None else self.acceleration(TWO_PI * np.arange(n) / n)
-
     @functools.cached_property
     def speed_range(self) -> tuple[float, float]:
         """Least and largest speed |d/dt|: the constant speed of an arc-length view, else
@@ -464,10 +448,6 @@ class JordanCurve:
             return self.view.scale, self.view.scale
         speeds = _norms(self.velocity_grid(_extreme_nodes(self.poly.degree)))
         return float(np.min(speeds)), float(np.max(speeds))
-
-    def scaled(self, c: float) -> "JordanCurve":
-        curve = JordanCurve(poly=self.poly.scaled(c), fit_tail=abs(c) * self.fit_tail)
-        return curve if self.view is None else arc_length_reparametrize(curve)
 
 
 @dataclass
@@ -501,8 +481,8 @@ class CurveConstants:
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> TrigPolynomial:
     """Descriptor of a circle traversed counterclockwise."""
-    if radius <= 0:
-        raise DomainError("circle radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError(f"circle radius must be positive and finite, got {radius!r}")
     cx, cy = center
     a = np.array([[cx, cy], [radius, 0.0]])
     b = np.array([[0.0, 0.0], [0.0, radius]])
@@ -511,8 +491,8 @@ def circle(radius: float = 1.0, center=(0.0, 0.0)) -> TrigPolynomial:
 
 def ellipse(a: float, b: float) -> TrigPolynomial:
     """Descriptor of the axis-aligned ellipse (a cos t, b sin t)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("ellipse semi-axes must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"ellipse semi-axes must be positive and finite, got {a!r}, {b!r}")
     return TrigPolynomial(np.array([[0.0, 0.0], [a, 0.0]]), np.array([[0.0, 0.0], [0.0, b]]))
 
 
@@ -541,7 +521,9 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         spectral differentiation.  Samples only: ``RefinementError`` when
         more than 1e-6 of the fit's acceleration energy lies in the top
         quarter of the band of the m samples (harmonics 0 .. m // 2): the
-        data do not resolve the curvature.
+        data do not resolve the curvature.  ``DomainError`` for a value that
+        is not finite; ``RegularityError`` unless the least speed is at least
+        1e-9 of the largest, a test relative to the curve's scale.
     node_count : number of uniform nodes (>= 16) of the sampled-injectivity
         check, which reads the raw rows when there are that many; nothing is
         stored at them, and no constant depends on it
@@ -551,6 +533,8 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
 
     samples = None
     if isinstance(generator, TrigPolynomial):
+        if not np.all(np.isfinite(generator.complex_coeffs)):
+            raise DomainError("curve coefficients must be finite")
         poly, fit_tail = _chopped(generator, generator.grid(max(2 * generator.degree, 2)))
     else:
         if isinstance(generator, tuple):
@@ -564,6 +548,8 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
                 raise DomainError("raw samples must be uniform in [0, 2*pi)")
         else:
             samples = _sample_rows(generator)
+        if not np.all(np.isfinite(samples)):
+            raise DomainError("curve samples must be finite")
         poly, fit_tail = _sample_fit(samples)
 
     if poly.dim < 2:
@@ -572,7 +558,7 @@ def build_curve(generator, node_count: int = 512) -> JordanCurve:
         _check_resolved(poly, samples.shape[0])
 
     curve = JordanCurve(poly=poly, fit_tail=fit_tail)
-    if curve.speed_range[0] < 1e-9 * max(curve.speed_range[1], 1.0):
+    if not curve.speed_range[0] >= 1e-9 * curve.speed_range[1] > 0:
         raise RegularityError(f"degenerate parametrization: min |d/dt| = {curve.speed_range[0]:.3e}")
     raw = samples is not None and samples.shape[0] == node_count
     _check_sampled_injectivity(samples if raw else poly(TWO_PI * np.arange(node_count) / node_count))
@@ -785,8 +771,8 @@ def holder_derivative_constant(curve: JordanCurve, mu: float) -> ScanResult:
     if curve.view is not None:
         return _arc_length_holder(curve.view, mu, max_curvature(curve) if mu == 1.0 else None)
     if mu == 1.0:
-        acc = _norms(curve.acceleration_grid(_extreme_nodes(curve.poly.degree)))
-        return ScanResult(_polished_grid_max(lambda t: _norms(curve.acceleration(t)), acc), 0, True)
+        acc = _norms(curve._acc.grid(_extreme_nodes(curve.poly.degree)))
+        return ScanResult(_polished_grid_max(lambda t: _norms(curve._acc(t)), acc), 0, True)
 
     def sample(t):
         return (curve.velocity(t),)

@@ -114,13 +114,6 @@ class BoundaryMap:
             return self.curve.position(self.angle_map(t))
         return self.series()(t)
 
-    def derivative(self, t):
-        if self.curve is not None:
-            f = self.angle_map(t)
-            fp = self.angle_map.derivative(t)
-            return self.curve.velocity(f) * np.asarray(fp)[..., None]
-        return self.series().derivative()(t)
-
     def series(self) -> TrigPolynomial:
         """The boundary data as one trigonometric polynomial, computed on
         first use and cached.

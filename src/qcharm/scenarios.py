@@ -79,15 +79,16 @@ class NormalizationWitness:
 
 @dataclass
 class Scenario:
+    """A boundary map and the numbers known about its extension: plain data, no callables.
+    The ``*_exact`` fields are closed-form scalars of the catalog maps (None for ``fourier``
+    input); whatever varies over the disk is computed from ``boundary.series()``."""
+
     name: str
     params: dict
     boundary: BoundaryMap
     surface_class: str
-    u_exact: object = None
-    grad_exact: object = None
     k_exact: float | None = None
     sup_grad_exact: float | None = None
-    jacobian_exact: object = None
     area_exact: float | None = None
     normalization: NormalizationWitness | None = None
 
@@ -125,14 +126,6 @@ def worker_count() -> int:
 # catalog
 
 
-def _planar(u_complex):
-    def u(z):
-        w = u_complex(np.asarray(z, dtype=complex))
-        return np.stack([w.real, w.imag], axis=-1)
-
-    return u
-
-
 def _order(m, what: str) -> int:
     """m as a positive integer order, checked before it is converted or anything is allocated:
     ``DomainError`` for a fraction, NaN, an infinity, anything not a real number, or an order
@@ -153,11 +146,8 @@ def make_scenario(name: str, **params) -> Scenario:
             params={},
             boundary=BoundaryMap(curve),
             surface_class="minimal",
-            u_exact=_planar(lambda z: z),
-            grad_exact=lambda z: _const_frames(z, (1.0, 0.0), (0.0, 1.0)),
             k_exact=1.0,
             sup_grad_exact=1.0,
-            jacobian_exact=lambda z: np.ones(np.asarray(z, dtype=complex).shape, dtype=float),
             area_exact=math.pi,
         )
     elif name == "affine":
@@ -170,20 +160,14 @@ def make_scenario(name: str, **params) -> Scenario:
         cos_c[1] = [1.0 + a, b]
         sin_c[1] = [b, 1.0 - a]
         curve = build_curve(fourier_curve(cos_c, sin_c))
-        ux = np.array([1.0 + a, b])
-        uy = np.array([b, 1.0 - a])
-        jac = 1.0 - abs(c) ** 2
         sc = Scenario(
             name=name,
             params={"c": c.real if c.imag == 0 else c},
             boundary=BoundaryMap(curve),
             surface_class="qc_harmonic",
-            u_exact=_planar(lambda z: z + c * np.conj(z)),
-            grad_exact=lambda z: _const_frames(z, ux, uy),
             k_exact=(1.0 + abs(c)) / (1.0 - abs(c)),
             sup_grad_exact=1.0 + abs(c),
-            jacobian_exact=lambda z: np.full(np.asarray(z, dtype=complex).shape, jac),
-            area_exact=jac * math.pi,
+            area_exact=(1.0 - abs(c) ** 2) * math.pi,
         )
     elif name == "conformal_poly":
         eps = complex(params.get("eps", 0.3))
@@ -199,26 +183,13 @@ def make_scenario(name: str, **params) -> Scenario:
         sin_c[order][0] += -eps.imag / order
         sin_c[order][1] += eps.real / order
         curve = build_curve(fourier_curve(cos_c, sin_c))
-
-        def du(z):
-            return 1.0 + eps * np.asarray(z, dtype=complex) ** (order - 1)
-
-        def grad_fn(z):
-            d = du(z)
-            gx = np.stack([d.real, d.imag], axis=-1)
-            gy = np.stack([-d.imag, d.real], axis=-1)
-            return gx, gy
-
         sc = Scenario(
             name=name,
             params={"eps": eps.real if eps.imag == 0 else eps, "m": order},
             boundary=BoundaryMap(curve),
             surface_class="minimal",
-            u_exact=_planar(lambda z: z + eps * np.asarray(z, dtype=complex) ** order / order),
-            grad_exact=grad_fn,
             k_exact=1.0,
             sup_grad_exact=1.0 + abs(eps),
-            jacobian_exact=lambda z: np.abs(du(z)) ** 2,
             area_exact=math.pi * (1.0 + abs(eps) ** 2 / order),
         )
     elif name == "harmonic_graph":
@@ -233,26 +204,6 @@ def make_scenario(name: str, **params) -> Scenario:
         cos_c[order][2] = eps
         curve = build_curve(fourier_curve(cos_c, sin_c))
         w_amp = abs(eps) * order
-
-        def u_fn(z):
-            z = np.asarray(z, dtype=complex)
-            zm = z**order
-            return np.stack([z.real, z.imag, eps * zm.real], axis=-1)
-
-        def grad_fn(z):
-            z = np.asarray(z, dtype=complex)
-            w = eps * order * z ** (order - 1)
-            one = np.ones(z.shape)
-            zero = np.zeros(z.shape)
-            gx = np.stack([one, zero, w.real], axis=-1)
-            gy = np.stack([zero, one, -w.imag], axis=-1)
-            return gx, gy
-
-        def jac_fn(z):
-            z = np.asarray(z, dtype=complex)
-            w = eps * order * z ** (order - 1)
-            return np.sqrt(1.0 + np.abs(w) ** 2)
-
         area_exact = None
         if order == 2:
             w2 = w_amp**2
@@ -262,11 +213,8 @@ def make_scenario(name: str, **params) -> Scenario:
             params={"eps": eps, "m": order},
             boundary=BoundaryMap(curve),
             surface_class="qc_harmonic",
-            u_exact=u_fn,
-            grad_exact=grad_fn,
             k_exact=math.sqrt(1.0 + w_amp**2),
             sup_grad_exact=math.sqrt(1.0 + w_amp**2),
-            jacobian_exact=jac_fn,
             area_exact=area_exact,
         )
     elif name == "fourier":
@@ -289,27 +237,20 @@ def make_scenario(name: str, **params) -> Scenario:
 def scenario_catalog() -> list[dict]:
     """Names, parameters and exact fields of the built-in scenarios."""
     return [
-        {"name": "identity", "params": {}, "exact": ["K", "sup_grad", "jacobian", "area"]},
-        {"name": "affine", "params": {"c": "complex, |c| < 1"}, "exact": ["K", "sup_grad", "jacobian", "area"]},
+        {"name": "identity", "params": {}, "exact": ["K", "sup_grad", "area"]},
+        {"name": "affine", "params": {"c": "complex, |c| < 1"}, "exact": ["K", "sup_grad", "area"]},
         {
             "name": "conformal_poly",
             "params": {"eps": "complex, |eps*m| < 1", "m": "integer >= 1"},
-            "exact": ["K", "sup_grad", "jacobian", "area"],
+            "exact": ["K", "sup_grad", "area"],
         },
         {
             "name": "harmonic_graph",
             "params": {"eps": "real, |eps*m| < 1", "m": "integer >= 1"},
-            "exact": ["K", "sup_grad", "jacobian"],
+            "exact": ["K", "sup_grad"],
         },
         {"name": "fourier", "params": {"cos_coeffs": "(J+1, n) array", "sin_coeffs": "(J+1, n) array"}, "exact": []},
     ]
-
-
-def _const_frames(z, ux, uy):
-    z = np.asarray(z, dtype=complex)
-    gx = np.broadcast_to(np.asarray(ux, dtype=float), z.shape + (len(ux),)).copy()
-    gy = np.broadcast_to(np.asarray(uy, dtype=float), z.shape + (len(uy),)).copy()
-    return gx, gy
 
 
 def normalization_witness(boundary: BoundaryMap) -> NormalizationWitness:
@@ -360,7 +301,9 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     gradient/dilatation sups, evaluated on the unit circle from the boundary
     series; (3) pointwise angular-derivative inequality; (4) boundary Hölder
     estimate on sampled pairs; (5) boundary Jacobian bound at sampled
-    angles; (6) isoperimetric ratio; (7) gradient and displacement bounds.
+    angles, the Jacobian read from the series frames at e^{i tau}, for catalog
+    and ``fourier`` input alike; (6) isoperimetric ratio; (7) gradient and
+    displacement bounds.
     Inequality violations are recorded, not raised; an inequality check
     passes down to the margin -1e-9 (``_GATE``).  The curve constants are
     computed once, on the boundary's curve: ``DomainError`` when the
@@ -426,8 +369,8 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
 
     # (5) boundary Jacobian
     taus = TWO_PI * np.arange(_JACOBIAN_TAUS) / _JACOBIAN_TAUS
-    rhs = boundary_jacobian_bound(boundary, taus, mu=mu)
-    checks.append(_worst_record("boundary_jacobian", _boundary_jacobians(scenario, boundary, taus), rhs))
+    _, _, jac, _ = _dilatations(*gradient_frames(boundary, np.exp(1j * taus)))
+    checks.append(_worst_record("boundary_jacobian", jac, boundary_jacobian_bound(boundary, taus, mu=mu)))
 
     # (6) isoperimetric ratio
     rep = isoperimetric_check(boundary, upsilon=upsilon, area=area)
@@ -495,12 +438,3 @@ def _gradient_sups(boundary: BoundaryMap):
         dil = np.where(mn > 0, op / mn, np.inf)
     return float(np.max(op)), float(np.max(dil))
 
-
-def _boundary_jacobians(scenario: Scenario, boundary: BoundaryMap, taus):
-    """Jacobian at e^{i tau}: exact when the scenario knows it, else from
-    the series frames on the circle."""
-    z = np.exp(1j * np.asarray(taus))
-    if scenario.jacobian_exact is not None:
-        return np.asarray(scenario.jacobian_exact(z), dtype=float)
-    _, _, jac, _ = _dilatations(*gradient_frames(boundary, z))
-    return jac

@@ -359,6 +359,32 @@ def test_bound_inputs_it_cannot_evaluate_exit_two(flag, value, capsys):
     _assert_one_line_error(code, out, err)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constants", "--curve", "circle", "--radius", "nan"],
+        ["constants", "--curve", "circle", "--radius", "inf"],
+        ["constants", "--curve", "ellipse", "--a", "inf"],
+        ["verify", "--scenario", "affine", "--c", "nan"],
+        ["verify", "--scenario", "conformal_poly", "--epsilon", "nan"],
+        ["verify", "--scenario", "fourier", "--coeffs", "COEFFS"],
+        ["constants", "--curve", "csv", "--samples", "SAMPLES"],
+    ],
+    ids=["radius-nan", "radius-inf", "a-inf", "c-nan", "epsilon-nan", "coeffs-nan", "csv-nan"],
+)
+def test_non_finite_curve_input_exits_two(args, capsys, tmp_path):
+    # these used to fit NaN down to a "degenerate parametrization", or overflow in the evaluator
+    coeffs, samples = tmp_path / "coeffs.json", tmp_path / "samples.csv"
+    coeffs.write_text(json.dumps({"cos_coeffs": [[0.0, 0.0], [1.0, math.nan]], "sin_coeffs": [[0.0, 0.0], [0.0, 1.0]]}))
+    t = 2.0 * math.pi * np.arange(64) / 64
+    rows = np.column_stack([t, np.cos(t), np.sin(t)])
+    rows[5, 1] = math.nan
+    np.savetxt(samples, rows, delimiter=",")
+    code, out, err = run_cli([{"COEFFS": str(coeffs), "SAMPLES": str(samples)}.get(a, a) for a in args], capsys)
+    _assert_one_line_error(code, out, err)
+    assert "finite" in err
+
+
 def test_verify_report_is_sanitized_once(capsys, monkeypatch):
     real = report.sanitize
     whole = []

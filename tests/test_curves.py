@@ -266,6 +266,20 @@ def test_degenerate_curve_rejected():
         build_curve(flat, 64)
 
 
+@pytest.mark.parametrize("shape", ["circle", "ellipse 4:1"])
+def test_constants_are_scale_covariant_at_mu_one(shape):
+    # the regularity test is relative to the curve's scale: a curve 1e-10 across passes it
+    def constants(r):
+        return compute_curve_constants(build_curve(circle(r) if shape == "circle" else ellipse(4.0 * r, r)), 1.0)
+
+    base = constants(1.0)
+    for r in (1e-10, 1e-3, 1e3):
+        c = constants(r)
+        scaled = [c.chord_arc, c.length / r, c.max_curvature * r, c.holder_constant / r]
+        for got, want in zip(scaled, [base.chord_arc, base.length, base.max_curvature, base.holder_constant]):
+            assert abs(got - want) <= 1e-14 * want, (r, scaled)
+
+
 def test_nonuniform_samples_rejected():
     t = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 64))
     pts = np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -336,11 +350,9 @@ def test_sampled_curve_fits_at_source_degree(seed, dim, tmp_path):
     assert curve.poly.degree <= 8
     # 120 dropped harmonics of about 2e-17 each, weighted by j
     assert 0.0 < curve.fit_tail <= 1e-12
-    assert curve.scaled(-2.0).fit_tail == 2.0 * curve.fit_tail
-    # the arc-length view keeps the tail, and so does scaling the view
+    # the arc-length view keeps the tail
     view = arc_length_reparametrize(curve)
     assert view.fit_tail == curve.fit_tail
-    assert view.scaled(-2.0).fit_tail == 2.0 * curve.fit_tail
     assert BoundaryMap(curve).series_tail == curve.fit_tail
     assert build_curve(fourier_curve(*_degree8_source(seed, dim)), 512).fit_tail == 0.0
 
@@ -531,7 +543,7 @@ def test_chord_arc_ellipse_oracle(ellipse_arc):
 def test_chord_arc_scale_invariant(ellipse_arc):
     base = chord_arc_constant(ellipse_arc).value
     for c in (0.5, 2.0, 10.0):
-        scaled = chord_arc_constant(ellipse_arc.scaled(c)).value
+        scaled = chord_arc_constant(arc_length_reparametrize(build_curve(ellipse(1.2 * c, 0.8 * c), 256))).value
         assert abs(scaled - base) < 1e-8
 
 
@@ -736,8 +748,10 @@ def test_holder_exponent_domain(circle_arc):
 
 
 def test_holder_dominates_acceleration(ellipse_arc):
+    # the view's acceleration has magnitude kappa (L / 2 pi)^2 at the base parameter t(theta)
     res = holder_derivative_constant(ellipse_arc, 1.0)
-    acc = np.linalg.norm(ellipse_arc.acceleration(_nodes(512)), axis=1)
+    t, _ = ellipse_arc.view.parameter(_nodes(512))
+    acc = curves._curvature(ellipse_arc._vel(t), ellipse_arc._acc(t)) * ellipse_arc.view.scale**2
     assert res.value >= acc.max() - 1e-9
 
 
@@ -765,7 +779,7 @@ def test_holder_diagonal_maximum_between_nodes(generator):
     # at mu = 1 the constant of a plain parametrization is max |g''|; a
     # 2^16-node scan pins that maximum to well below 1e-8 relative
     curve = build_curve(generator, 512)
-    reference = float(np.max(np.linalg.norm(curve.acceleration_grid(1 << 16), axis=1)))
+    reference = float(np.max(np.linalg.norm(curve._acc.grid(1 << 16), axis=1)))
     assert abs(holder_derivative_constant(curve, 1.0).value - reference) <= 1e-8 * reference
 
 
@@ -977,8 +991,8 @@ def test_mu_one_holder_constants_are_diagonal_limits(generator, view, monkeypatc
     if view:
         diagonal = curve.view.scale**2 * max_curvature(curve)
     else:
-        acc = curves._norms(curve.acceleration_grid(curves._SCAN_NODES))
-        diagonal = curves._polished_grid_max(lambda t: curves._norms(curve.acceleration(t)), acc)
+        acc = curves._norms(curve._acc.grid(curves._SCAN_NODES))
+        diagonal = curves._polished_grid_max(lambda t: curves._norms(curve._acc(t)), acc)
     assert own.value == diagonal
 
 

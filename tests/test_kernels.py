@@ -89,7 +89,7 @@ def test_dini_bound_diagonal(circle_curve):
 
 def test_dini_bound_scaling(ellipse_curve):
     table1 = dini_modulus_table(ellipse_curve, np.linspace(0.05, math.pi, 40))
-    doubled = ellipse_curve.scaled(2.0)
+    doubled = build_curve(ellipse(2.4, 1.6), 256)
     table2 = dini_modulus_table(doubled, np.linspace(0.05, math.pi, 40))
     s, t = 0.4, 2.2
     k1 = chord_tangent_kernel(ellipse_curve, s, t)

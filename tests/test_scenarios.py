@@ -35,8 +35,18 @@ HARMONIC_GRAPH_K = 1.0198039027185546
 def test_affine_exact_fields(affine_scenario):
     assert abs(affine_scenario.k_exact - 1.5) < 1e-15
     assert abs(affine_scenario.sup_grad_exact - 1.2) < 1e-15
-    assert abs(float(affine_scenario.jacobian_exact(0.3 + 0.1j)) - 0.96) < 1e-15
+    # J = 1 - |c|^2 everywhere; here from the series frames
+    jac = _dilatations(*gradient_frames(affine_scenario.boundary, [0.3 + 0.1j]))[2]
+    assert abs(float(jac[0]) - 0.96) < 1e-15
     assert abs(affine_scenario.area_exact - 0.96 * math.pi) < 1e-15
+
+
+def test_scenarios_hold_no_callables(catalog_scenarios):
+    # whatever varies over the disk is computed from the boundary series
+    fourier = make_scenario("fourier", cos_coeffs=[[0.0, 0.0], [1.0, 0.0]], sin_coeffs=[[0.0, 0.0], [0.0, 1.0]])
+    for sc in [*catalog_scenarios, fourier]:
+        held = {field.name: getattr(sc, field.name) for field in dataclasses.fields(sc)}
+        assert not [name for name, value in held.items() if callable(value)], sc.name
 
 
 def test_affine_rejects_large_coefficient():
@@ -110,11 +120,9 @@ def test_exact_data_consistent_with_numeric(catalog_scenarios):
         assert sc.boundary.curve.poly.degree == sc.params.get("m", 1) and sc.boundary.curve.fit_tail == 0.0
         assert sc.boundary.series_tail == 0.0
     for sc in catalog_scenarios:
-        if sc.jacobian_exact is None:
-            continue
         z = np.array([0.3 + 0.1j, -0.45j])
         jac = _dilatations(*gradient_frames(sc.boundary, z))[2]
-        assert np.max(np.abs(jac - sc.jacobian_exact(z))) < 1e-8
+        assert np.max(np.abs(jac - _closed_form(sc.name, sc.params, z)[2])) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,7 @@ def test_affine_witness_corrected(affine_scenario):
     # and the cube roots themselves do not split the ellipse evenly
     bm = affine_scenario.boundary
     t = TWO_PI * np.arange(4096) / 4096
-    cum = oracles.periodic_antiderivative(np.linalg.norm(bm.derivative(t), axis=1))
+    cum = oracles.periodic_antiderivative(np.linalg.norm(bm.curve.velocity(t), axis=1))
     arcs = np.diff([cum(a) for a in plain] + [total])
     assert np.max(np.abs(arcs - total / 3.0)) > 1e-3
 
@@ -186,7 +194,8 @@ def test_witness_thirds_match_root_finding(catalog_scenarios):
         total = w.arc_lengths.sum()
         assert np.max(np.abs(w.arc_lengths - total / 3.0)) <= 1e-12 * total
         t = TWO_PI * np.arange(4096) / 4096
-        cum = oracles.periodic_antiderivative(np.linalg.norm(bm.derivative(t), axis=1))
+        velocity = bm.curve.velocity(bm.angle_map(t)) * bm.angle_map.derivative(t)[:, None]
+        cum = oracles.periodic_antiderivative(np.linalg.norm(velocity, axis=1))
         roots = [brentq(lambda x: cum(x) - f * total, 1e-12, TWO_PI - 1e-12, xtol=1e-14) for f in (1 / 3, 2 / 3)]
         assert w.preimage_angles[0] == 0.0
         assert np.max(np.abs(w.preimage_angles[1:] - roots)) < 1e-12
@@ -221,6 +230,12 @@ def test_bound_is_scale_covariant(mu):
     # with C_gamma in length^-mu the bound on r e^{it} is r times the bound on e^{it}
     logs = [_circle_report(r, mu).bound.log_value - math.log(r) for r in (1e-6, 1e-3, 1.0, 1e3)]
     assert max(logs) - min(logs) <= 1e-12
+
+
+def test_bound_is_scale_covariant_on_a_tiny_circle():
+    # build_curve and isoperimetric_check test degeneracy relative to the curve's scale
+    logs = [_circle_report(r, 1.0).bound.log_value - math.log(r) for r in (1e-10, 1.0)]
+    assert abs(logs[0] - logs[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.5])
@@ -265,7 +280,7 @@ def test_worst_record_ignores_roundoff_ties(poly_scenario):
     bm = poly_scenario.boundary
     taus = TWO_PI * np.arange(32) / 32
     rhs = np.array([scenarios.boundary_jacobian_bound(bm, tau) for tau in taus])
-    lhs = scenarios._boundary_jacobians(poly_scenario, bm, taus)
+    lhs = _dilatations(*gradient_frames(bm, np.exp(1j * taus)))[2]
     rec = scenarios._worst_record("boundary_jacobian", lhs, rhs)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -390,6 +405,31 @@ def test_verify_rejects_a_boundary_without_a_curve(monkeypatch):
 # the series extension against the closed forms
 
 
+def _closed_form(name: str, params: dict, z):
+    """The catalog map u at the points z in closed form, with its gradient frames (u_x, u_y)
+    and its Jacobian.  Planar maps u = f(z): u_x = f_z + f_zbar, u_y = i (f_z - f_zbar) and
+    J = |f_z|^2 - |f_zbar|^2; the graph (x, y, eps Re z^m) has J = sqrt(1 + |eps m z^(m-1)|^2)."""
+    z = np.asarray(z, dtype=complex)
+    one, zero = np.ones(z.shape), np.zeros(z.shape)
+    if name == "harmonic_graph":
+        eps, m = params["eps"], params["m"]
+        w = eps * m * z ** (m - 1)
+        u = np.stack([z.real, z.imag, eps * (z**m).real], axis=-1)
+        frames = np.stack([one, zero, w.real], axis=-1), np.stack([zero, one, -w.imag], axis=-1)
+        return u, frames, np.sqrt(1.0 + np.abs(w) ** 2)
+    if name == "identity":
+        f, fz, fzbar = z, one, zero
+    elif name == "affine":
+        c = params["c"]
+        f, fz, fzbar = z + c * np.conj(z), one, c * one
+    else:  # conformal_poly
+        eps, m = params["eps"], params["m"]
+        f, fz, fzbar = z + eps * z**m / m, 1.0 + eps * z ** (m - 1), zero
+    ux, uy = fz + fzbar, 1j * (fz - fzbar)
+    frames = np.stack([ux.real, ux.imag], axis=-1), np.stack([uy.real, uy.imag], axis=-1)
+    return np.stack([f.real, f.imag], axis=-1), frames, np.abs(fz) ** 2 - np.abs(fzbar) ** 2
+
+
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -402,16 +442,16 @@ def test_verify_rejects_a_boundary_without_a_curve(monkeypatch):
     ],
 )
 def test_extension_matches_closed_form(name, params):
-    """poisson_extend and gradient_frames against u_exact and grad_exact at
+    """poisson_extend and gradient_frames against the closed forms of u and its gradient at
     seeded points with r <= 0.9 and on |z| = 1, to 1e-12 relative to max |u|."""
     sc = make_scenario(name, **params)
     rng = np.random.default_rng(20111)
     inner = 0.9 * np.sqrt(rng.random(500)) * np.exp(2j * math.pi * rng.random(500))
     z = np.concatenate([inner, np.exp(2j * math.pi * rng.random(500))])
-    u = sc.u_exact(z)
+    u, frames, _ = _closed_form(name, params, z)
     scale = float(np.max(np.linalg.norm(u, axis=-1)))
     deviations = [poisson_extend(sc.boundary, z) - u]
-    for got, want in zip(gradient_frames(sc.boundary, z), sc.grad_exact(z)):
+    for got, want in zip(gradient_frames(sc.boundary, z), frames):
         assert got.shape == want.shape
         deviations.append(got - want)
     worst = max(float(np.max(np.abs(d))) for d in deviations) / scale
