@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -244,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_scenarios)
 
+    # a token that starts "-" and a digit, or "-." and a digit, is a value; argparse's own rule
+    # takes only -1 and -1.5 for numbers and would read "--c -1.5e-05" as --c and an unknown flag
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

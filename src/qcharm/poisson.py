@@ -229,12 +229,3 @@ def _dilatations(ux, uy):
         mn = np.where(op > 0.0, j / np.where(op > 0.0, op, 1.0), 0.0)
     return op, mn, j, 0.5 * s
 
-
-def _angular_sides(zz, ux, uy, jac, K: float):
-    """Both sides of |du/dt|^2 <= r^2 K J at the points zz with frames
-    (ux, uy) and Jacobians J = jac; du/dt = r*(uy cos t - ux sin t)."""
-    r = np.abs(zz)
-    th = np.angle(zz)
-    ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
-    return np.einsum("ij,ij->i", ut, ut), r**2 * K * jac
-

@@ -47,7 +47,6 @@ from .kernels import _chordal, boundary_jacobian_bound
 from .poisson import (
     BoundaryMap,
     CheckRecord,
-    _angular_sides,
     _circle_frames,
     _dilatations,
     gradient_frames,
@@ -59,7 +58,7 @@ _LD_A1 = 0.7548776662466927
 _LD_A2 = 0.5698402909980532
 
 # fixed sample sizes of the verification stages
-_GRID_RADII = 32  # polar grid of the angular and quasiconformality checks
+_GRID_RADII = 32  # polar grid of the quasiconformality check
 _GRID_ANGLES = 32
 _GRID_RMAX = 0.9  # outer radius of that grid and of the interior pairs
 _BOUNDARY_PAIRS = 10_000  # boundary Hölder pairs, of which
@@ -81,7 +80,7 @@ class NormalizationWitness:
 class Scenario:
     """A boundary map and the numbers known about its extension: plain data, no callables.
     The ``*_exact`` fields are closed-form scalars of the catalog maps (None for ``fourier``
-    input); whatever varies over the disk is computed from ``boundary.series()``."""
+    input), reported beside the estimates and read by no check; the rest comes from ``boundary``."""
 
     name: str
     params: dict
@@ -89,7 +88,6 @@ class Scenario:
     surface_class: str
     k_exact: float | None = None
     sup_grad_exact: float | None = None
-    area_exact: float | None = None
     normalization: NormalizationWitness | None = None
 
 
@@ -148,7 +146,6 @@ def make_scenario(name: str, **params) -> Scenario:
             surface_class="minimal",
             k_exact=1.0,
             sup_grad_exact=1.0,
-            area_exact=math.pi,
         )
     elif name == "affine":
         c = complex(params.get("c", 0.2))
@@ -167,7 +164,6 @@ def make_scenario(name: str, **params) -> Scenario:
             surface_class="qc_harmonic",
             k_exact=(1.0 + abs(c)) / (1.0 - abs(c)),
             sup_grad_exact=1.0 + abs(c),
-            area_exact=(1.0 - abs(c) ** 2) * math.pi,
         )
     elif name == "conformal_poly":
         eps = complex(params.get("eps", 0.3))
@@ -190,7 +186,6 @@ def make_scenario(name: str, **params) -> Scenario:
             surface_class="minimal",
             k_exact=1.0,
             sup_grad_exact=1.0 + abs(eps),
-            area_exact=math.pi * (1.0 + abs(eps) ** 2 / order),
         )
     elif name == "harmonic_graph":
         eps = float(params.get("eps", 0.1))
@@ -204,10 +199,6 @@ def make_scenario(name: str, **params) -> Scenario:
         cos_c[order][2] = eps
         curve = build_curve(fourier_curve(cos_c, sin_c))
         w_amp = abs(eps) * order
-        area_exact = None
-        if order == 2:
-            w2 = w_amp**2
-            area_exact = 2.0 * math.pi / (3.0 * w2) * ((1.0 + w2) ** 1.5 - 1.0) if w2 > 0 else math.pi
         sc = Scenario(
             name=name,
             params={"eps": eps, "m": order},
@@ -215,7 +206,6 @@ def make_scenario(name: str, **params) -> Scenario:
             surface_class="qc_harmonic",
             k_exact=math.sqrt(1.0 + w_amp**2),
             sup_grad_exact=math.sqrt(1.0 + w_amp**2),
-            area_exact=area_exact,
         )
     elif name == "fourier":
         cos_c = np.asarray(params["cos_coeffs"], dtype=float)
@@ -299,11 +289,11 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
 
     Stages, in order and in one thread: (1) curve constants; (2)
     gradient/dilatation sups, evaluated on the unit circle from the boundary
-    series; (3) pointwise angular-derivative inequality; (4) boundary Hölder
+    series; (3) quasiconformality on a polar grid; (4) boundary Hölder
     estimate on sampled pairs; (5) boundary Jacobian bound at sampled
-    angles, the Jacobian read from the series frames at e^{i tau}, for catalog
-    and ``fourier`` input alike; (6) isoperimetric ratio; (7) gradient and
-    displacement bounds.
+    angles, the Jacobian read from the series frames at e^{i tau}; (6)
+    isoperimetric ratio; (7) gradient and displacement bounds.  The K of
+    stage (2) feeds every later stage, for catalog and ``fourier`` input alike.
     Inequality violations are recorded, not raised; an inequality check
     passes down to the margin -1e-9 (``_GATE``).  The curve constants are
     computed once, on the boundary's curve: ``DomainError`` when the
@@ -323,25 +313,18 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
 
     # area is shared by stages (4) and (6)
     area, area_rule = surface_area(boundary)
-    if scenario.area_exact is not None:
-        checks.append(_tol_check("area_vs_exact", abs(area - scenario.area_exact), 1e-8))
 
     # (2) gradient and dilatation sups
     sup_grad, k_boundary = _gradient_sups(boundary)
     k_estimate = max(k_boundary, 1.0)
-    if scenario.sup_grad_exact is not None:
-        checks.append(_tol_check("sup_grad_vs_exact", abs(sup_grad - scenario.sup_grad_exact), 1e-6))
-    if scenario.k_exact is not None:
-        checks.append(_tol_check("dilatation_vs_exact", abs(k_estimate - scenario.k_exact), 1e-6))
-    k_used = scenario.k_exact if scenario.k_exact is not None else k_estimate
 
     # constants of stages (4), (6) and (7): an input they reject raises before stage (3) runs
-    upsilon = isoperimetric_coefficient(scenario.surface_class, K=k_used)
-    alpha = mori_exponent(k_used, constants.chord_arc, upsilon)
-    growth = mori_constant(k_used, constants.chord_arc, upsilon, area)
+    upsilon = isoperimetric_coefficient(scenario.surface_class, K=k_estimate)
+    alpha = mori_exponent(k_estimate, constants.chord_arc, upsilon)
+    growth = mori_constant(k_estimate, constants.chord_arc, upsilon, area)
     bound = lipschitz_bound(
         BoundInputs(
-            K=k_used,
+            K=k_estimate,
             mu=mu,
             upsilon=upsilon,
             lam=constants.chord_arc,
@@ -351,16 +334,13 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         )
     )
 
-    # (3) angular derivative and quasiconformality on a polar grid
+    # (3) quasiconformality on a polar grid
     radii = np.linspace(_GRID_RMAX / _GRID_RADII, _GRID_RMAX, _GRID_RADII)
     angles = TWO_PI * np.arange(_GRID_ANGLES) / _GRID_ANGLES
     grid = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    ux, uy = gradient_frames(boundary, grid)
-    _, _, jac, hs2 = _dilatations(ux, uy)
-    lhs, rhs = _angular_sides(grid, ux, uy, jac, k_used)
-    checks.append(_worst_record("angular_derivative", lhs, rhs))
-    # quasiconformality: hs^2 <= (K + 1/K)/2 * J at the same grid
-    checks.append(_worst_record("quasiconformality", hs2, 0.5 * (k_used + 1.0 / k_used) * jac))
+    _, _, jac, hs2 = _dilatations(*gradient_frames(boundary, grid))
+    # hs^2 <= (K + 1/K)/2 J is sigma_1/sigma_2 <= K; it implies |u_t|^2 <= r^2 sigma_1^2 <= r^2 K J
+    checks.append(_worst_record("quasiconformality", hs2, 0.5 * (k_estimate + 1.0 / k_estimate) * jac))
 
     # (4) boundary Hölder estimate
     t1, t2 = _boundary_pair_angles(_BOUNDARY_PAIRS, _NEAR_DIAGONAL_PAIRS)
@@ -381,7 +361,7 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
     z1 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX)
     z2 = _interior_points(_INTERIOR_PAIRS, _GRID_RMAX, offset=314_159)
     lhs = _norms(poisson_extend(boundary, z1) - poisson_extend(boundary, z2))
-    checks.append(_worst_record("displacement_bound", lhs, k_used * bound.value * np.abs(z1 - z2)))
+    checks.append(_worst_record("displacement_bound", lhs, k_estimate * bound.value * np.abs(z1 - z2)))
 
     worst_margin = min(rec.margin for rec in checks)
     return VerificationReport(
@@ -405,10 +385,6 @@ def verify(scenario: Scenario, mu: float = 1.0) -> VerificationReport:
         series_degree=boundary.series().degree,
         series_tail=boundary.series_tail,
     )
-
-
-def _tol_check(name: str, deviation: float, tol: float) -> CheckRecord:
-    return CheckRecord(name=name, lhs=deviation, rhs=tol, margin=tol - deviation, passed=deviation <= tol)
 
 
 def _worst_record(name: str, lhs, rhs) -> CheckRecord:

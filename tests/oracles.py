@@ -451,6 +451,15 @@ def trapezoid_extension(values, z, m: int = 1 << 14):
     return u, ux, uy
 
 
+def angular_sides(zz, ux, uy, jac, K: float):
+    """Both sides of the angular-derivative inequality |du/dt|^2 <= r^2 K J at the points zz
+    with frames (ux, uy) and Jacobians J = jac; du/dt = r (uy cos t - ux sin t)."""
+    r = np.abs(zz)
+    th = np.angle(zz)
+    ut = r[:, None] * (uy * np.cos(th)[:, None] - ux * np.sin(th)[:, None])
+    return np.einsum("ij,ij->i", ut, ut), r**2 * K * jac
+
+
 def polar_area_horner(coeffs, n_r: int, n_t: int) -> float:
     """Area rule of the harmonic extension u = Re sum_j c_j z^j, coeffs (J+1, n): n_r
     Gauss-Legendre radii on [0, 1] times n_t uniform angles, with f'(z) evaluated by

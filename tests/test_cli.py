@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -513,3 +514,34 @@ def test_parser_is_built_once_and_parses_alike(capsys):
     helps = [verify_help(main) for _ in range(2)]
     fresh = verify_help(build_parser.__wrapped__().parse_args)  # a parser built anew
     assert helps[0] and helps[0] == helps[1] == fresh
+
+
+def _numeric_flags():
+    """(command, base argv, flag, destination, negative value) for every float and int flag of
+    the commands that take numbers; the base argv holds the command's required flags."""
+    base = {
+        "constants": [],
+        "bound": ["--K", "1", "--mu", "1", "--upsilon", "1", "--lambda", "1.5", "--c-gamma", "1", "--length", "6"],
+        "verify": ["--scenario", "affine"],
+    }
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, argv in base.items():
+        for action in commands[command]._actions:
+            if action.type in (float, int):
+                value = "-1.5e-05" if action.type is float else "-7"
+                yield pytest.param(command, argv, action.option_strings[0], action.dest, value, id=f"{command}{action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("command, base, flag, dest, value", list(_numeric_flags()))
+def test_negative_number_in_exponent_form_is_a_value(command, base, flag, dest, value):
+    # "--c -1.5e-05" was read as --c followed by an unknown flag -1.5e-05 (exit 2)
+    parse = build_parser().parse_args
+    spaced = parse([command, *base, flag, value])
+    assert spaced == parse([command, *base, f"{flag}={value}"])
+    assert getattr(spaced, dest) == float(value)
+
+
+def test_verify_with_a_tiny_negative_coefficient_exits_zero(capsys):
+    code, out, _ = run_cli(["verify", "--scenario", "affine", "--c", "-1.5e-05"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["params"]["c"] == -1.5e-05

@@ -24,7 +24,7 @@ from qcharm import (
 )
 from qcharm import curves
 from qcharm.bounds import _polar_area
-from qcharm.poisson import _angular_sides, _circle_frames, _dilatations
+from qcharm.poisson import _circle_frames, _dilatations
 from qcharm.scenarios import _gradient_sups, _worst_record
 
 TWO_PI = 2.0 * math.pi
@@ -381,7 +381,7 @@ def test_dilatation_affine_map_everywhere(affine_scenario):
 def _angular(bm, grid, K):
     zz = np.asarray(grid, dtype=complex)
     ux, uy = gradient_frames(bm, zz)
-    lhs, rhs = _angular_sides(zz, ux, uy, _dilatations(ux, uy)[2], K)
+    lhs, rhs = oracles.angular_sides(zz, ux, uy, _dilatations(ux, uy)[2], K)
     return lhs, rhs
 
 
