@@ -138,13 +138,11 @@ def cmd_bound(args) -> int:
 
 
 def _scenario_from_args(args):
-    kwargs = {}
-    if args.scenario == "affine":
-        kwargs["c"] = args.c
-    elif args.scenario in ("conformal_poly", "harmonic_graph"):
-        kwargs["eps"] = args.epsilon
-        kwargs["m"] = args.order
-    elif args.scenario == "fourier":
+    """The scenario of the verify flags: only the parameters given are passed on, so every
+    default is ``make_scenario``'s."""
+    given = {"c": args.c, "eps": args.epsilon, "m": args.order}
+    kwargs = {key: value for key, value in given.items() if value is not None}
+    if args.scenario == "fourier":
         if not args.coeffs:
             raise QcharmError("fourier scenario requires --coeffs FILE.json")
         try:
@@ -233,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", allow_abbrev=False, help="run the inequality suite on a scenario")
     p.add_argument("--scenario", choices=[entry["name"] for entry in scenario_catalog()], required=True)
-    p.add_argument("--c", type=float, default=0.2, help="affine coefficient")
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--order", type=int, default=2, help="harmonic order m")
+    p.add_argument("--c", type=float, default=None, help="affine coefficient")
+    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--order", type=int, default=None, help="harmonic order m")
     p.add_argument("--coeffs", default=None, help="JSON file with cos_coeffs/sin_coeffs")
     p.add_argument("--mu", type=float, default=1.0)
     common(p)
@@ -291,6 +289,8 @@ def main(argv=None) -> int:
     except QcharmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # argparse has printed its message: 2 for a usage error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except (report_mod.NonFiniteError, RefinementError) as exc:

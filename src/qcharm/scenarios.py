@@ -2,12 +2,17 @@
 end-to-end verification pipeline that checks every implemented inequality
 on them.
 
+The planar maps are given as f = h + conj(g) by the Taylor coefficients of
+h and g (``_planar``); ``make_scenario`` holds every parameter default.
+
 Catalog
 -------
-identity            z -> z
-affine(c)           z -> z + c*conj(z), |c| < 1
-conformal_poly(e,m) z -> z + e z^m / m, |e m| < 1
-harmonic_graph(e,m) z -> (x, y, e Re z^m) into R^3, |e m| < 1
+(parameter defaults in brackets)
+identity            h = z
+affine(c)           h = z, g = conj(c) z, |c| < 1 [c = 0.2]
+conformal_poly(e,m) h = z + e z^m / m, |e m| < 1 [e = 0.3, m = 2]
+harmonic_graph(e,m) (x, y, e Re z^m) into R^3: the identity's boundary and
+                    the height e cos(mt), |e m| < 1 [e = 0.3, m = 2]
 fourier(...)        arbitrary trigonometric boundary data, numeric only
 """
 
@@ -34,11 +39,11 @@ from .bounds import (
 from .curves import (
     TWO_PI,
     CurveConstants,
+    TrigPolynomial,
     _MAX_FIT,
     _extreme_nodes,
     _norms,
     build_curve,
-    circle,
     compute_curve_constants,
     fourier_curve,
 )
@@ -135,104 +140,83 @@ def _order(m, what: str) -> int:
     return int(m)
 
 
+def _planar(h, g) -> TrigPolynomial:
+    """The boundary values of the harmonic map f = h + conj(g) of the disk, from the Taylor
+    coefficients h_j and g_j (j = 0, 1, ...): h_j e^{ijt} has cosine coefficients (Re, Im) h_j and
+    sine coefficients (-Im, Re) h_j; conj(g_j e^{ijt}) has (Re, -Im) g_j and (-Im, -Re) g_j."""
+    h, g = (np.asarray(c, dtype=complex) for c in (h, g))
+    cos_c = np.zeros((max(h.size, g.size), 2))
+    sin_c = np.zeros_like(cos_c)
+    cos_c[: h.size] += np.stack([h.real, h.imag], axis=1)
+    sin_c[: h.size] += np.stack([-h.imag, h.real], axis=1)
+    cos_c[: g.size] += np.stack([g.real, -g.imag], axis=1)
+    sin_c[: g.size] += np.stack([-g.imag, -g.real], axis=1)
+    return TrigPolynomial(cos_c, sin_c)
+
+
 def make_scenario(name: str, **params) -> Scenario:
-    """Build a catalog scenario; see the module docstring for the list."""
+    """Build a catalog scenario; see the module docstring for the list.  Every parameter
+    default of the catalog lives here."""
+    surface_class, k_exact, sup_grad_exact = "qc_harmonic", None, None
     if name == "identity":
-        curve = build_curve(circle())
-        sc = Scenario(
-            name=name,
-            params={},
-            boundary=BoundaryMap(curve),
-            surface_class="minimal",
-            k_exact=1.0,
-            sup_grad_exact=1.0,
-        )
+        poly, params = _planar([0.0, 1.0], []), {}
+        surface_class, k_exact, sup_grad_exact = "minimal", 1.0, 1.0
     elif name == "affine":
         c = complex(params.get("c", 0.2))
         if abs(c) >= 1.0:
             raise DomainError("affine coefficient must satisfy |c| < 1")
-        a, b = c.real, c.imag
-        cos_c = np.zeros((2, 2))
-        sin_c = np.zeros((2, 2))
-        cos_c[1] = [1.0 + a, b]
-        sin_c[1] = [b, 1.0 - a]
-        curve = build_curve(fourier_curve(cos_c, sin_c))
-        sc = Scenario(
-            name=name,
-            params={"c": c.real if c.imag == 0 else c},
-            boundary=BoundaryMap(curve),
-            surface_class="qc_harmonic",
-            k_exact=(1.0 + abs(c)) / (1.0 - abs(c)),
-            sup_grad_exact=1.0 + abs(c),
-        )
+        poly, params = _planar([0.0, 1.0], [0.0, c.conjugate()]), {"c": c.real if c.imag == 0 else c}
+        k_exact, sup_grad_exact = (1.0 + abs(c)) / (1.0 - abs(c)), 1.0 + abs(c)
     elif name == "conformal_poly":
         eps = complex(params.get("eps", 0.3))
         order = _order(params.get("m", 2), "polynomial")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for an embedded image curve")
-        cos_c = np.zeros((order + 1, 2))
-        sin_c = np.zeros((order + 1, 2))
-        cos_c[1] = [1.0, 0.0]
-        sin_c[1] = [0.0, 1.0]
-        cos_c[order][0] += eps.real / order
-        cos_c[order][1] += eps.imag / order
-        sin_c[order][0] += -eps.imag / order
-        sin_c[order][1] += eps.real / order
-        curve = build_curve(fourier_curve(cos_c, sin_c))
-        sc = Scenario(
-            name=name,
-            params={"eps": eps.real if eps.imag == 0 else eps, "m": order},
-            boundary=BoundaryMap(curve),
-            surface_class="minimal",
-            k_exact=1.0,
-            sup_grad_exact=1.0 + abs(eps),
-        )
+        h = np.zeros(order + 1, dtype=complex)
+        h[1] = 1.0
+        h[order] += eps / order
+        poly, params = _planar(h, []), {"eps": eps.real if eps.imag == 0 else eps, "m": order}
+        surface_class, k_exact, sup_grad_exact = "minimal", 1.0, 1.0 + abs(eps)
     elif name == "harmonic_graph":
-        eps = float(params.get("eps", 0.1))
+        eps = float(params.get("eps", 0.3))
         order = _order(params.get("m", 2), "graph")
         if abs(eps) * order >= 1.0:
             raise DomainError("require |eps * m| < 1 for a mild graph scenario")
-        cos_c = np.zeros((order + 1, 3))
-        sin_c = np.zeros((order + 1, 3))
-        cos_c[1][0] = 1.0
-        sin_c[1][1] = 1.0
-        cos_c[order][2] = eps
-        curve = build_curve(fourier_curve(cos_c, sin_c))
-        w_amp = abs(eps) * order
-        sc = Scenario(
-            name=name,
-            params={"eps": eps, "m": order},
-            boundary=BoundaryMap(curve),
-            surface_class="qc_harmonic",
-            k_exact=math.sqrt(1.0 + w_amp**2),
-            sup_grad_exact=math.sqrt(1.0 + w_amp**2),
-        )
+        # the identity's planar boundary, padded to degree m, and the height eps cos(mt)
+        disk = _planar(np.arange(order + 1) == 1, [])
+        height = np.zeros((order + 1, 1))
+        height[order] = eps
+        poly = TrigPolynomial(np.hstack([disk.cos_coeffs, height]), np.hstack([disk.sin_coeffs, np.zeros_like(height)]))
+        params = {"eps": eps, "m": order}
+        k_exact = sup_grad_exact = math.sqrt(1.0 + (abs(eps) * order) ** 2)
     elif name == "fourier":
         cos_c = np.asarray(params["cos_coeffs"], dtype=float)
         sin_c = np.asarray(params["sin_coeffs"], dtype=float)
-        curve = build_curve(fourier_curve(cos_c, sin_c))
-        sc = Scenario(
-            name=name,
-            params={"cos_coeffs": cos_c.tolist(), "sin_coeffs": sin_c.tolist()},
-            boundary=BoundaryMap(curve),
-            surface_class="qc_harmonic",
-        )
+        poly, params = fourier_curve(cos_c, sin_c), {"cos_coeffs": cos_c.tolist(), "sin_coeffs": sin_c.tolist()}
     else:
         raise DomainError(f"unknown scenario {name!r}")
 
-    sc.normalization = normalization_witness(sc.boundary)
-    return sc
+    boundary = BoundaryMap(build_curve(poly))
+    return Scenario(
+        name=name,
+        params=params,
+        boundary=boundary,
+        surface_class=surface_class,
+        k_exact=k_exact,
+        sup_grad_exact=sup_grad_exact,
+        normalization=normalization_witness(boundary),
+    )
 
 
 def scenario_catalog() -> list[dict]:
     """Names, parameters and exact fields of the built-in scenarios."""
     return [
-        {"name": "identity", "params": {}, "exact": ["K", "sup_grad", "area"]},
-        {"name": "affine", "params": {"c": "complex, |c| < 1"}, "exact": ["K", "sup_grad", "area"]},
+        {"name": "identity", "params": {}, "exact": ["K", "sup_grad"]},
+        {"name": "affine", "params": {"c": "complex, |c| < 1"}, "exact": ["K", "sup_grad"]},
         {
             "name": "conformal_poly",
             "params": {"eps": "complex, |eps*m| < 1", "m": "integer >= 1"},
-            "exact": ["K", "sup_grad", "area"],
+            "exact": ["K", "sup_grad"],
         },
         {
             "name": "harmonic_graph",

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -297,10 +298,9 @@ def test_abbreviated_flag_exits_two(flag, with_config, capsys, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"mu": 1.0}))
     config = ["--config", str(cfg)] if with_config else []
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", "--curve", "ellipse", *flag, *config])
-    assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    code, _, err = run_cli(["constants", "--curve", "ellipse", *flag, *config], capsys)
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: " + flag[0] in err
 
 
 def _assert_one_line_error(code, out, err):
@@ -484,18 +484,18 @@ def test_high_degree_csv_constants_at_mu_one(capsys, tmp_path):
     ],
 )
 def test_removed_flags_exit_two(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_CONFIG
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: " + argv[-2] in err
 
 
 def test_config_naming_removed_flag_exits_two(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     for removed in ({"tol": 1e-3}, {"nodes": 512}):
         cfg.write_text(json.dumps({"scenario": "identity"} | removed))
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", str(cfg)])
-        assert exc.value.code == EXIT_CONFIG
+        code, _, err = run_cli(["verify", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments: --" + next(iter(removed)) in err
 
 
 def test_parser_is_built_once_and_parses_alike(capsys):
@@ -505,15 +505,12 @@ def test_parser_is_built_once_and_parses_alike(capsys):
     first, second = run_cli(argv, capsys), run_cli(argv, capsys)
     assert first[0] == EXIT_OK and first == second
 
-    def verify_help(parse):
-        with pytest.raises(SystemExit) as exc:
-            parse(["verify", "--help"])
-        assert exc.value.code == 0
-        return capsys.readouterr().out
-
-    helps = [verify_help(main) for _ in range(2)]
-    fresh = verify_help(build_parser.__wrapped__().parse_args)  # a parser built anew
-    assert helps[0] and helps[0] == helps[1] == fresh
+    helps = [run_cli(["verify", "--help"], capsys) for _ in range(2)]
+    assert helps[0][0] == EXIT_OK and helps[0] == helps[1]
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(["verify", "--help"])  # a parser built anew
+    assert exc.value.code == 0
+    assert helps[0][1] and helps[0][1] == capsys.readouterr().out
 
 
 def _numeric_flags():
@@ -539,6 +536,26 @@ def test_negative_number_in_exponent_form_is_a_value(command, base, flag, dest, 
     spaced = parse([command, *base, flag, value])
     assert spaced == parse([command, *base, f"{flag}={value}"])
     assert getattr(spaced, dest) == float(value)
+
+
+@pytest.mark.parametrize("name", ["identity", "affine", "conformal_poly", "harmonic_graph"])
+def test_verify_without_parameter_flags_runs_the_library_defaults(name, capsys):
+    # one default per parameter: the CLI passes on only the flags given, make_scenario fills the rest
+    code, out, _ = run_cli(["verify", "--scenario", name], capsys)
+    payload, rep = json.loads(out), qcharm.verify(qcharm.make_scenario(name))
+    assert code == EXIT_OK and payload["params"] == rep.params
+    assert payload["dilatation"] == {"exact": rep.k_exact, "estimate": rep.k_estimate}
+    assert payload["sup_gradient"] == {"extrapolated": rep.sup_grad_extrapolated, "exact": rep.sup_grad_exact}
+    assert (payload["area"], payload["log_L"]) == (rep.area, rep.bound.log_value)
+    assert payload["checks"] == [dataclasses.asdict(r) for r in rep.checks]
+
+
+def test_main_returns_usage_outcomes_as_exit_codes(capsys):
+    # argparse exits on a usage error and after --help; main returns those codes instead
+    code, out, err = run_cli(["verify", "--scenario", "identity", "--bogus"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "") and "unrecognized arguments: --bogus" in err
+    code, out, err = run_cli(["--help"], capsys)
+    assert (code, err) == (EXIT_OK, "") and out.startswith("usage: qcharm")
 
 
 def test_verify_with_a_tiny_negative_coefficient_exits_zero(capsys):

@@ -17,6 +17,7 @@ from qcharm import (
     make_scenario,
     poisson_extend,
     scenario_catalog,
+    surface_area,
     verify,
 )
 from qcharm import curves, kernels, scenarios
@@ -488,3 +489,43 @@ def test_extension_matches_closed_form(name, params):
         deviations.append(got - want)
     worst = max(float(np.max(np.abs(d))) for d in deviations) / scale
     assert worst <= 1e-12, f"{name} {params}: worst deviation {worst:.2e}"
+
+
+def _seeded_planar(seed: int, degree: int = 8):
+    """Taylor coefficients (h, g) of a seeded harmonic map h + conj(g) of the disk: h_1 = 1,
+    the rest Gaussian, scaled so that sum_{j>=2} j|h_j| + sum_{j>=1} j|g_j| lies in
+    [0.2, 0.9), which keeps |g'| < |h'| on the closed disk: sense-preserving, with the
+    boundary curve embedded."""
+    rng = np.random.default_rng(seed)
+    h, g = np.zeros(degree + 1, dtype=complex), np.zeros(degree + 1, dtype=complex)
+    h[2:] = rng.normal(size=degree - 1) + 1j * rng.normal(size=degree - 1)
+    g[1:] = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    j = np.arange(degree + 1)
+    scale = rng.uniform(0.2, 0.9) / (np.sum(j * np.abs(h)) + np.sum(j * np.abs(g)))
+    h, g = scale * h, scale * g
+    h[1] = 1.0
+    return h, g
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_planar_maps_match_h_plus_conj_g(seed):
+    """The boundary series of ``_planar(h, g)`` against f = h + conj(g) itself: boundary values,
+    the area pi sum_j j (|h_j|^2 - |g_j|^2) and the frames u_x = h' + conj(g'),
+    u_y = i (h' - conj(g')), at seeded points of the closed disk."""
+    h, g = _seeded_planar(seed)
+    boundary = BoundaryMap(build_curve(scenarios._planar(h, g)))
+    poly = np.polynomial.polynomial
+    rng = np.random.default_rng([seed, 1])
+    w = np.exp(2j * math.pi * rng.random(200))
+    v = boundary.values(np.angle(w))
+    assert np.max(np.abs(v[:, 0] + 1j * v[:, 1] - (poly.polyval(w, h) + np.conj(poly.polyval(w, g))))) <= 1e-13
+
+    j = np.arange(h.size)
+    area = math.pi * float(np.sum(j * (np.abs(h) ** 2 - np.abs(g) ** 2)))
+    assert abs(surface_area(boundary)[0] - area) <= 1e-12 * area
+
+    z = np.concatenate([np.sqrt(rng.random(200)) * np.exp(2j * math.pi * rng.random(200)), w])
+    dh, dg = poly.polyval(z, poly.polyder(h)), np.conj(poly.polyval(z, poly.polyder(g)))
+    ux, uy = gradient_frames(boundary, z)
+    assert np.max(np.abs(ux[:, 0] + 1j * ux[:, 1] - (dh + dg))) <= 1e-13
+    assert np.max(np.abs(uy[:, 0] + 1j * uy[:, 1] - 1j * (dh - dg))) <= 1e-13
